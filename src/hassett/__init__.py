@@ -8,6 +8,8 @@ moduli space of smooth cubic fourfolds intersect.  All arithmetic is exact:
 arbitrary-precision integers and rationals, no floating point.
 """
 
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .linalg import (
     IntMatrix,
@@ -93,4 +95,8 @@ from .verifier import (
     verify_witness,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name, value in sorted(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

@@ -17,13 +17,16 @@ roots of this plane; the chosen pair realizes the Gram [[2,1],[1,2]].
 
 Saturation (the quotient of the ambient lattice by a sublattice being
 torsion-free) is detected through Smith invariants of the 23 x k coordinate
-matrix, and short vectors are enumerated exactly with rational LDL bounds.
+matrix.  Short vectors and the minimum come from one exact enumeration,
+``_enumerate``: Fincke-Pohst on the LDL decomposition, each level visited
+centre-first (Schnorr-Euchner order), one vector per +- pair.
+``short_vectors`` runs it with a fixed bound; ``minimum`` starts from the
+least diagonal entry and lowers the bound with every vector it finds.
 No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -34,7 +37,6 @@ from .linalg import (
     integer_rank,
     invariant_factors,
     is_positive_definite,
-    quadratic_form,
     solve_integer,
 )
 
@@ -346,12 +348,77 @@ def _ldl(g: IntMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
     return d, u
 
 
-def _floor_sqrt(q: Fraction) -> int:
-    """Largest integer s with s*s <= q, for q >= 0."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    num, den = q.numerator, q.denominator
-    return math.isqrt(num * den) // den
+def _enumerate(
+    g: IntMatrix, ldl: tuple[list[Fraction], list[list[Fraction]]], bound: int, shrink: bool
+) -> list[tuple[tuple[int, ...], int]]:
+    """Pairs (x, x^T g x) for nonzero x of norm at most ``bound``, one x per +- pair.
+
+    Depth first from the last coordinate down, on the decomposition ``ldl``
+    of ``g``.  Each level visits its candidates centre-first: the integer
+    nearest the centre -offset, then alternately outwards in increasing
+    partial norm, stopping at the first one whose partial norm exceeds the
+    bound (Fincke-Pohst with the Schnorr-Euchner order).  While every higher
+    coordinate is 0 the centre is 0 and only x_i >= 0 is visited, so each
+    +- pair is met once, with its last nonzero coordinate positive.
+
+    With ``shrink`` every vector found lowers the bound to its norm minus
+    one, so the norms in the list strictly decrease and the last is the
+    least norm at most ``bound``.
+
+    The search uses only integers.  With p_i the leading principal minor
+    of size i + 1 (p_{-1} = 1), level i adds t^2 / (p_{i-1} p_i) to the
+    norm, where t = p_i x_i + sum_{j>i} p_i u_ij x_j.  The norm of the
+    levels above i is carried as p_i times itself, an integer because p_i
+    times a Schur complement of g is integral; at level -1 that is x^T g x.
+    """
+    n = g.nrows
+    d, u = ldl
+    piv: list[int] = []
+    rows: list[list[int]] = []
+    p = 1
+    for i in range(n):
+        p = p * d[i].numerator // d[i].denominator
+        piv.append(p)
+        rows.append([f.numerator * (p // f.denominator) for f in u[i]])
+    x = [0] * n
+    found: list[tuple[tuple[int, ...], int]] = []
+    c = bound
+
+    def descend(i: int, above: int, free: bool) -> None:
+        # above: p_i times the norm of levels > i.  free: those levels are
+        # all 0, so only x_i >= 0 is visited.
+        nonlocal c
+        p, row = piv[i], rows[i]
+        prev = piv[i - 1] if i else 1
+        s = 0 if free else sum(row[j] * x[j] for j in range(i + 1, n) if x[j])
+        up = (p - 2 * s) // (2 * p)  # nearest integer to the centre -s/p
+        down = up - 1
+        while True:
+            t = p * up + s
+            step_up = True
+            if not free:
+                t_down = p * down + s
+                if abs(t_down) < abs(t):
+                    t, step_up = t_down, False
+            below = (prev * above + t * t) // p
+            if below > prev * c:
+                break
+            if step_up:
+                x[i] = up
+                up += 1
+            else:
+                x[i] = down
+                down -= 1
+            if i:
+                descend(i - 1, below, free and x[i] == 0)
+            elif not (free and x[0] == 0):
+                found.append((tuple(x), below))
+                if shrink:
+                    c = below - 1
+        x[i] = 0
+
+    descend(n - 1, 0, True)
+    return found
 
 
 def _canonical(x: Sequence[int]) -> tuple[int, ...]:
@@ -365,48 +432,27 @@ def short_vectors(g: IntMatrix, c: int) -> list[tuple[int, ...]]:
     """All nonzero x with x^T g x <= c, one representative per +- pair.
 
     Representatives have a positive first nonzero coordinate and the list is
-    sorted lexicographically.  Enumeration is exact branch-and-bound on the
-    rational LDL decomposition; an indefinite input is rejected.
+    sorted lexicographically.  The vectors come from the exact centre-first
+    enumeration that ``minimum`` also runs, here with the fixed bound c; an
+    indefinite input is rejected.
     """
     if c < 0:
         raise ValueError("short_vectors needs a nonnegative bound")
     if not is_positive_definite(g):
         raise ValueError("short_vectors requires a positive definite Gram matrix")
-    n = g.nrows
-    d, u = _ldl(g)
-    bound = Fraction(c)
-    found: set[tuple[int, ...]] = set()
-    x = [0] * n
-
-    def descend(i: int, remaining: Fraction) -> None:
-        # remaining = c - sum over levels > i of d_k (x_k + offset_k)^2
-        offset = sum((u[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        radius = _floor_sqrt(remaining / d[i])
-        lo = math.floor(-offset) - radius - 1
-        hi = math.ceil(-offset) + radius + 1
-        for xi in range(lo, hi + 1):
-            term = d[i] * (xi + offset) ** 2
-            if term > remaining:
-                continue
-            x[i] = xi
-            if i == 0:
-                if any(x):
-                    found.add(_canonical(x))
-            else:
-                descend(i - 1, remaining - term)
-        x[i] = 0
-
-    descend(n - 1, bound)
-    return sorted(found)
+    return sorted(_canonical(x) for x, _ in _enumerate(g, _ldl(g), c, shrink=False))
 
 
 def minimum(g: IntMatrix) -> int:
-    """Least nonzero value of a positive definite integral form."""
+    """Least nonzero value of a positive definite integral form.
+
+    One definiteness test, one decomposition and one enumeration.  A unit
+    vector attains the least diagonal entry, so the enumeration looks only
+    for strictly smaller norms: its bound starts one below that entry, and
+    each vector found lowers it to one below the vector's norm.
+    """
     if not is_positive_definite(g):
         raise ValueError("minimum requires a positive definite Gram matrix")
-    c = 1
-    while True:
-        vs = short_vectors(g, c)
-        if vs:
-            return min(quadratic_form(g, v) for v in vs)
-        c += 1
+    least = min(g[i][i] for i in range(g.nrows))
+    found = _enumerate(g, _ldl(g), least - 1, shrink=True)
+    return found[-1][1] if found else least

@@ -29,9 +29,7 @@ from .lattice import (
 )
 from .linalg import (
     IntMatrix,
-    integer_rank,
     is_positive_definite,
-    invariant_factors,
     quadratic_form,
     rational_inverse,
     smith_normal_form,
@@ -170,6 +168,22 @@ def _solver(matrix: IntMatrix):
     return solve, diag
 
 
+def _spans_saturated_plane(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Whether integer columns a, b span a saturated rank-2 sublattice.
+
+    The gcd of the 2 x 2 minors of [a b] is the product of its two Smith
+    invariants, and 0 when the rank is below 2; so it is 1 exactly when the
+    rank is 2 and both invariants are 1.  The scan stops once the gcd is 1.
+    """
+    g = 0
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            g = math.gcd(g, a[i] * b[j] - a[j] * b[i])
+            if g == 1:
+                return True
+    return False
+
+
 def verify_witness(
     basis: tuple[AmbientVector, ...] | list[AmbientVector],
     targets: tuple[int, ...] | list[int],
@@ -193,14 +207,14 @@ def verify_witness(
     if len(targets) != len(basis) - 1:
         reasons.append("TARGET_COUNT_MISMATCH")
 
-    coords = coordinate_matrix(basis)
-    independent = integer_rank(coords) == len(basis)
+    solve, smith_diag = _solver(coordinate_matrix(basis))
+    independent = sum(1 for x in smith_diag if x != 0) == len(basis)
     if not independent:
         reasons.append("DEPENDENT_BASIS")
 
     gram = gram_of(basis)
-    solve, smith_diag = _solver(coords)
-    has_h = solve(H_SQUARED.coords) is not None
+    h_in_m = solve(H_SQUARED.coords)
+    has_h = h_in_m is not None
     pd = is_positive_definite(gram)
     saturated = len(smith_diag) == len(basis) and all(x == 1 for x in smith_diag)
     min_norm = minimum(gram) if pd else None
@@ -220,7 +234,6 @@ def verify_witness(
     if min_norm is not None and min_norm < 3:
         reasons.append(f"MIN_NORM_{min_norm}")
 
-    h_in_m = solve(H_SQUARED.coords)
     labellings = []
     for i, v in enumerate(basis[1 : len(targets) + 1]):
         hv = inner_product(H_SQUARED, v)
@@ -228,10 +241,7 @@ def verify_witness(
         sat_in_m = False
         if independent and h_in_m is not None:
             v_in_m = solve(v.coords)
-            if v_in_m is not None:
-                pair = IntMatrix.from_columns([h_in_m, v_in_m])
-                factors = invariant_factors(pair)
-                sat_in_m = len(factors) == 2 and all(f == 1 for f in factors)
+            sat_in_m = v_in_m is not None and _spans_saturated_plane(h_in_m, v_in_m)
         labellings.append(
             LabellingCheck(target_d=targets[i], realized_d=realized, saturated_in_m=sat_in_m)
         )

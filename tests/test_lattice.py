@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import hassett.lattice as lattice
 from hassett.lattice import (
     A1,
     A2,
@@ -37,7 +39,9 @@ from hassett.linalg import (
     invariant_factors,
     is_positive_definite,
     quadratic_form,
+    rational_inverse,
 )
+from hassett.verifier import oracle_short_vectors
 
 A2_GRAM = IntMatrix([[2, 1], [1, 2]])
 
@@ -276,6 +280,22 @@ class TestLdl:
         assert d == [Fraction(b, a) for a, b in zip([1] + minors, minors)]
 
 
+def reference_minimum(g):
+    """The loop that the single shrinking enumeration replaced: c = 1, 2, 3, ..."""
+    c = 1
+    while True:
+        vs = short_vectors(g, c)
+        if vs:
+            return min(quadratic_form(g, v) for v in vs)
+        c += 1
+
+
+def oracle_box_size(g, c):
+    """Number of points ``oracle_short_vectors(g, c)`` walks."""
+    inv = rational_inverse(g)
+    return math.prod(2 * math.isqrt(int(c * inv[i][i])) + 1 for i in range(g.nrows))
+
+
 class TestMinimum:
     def test_rank_one(self):
         assert minimum(IntMatrix([[3]])) == 3
@@ -290,3 +310,59 @@ class TestMinimum:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             minimum(IntMatrix([[0, 1], [1, 0]]))
+
+    def test_matches_reference_loop_and_oracle(self):
+        rng = random.Random(29)
+        checked = 0
+        while checked < 300:
+            n = rng.randint(1, 7)
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n + 2)]
+            g = IntMatrix(
+                [[sum(r[i] * r[j] for r in rows) for j in range(n)] for i in range(n)]
+            )
+            if not is_positive_definite(g):
+                continue
+            least = min(g[i][i] for i in range(n))
+            # The oracle walks its whole box; keep each walk small.
+            if oracle_box_size(g, least) > 5000:
+                continue
+            checked += 1
+            oracle = min(quadratic_form(g, v) for v in oracle_short_vectors(g, least))
+            assert minimum(g) == reference_minimum(g) == oracle, g
+
+    def test_close_pair_of_huge_norm(self):
+        # x = (1, -1) has norm 2 whatever N is; lo-to-hi order needs O(sqrt N) steps.
+        n = 10**8
+        assert minimum(IntMatrix([[n, n - 1], [n - 1, n]])) == 2
+
+    def test_hyperbolic_pair_basis(self):
+        # e + a f and e' + b f' span diag(2a, 2b) in U + U.
+        a = 10**6
+        assert minimum(IntMatrix.diagonal([2 * a, 2 * (a + 1)])) == 2 * a
+
+    def test_scaled_e8(self):
+        for m in (1, 3, 4, 30):
+            g = IntMatrix([[m * m * x for x in row] for row in E8_GRAM.rows])
+            assert minimum(g) == 2 * m * m
+
+    def test_one_decomposition_per_call(self, monkeypatch):
+        calls = {"_ldl": 0, "is_positive_definite": 0}
+
+        def counted(name):
+            inner = getattr(lattice, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(lattice, name, counted(name))
+        g = IntMatrix([[3, 0, 0, 1], [0, 40, 0, 0], [0, 0, 40, 0], [1, 0, 0, 90]])
+        assert minimum(g) == 3
+        assert calls == {"_ldl": 1, "is_positive_definite": 1}
+        calls.update(_ldl=0, is_positive_definite=0)
+        n = 10**8
+        assert minimum(IntMatrix([[n, n - 1], [n - 1, n]])) == 2
+        assert calls == {"_ldl": 1, "is_positive_definite": 1}

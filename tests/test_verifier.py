@@ -13,9 +13,10 @@ from hassett.lattice import (
     short_vectors,
     t_vec,
 )
-from hassett.linalg import IntMatrix, quadratic_form
+from hassett.linalg import IntMatrix, invariant_factors, quadratic_form
 from hassett.verifier import (
     COROLLARY_DISCRIMINANTS,
+    _spans_saturated_plane,
     Certificate,
     CertificateError,
     certificate_for,
@@ -115,6 +116,30 @@ class TestVerifyWitness:
         r2 = verify_witness(outcome.basis, outcome.targets)
         assert r1 == r2
         assert json.dumps(r1.to_dict()) == json.dumps(r2.to_dict())
+
+
+class TestLabellingSaturation:
+    def test_gcd_of_minors_matches_smith_invariants(self):
+        rng = random.Random(31)
+        for trial in range(600):
+            k = rng.randint(2, 21)
+            kind = ("random", "zero", "proportional", "content")[trial % 4]
+            a = [rng.randint(-3, 3) for _ in range(k)]
+            b = [rng.randint(-3, 3) for _ in range(k)]
+            if kind == "zero":
+                b = [0] * k
+            elif kind == "proportional":
+                p, q = rng.choice([(1, 1), (2, 1), (-3, 2), (0, 5)])
+                b = [p * x for x in a]
+                a = [q * x for x in a]
+            elif kind == "content":
+                content = rng.randint(2, 6)
+                b = [content * x for x in b]
+            if rng.random() < 0.5:
+                a, b = b, a
+            f = invariant_factors(IntMatrix.from_columns([a, b]))
+            expected = len(f) == 2 and all(x == 1 for x in f)
+            assert _spans_saturated_plane(tuple(a), tuple(b)) == expected, (a, b, f)
 
 
 class TestCorollary20:
