@@ -14,8 +14,8 @@ from ._version import __version__
 from .linalg import (
     IntMatrix,
     determinant,
-    hermite_normal_form,
     inertia,
+    integer_solver,
     invariant_factors,
     is_positive_definite,
     quadratic_form,
@@ -26,14 +26,10 @@ from .linalg import (
 from .lattice import (
     A1,
     A2,
-    AMBIENT,
     AMBIENT_GRAM,
-    A2Embedding,
     AmbientVector,
-    DEFAULT_A2,
     E8_GRAM,
     H_SQUARED,
-    Labelling,
     Sublattice,
     U_GRAM,
     contains,
@@ -45,7 +41,6 @@ from .lattice import (
     is_saturated,
     minimum,
     norm,
-    saturation_in,
     short_vectors,
     t_vec,
 )
@@ -55,6 +50,7 @@ from .criteria import (
     certify_nonempty,
     conjecture_shape,
     conjecture_sweep,
+    criterion_report,
     discriminant_report,
     factorize,
     has_associated_k3,
@@ -66,7 +62,6 @@ from .constructions import (
     Mode,
     RealizationOutcome,
     RealizationStatus,
-    Recipe,
     SLOT_POOL,
     SlotSpec,
     build,
@@ -78,7 +73,6 @@ from .constructions import (
     ideal_gram,
     identity_pair,
     realize_perturbations,
-    recipe,
     reference_gram,
     squares_value,
 )

@@ -66,35 +66,11 @@ def cmd_check_d(args) -> int:
     return 0 if report.star else 1
 
 
-def _parse_params_file(path: str, targets: list[int]) -> str | None:
-    """Validate explicit slot parameters against the targets; None if fine."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        return f"cannot read params file: {exc}"
-    except json.JSONDecodeError as exc:
-        return f"params file is not valid JSON (line {exc.lineno}): {exc.msg}"
-    ns = doc.get("n") if isinstance(doc, dict) else None
-    if not isinstance(ns, list) or not all(isinstance(x, int) for x in ns):
-        return "params file must be an object {\"n\": [int, ...]}"
-    if len(ns) != len(targets):
-        return f"params file lists {len(ns)} parameters for {len(targets)} targets"
-    for d, n in zip(targets, ns):
-        if d - 6 * n not in (0, 2):
-            return f"parameter n={n} is inconsistent with d={d} (d - 6n must be 0 or 2)"
-    return None
-
-
 def cmd_intersect(args) -> int:
     targets = args.d
     for d in targets:
         if not 1 <= d <= MAX_D:
             return _fail_usage(f"d must lie in [1, {MAX_D}], got {d}")
-    if args.params is not None:
-        problem = _parse_params_file(args.params, targets)
-        if problem is not None:
-            return _fail_usage(problem)
     try:
         generic_slots(targets)
     except ValueError as exc:
@@ -214,7 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("intersect", help="build and verify a witness for given discriminants")
     p.add_argument("d", type=int, nargs="+")
     p.add_argument("--mode", choices=("goal", "strict"), default="goal")
-    p.add_argument("--params", metavar="FILE", help="JSON file with explicit slot parameters")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_intersect)
 

@@ -70,28 +70,25 @@ from functools import lru_cache
 from enum import Enum
 from typing import Sequence
 
-from .criteria import satisfies_double_star, satisfies_star
+from .criteria import criterion_report, satisfies_double_star, satisfies_star
 from .lattice import (
     A1,
     A2,
     E8_EDGES,
     AmbientVector,
     H_SQUARED,
-    Sublattice,
     coordinate_matrix,
     e_vec,
     gram_of,
     i3_unit,
     i3_vector,
     inner_product,
-    is_saturated,
-    minimum,
     short_vectors,
     t_vec,
 )
 from .linalg import (
     IntMatrix,
-    integer_rank,
+    integer_solver,
     is_positive_definite,
     quadratic_form,
     smith_normal_form,
@@ -202,15 +199,6 @@ class SlotSpec:
     def generator(self) -> AmbientVector:
         g = self.bare_generator()
         return g if self.perturbation is None else g + self.perturbation
-
-
-@dataclass(frozen=True)
-class Recipe:
-    """A named construction instantiated at concrete parameters."""
-
-    case_id: CaseId
-    slots: tuple[SlotSpec, ...]
-    target_gram: IntMatrix | None
 
 
 @dataclass(frozen=True)
@@ -364,11 +352,6 @@ def reference_gram(case_id: CaseId, params: Sequence[int]) -> IntMatrix:
         case_slots(case_id, params)  # validate ranges
         return _r21_all2_gram(params)
     return ideal_gram(case_slots(case_id, params))
-
-
-def recipe(case_id: CaseId, params: Sequence[int]) -> Recipe:
-    slots = case_slots(case_id, params)
-    return Recipe(case_id=case_id, slots=slots, target_gram=reference_gram(case_id, params))
 
 
 _UNITS_SORTED = (i3_unit(3), i3_unit(2), i3_unit(1))  # lexicographic by coordinates
@@ -558,16 +541,11 @@ def _goal_search(slots: Sequence[SlotSpec], search_bound: int = 3) -> Realizatio
             if i == len(slots):
                 assigned = _assigned_slots(slots, chosen)
                 basis = _basis_of(assigned)
-                if integer_rank(coordinate_matrix(basis)) != len(basis):
-                    return None
-                sub = Sublattice(basis)
-                if not is_positive_definite(sub.gram):
-                    return None
-                if not is_saturated(sub):
-                    return None
-                if minimum(sub.gram) < 3:
-                    return None
-                return assigned
+                solve, invariants = integer_solver(coordinate_matrix(basis))
+                has_h = solve(H_SQUARED.coords) is not None
+                if criterion_report(gram_of(basis), invariants, has_h).passed:
+                    return assigned
+                return None
             for p in cands[i]:
                 nodes += 1
                 if nodes > SEARCH_NODE_CAP:

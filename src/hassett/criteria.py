@@ -13,7 +13,8 @@ A divisor admits an associated polarized K3 surface when ``4 ∤ d``,
 
 The lattice-level certification a witness must pass has four checks:
 contains h2, positive definite, saturated in the ambient lattice, and no
-nonzero vector of norm below 3.
+nonzero vector of norm below 3.  ``criterion_report`` is the one place that
+runs them and decides the verdict.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lattice import H_SQUARED, Sublattice, contains, is_saturated, minimum
-from .linalg import is_positive_definite
+from .lattice import H_SQUARED, Sublattice, minimum
+from .linalg import IntMatrix, integer_solver, is_positive_definite
 
 _TRIAL_LIMIT = 10**6
 
@@ -258,21 +259,30 @@ class CriterionReport:
         )
 
 
-def certify_nonempty(m: Sublattice) -> CriterionReport:
-    """Run the four lattice checks on a candidate witness sublattice.
+def criterion_report(
+    gram: IntMatrix, invariants: tuple[int, ...], has_h: bool
+) -> CriterionReport:
+    """Run the four lattice checks on a witness of k basis vectors.
 
-    An indefinite Gram is reported (positive_definite False, minimum omitted),
-    never raised.
+    ``gram`` is its k x k Gram matrix, ``invariants`` the Smith diagonal of
+    its 23 x k coordinate matrix (saturated iff there are k entries and all
+    are 1), and ``has_h`` whether h2 is an integer combination of the basis.
+    An indefinite Gram is reported (positive_definite False, minimum
+    omitted), never raised.
     """
-    has_h = contains(m, H_SQUARED)
-    pd = is_positive_definite(m.gram)
-    saturated = is_saturated(m)
-    min_norm = minimum(m.gram) if pd else None
-    passed = has_h and pd and saturated and min_norm is not None and min_norm >= 3
+    pd = is_positive_definite(gram)
+    saturated = len(invariants) == gram.nrows and all(x == 1 for x in invariants)
+    min_norm = minimum(gram) if pd else None
     return CriterionReport(
         contains_h_squared=has_h,
         positive_definite=pd,
         saturated=saturated,
         minimum_norm=min_norm,
-        passed=passed,
+        passed=has_h and pd and saturated and min_norm is not None and min_norm >= 3,
     )
+
+
+def certify_nonempty(m: Sublattice) -> CriterionReport:
+    """Run the four lattice checks on a candidate witness sublattice."""
+    solve, invariants = integer_solver(m.coordinates())
+    return criterion_report(m.gram, invariants, solve(H_SQUARED.coords) is not None)

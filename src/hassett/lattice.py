@@ -33,7 +33,6 @@ from typing import Iterable, Sequence
 
 from .linalg import (
     IntMatrix,
-    determinant,
     integer_rank,
     invariant_factors,
     is_positive_definite,
@@ -191,44 +190,6 @@ def coordinate_matrix(basis: Sequence[AmbientVector]) -> IntMatrix:
     return IntMatrix.from_columns([v.coords for v in basis])
 
 
-@dataclass(frozen=True)
-class AmbientLattice:
-    """The fixed ambient lattice: rank, Gram matrix, and basis labels."""
-
-    rank: int
-    gram: IntMatrix
-    basis_labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if determinant(self.gram) != 1:
-            raise ValueError("ambient Gram must be unimodular")
-
-
-AMBIENT = AmbientLattice(rank=RANK, gram=AMBIENT_GRAM, basis_labels=BASIS_LABELS)
-
-
-@dataclass(frozen=True)
-class A2Embedding:
-    """A hexagonal-plane pair inside the h2-orthogonal part of the I3 block."""
-
-    a1: AmbientVector = A1
-    a2: AmbientVector = A2
-
-    def __post_init__(self):
-        ok = (
-            inner_product(self.a1, self.a1) == 2
-            and inner_product(self.a2, self.a2) == 2
-            and inner_product(self.a1, self.a2) == 1
-            and inner_product(self.a1, H_SQUARED) == 0
-            and inner_product(self.a2, H_SQUARED) == 0
-        )
-        if not ok:
-            raise ValueError("not a valid A2 pair orthogonal to h2")
-
-
-DEFAULT_A2 = A2Embedding()
-
-
 class Sublattice:
     """Ordered independent vectors spanning a sublattice, with cached Gram."""
 
@@ -261,28 +222,6 @@ class Sublattice:
         return f"Sublattice(rank={self.rank})"
 
 
-class Labelling:
-    """Rank-2 sublattice spanned by h2 and one more vector.
-
-    Its discriminant 3*(v.v) - (h2.v)^2 is the determinant of the Gram
-    [[3, h2.v], [h2.v, v.v]].
-    """
-
-    __slots__ = ("sub", "discriminant")
-
-    def __init__(self, v: AmbientVector):
-        self.sub = Sublattice((H_SQUARED, v))
-        hv = inner_product(H_SQUARED, v)
-        self.discriminant = 3 * inner_product(v, v) - hv * hv
-
-    @property
-    def second(self) -> AmbientVector:
-        return self.sub.basis[1]
-
-    def __repr__(self) -> str:
-        return f"Labelling(discriminant={self.discriminant})"
-
-
 def is_saturated(m: Sublattice) -> bool:
     """Whether the ambient quotient by ``m`` is torsion-free.
 
@@ -297,27 +236,6 @@ def is_saturated(m: Sublattice) -> bool:
 def contains(m: Sublattice, v: AmbientVector) -> bool:
     """Whether ``v`` is an integer combination of the basis of ``m``."""
     return solve_integer(m.coordinates(), v.coords) is not None
-
-
-def member_coordinates(m: Sublattice, v: AmbientVector) -> tuple[int, ...] | None:
-    """Coordinates of ``v`` in the basis of ``m``, or None if not a member."""
-    return solve_integer(m.coordinates(), v.coords)
-
-
-def saturation_in(k: Sublattice, m: Sublattice) -> bool:
-    """Whether ``k`` is saturated inside ``m``.
-
-    Every basis vector of ``k`` must lie in ``m``; a violation is an error,
-    not a False.
-    """
-    columns = []
-    for v in k.basis:
-        x = member_coordinates(m, v)
-        if x is None:
-            raise ValueError("saturation_in: first argument is not contained in second")
-        columns.append(x)
-    factors = invariant_factors(IntMatrix.from_columns(columns))
-    return len(factors) == k.rank and all(f == 1 for f in factors)
 
 
 def _ldl(g: IntMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:

@@ -2,22 +2,20 @@
 
 Everything in this module runs on arbitrary-precision Python integers (and
 ``fractions.Fraction`` where a division is unavoidable).  There is no floating
-point anywhere: determinants use fraction-free Bareiss elimination, Smith and
-Hermite normal forms use elementary unimodular operations with a
-smallest-pivot strategy, and signatures come from exact symmetric elimination.
+point anywhere: determinants use fraction-free Bareiss elimination, the Smith
+normal form uses elementary unimodular operations with a smallest-pivot
+strategy, and signatures come from exact symmetric elimination.
 
-Conventions fixed here so results are reproducible byte for byte:
-
-* Smith normal form diagonal entries are nonnegative and satisfy the
-  divisibility chain ``d1 | d2 | ...``.
-* Hermite normal form is column-style (``H = M @ T`` with ``T`` unimodular),
-  pivots positive, entries left of a pivot reduced into ``[0, pivot)``.
+Smith normal form diagonal entries are nonnegative and satisfy the
+divisibility chain ``d1 | d2 | ...``, so results are reproducible byte for
+byte.  ``integer_solver`` is the one integer linear solver: it factors a
+matrix once and solves ``a x = b`` for any number of right-hand sides.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class IntMatrix:
@@ -297,74 +295,47 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     return tuple(out)
 
 
-def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Column-style Hermite form: ``H = m @ T`` with ``T`` unimodular."""
-    nrows, ncols = m.nrows, m.ncols
-    a = m.to_lists()
-    t = IntMatrix.identity(ncols).to_lists()
+def integer_solver(
+    a: IntMatrix,
+) -> tuple[Callable[[Sequence[int]], tuple[int, ...] | None], tuple[int, ...]]:
+    """Factor ``a`` once; return ``(solve, invariants)``.
 
-    def col_swap(i: int, j: int) -> None:
-        _swap_cols(a, t, i, j)
+    ``invariants`` is the Smith diagonal of ``a`` (``min(nrows, ncols)``
+    entries, zeros included).  ``solve(b)`` is one integer ``x`` with
+    ``a x = b``, or ``None`` when ``b`` is not in the image of ``a`` over the
+    integers.  A solution that fails ``a x = b`` is a fault of the Smith form
+    and raises ``ArithmeticError``.
+    """
+    u, d, v = smith_normal_form(a)
+    nrows, ncols = a.nrows, a.ncols
+    invariants = tuple(d[i][i] for i in range(min(nrows, ncols)))
 
-    def col_add(dst: int, src: int, q: int) -> None:
-        _add_col(a, t, dst, src, q)
+    def solve(b: Sequence[int]) -> tuple[int, ...] | None:
+        b = tuple(int(e) for e in b)
+        c = u.mul_vector(b)
+        z = [0] * ncols
+        for i in range(nrows):
+            di = invariants[i] if i < len(invariants) else 0
+            if di == 0:
+                if c[i] != 0:
+                    return None
+            else:
+                if c[i] % di != 0:
+                    return None
+                z[i] = c[i] // di
+        x = v.mul_vector(z)
+        if a.mul_vector(x) != b:
+            raise ArithmeticError("Smith form solution does not satisfy a x = b")
+        return x
 
-    def col_negate(j: int) -> None:
-        for row in a:
-            row[j] = -row[j]
-        for row in t:
-            row[j] = -row[j]
-
-    pc = 0
-    for r in range(nrows):
-        if pc >= ncols:
-            break
-        active = [j for j in range(pc, ncols) if a[r][j] != 0]
-        if not active:
-            continue
-        while True:
-            active = [j for j in range(pc, ncols) if a[r][j] != 0]
-            if len(active) == 1:
-                if active[0] != pc:
-                    col_swap(pc, active[0])
-                break
-            best = min(active, key=lambda j: abs(a[r][j]))
-            if best != pc:
-                col_swap(pc, best)
-            for j in active:
-                if j == pc or a[r][j] == 0:
-                    continue
-                col_add(j, pc, -(a[r][j] // a[r][pc]))
-        if a[r][pc] < 0:
-            col_negate(pc)
-        for j in range(pc):
-            q = a[r][j] // a[r][pc]
-            if q:
-                col_add(j, pc, -q)
-        pc += 1
-
-    return IntMatrix(a), IntMatrix(t)
+    return solve, invariants
 
 
 def solve_integer(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """One integer solution ``x`` of ``a x = b``, or ``None`` if there is none."""
     if len(b) != a.nrows:
         raise ValueError("right-hand side length must match row count")
-    u, d, v = smith_normal_form(a)
-    c = u.mul_vector(tuple(int(x) for x in b))
-    z = [0] * a.ncols
-    for i in range(a.nrows):
-        di = d[i][i] if i < min(a.nrows, a.ncols) else 0
-        if di == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % di != 0:
-                return None
-            z[i] = c[i] // di
-    x = v.mul_vector(z)
-    assert a.mul_vector(x) == tuple(int(e) for e in b)
-    return x
+    return integer_solver(a)[0](b)
 
 
 def inertia(g: IntMatrix) -> tuple[int, int, int]:

@@ -18,21 +18,19 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .criteria import CriterionReport, DiscriminantReport, discriminant_report
-from .lattice import (
-    AmbientVector,
-    H_SQUARED,
-    coordinate_matrix,
-    gram_of,
-    inner_product,
-    minimum,
+from .criteria import (
+    CriterionReport,
+    DiscriminantReport,
+    criterion_report,
+    discriminant_report,
 )
+from .lattice import AmbientVector, H_SQUARED, coordinate_matrix, gram_of, inner_product
 from .linalg import (
     IntMatrix,
+    integer_solver,
     is_positive_definite,
     quadratic_form,
     rational_inverse,
-    smith_normal_form,
 )
 from .constructions import CaseId, Mode, build_generic, reference_gram, squares_value
 from ._version import __version__
@@ -144,30 +142,6 @@ class WitnessReport:
         )
 
 
-def _solver(matrix: IntMatrix):
-    """Factored integer solver: one Smith decomposition, many right sides."""
-    u, d, v = smith_normal_form(matrix)
-    nrows, ncols = matrix.nrows, matrix.ncols
-
-    def solve(b: tuple[int, ...]) -> tuple[int, ...] | None:
-        c = u.mul_vector(b)
-        z = [0] * ncols
-        for i in range(nrows):
-            di = d[i][i] if i < min(nrows, ncols) else 0
-            if di == 0:
-                if c[i] != 0:
-                    return None
-            else:
-                if c[i] % di != 0:
-                    return None
-                z[i] = c[i] // di
-        x = v.mul_vector(z)
-        return x if matrix.mul_vector(x) == tuple(b) else None
-
-    diag = tuple(d[i][i] for i in range(min(nrows, ncols)))
-    return solve, diag
-
-
 def _spans_saturated_plane(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     """Whether integer columns a, b span a saturated rank-2 sublattice.
 
@@ -207,29 +181,20 @@ def verify_witness(
     if len(targets) != len(basis) - 1:
         reasons.append("TARGET_COUNT_MISMATCH")
 
-    solve, smith_diag = _solver(coordinate_matrix(basis))
-    independent = sum(1 for x in smith_diag if x != 0) == len(basis)
+    solve, invariants = integer_solver(coordinate_matrix(basis))
+    independent = sum(1 for x in invariants if x != 0) == len(basis)
     if not independent:
         reasons.append("DEPENDENT_BASIS")
 
     gram = gram_of(basis)
     h_in_m = solve(H_SQUARED.coords)
-    has_h = h_in_m is not None
-    pd = is_positive_definite(gram)
-    saturated = len(smith_diag) == len(basis) and all(x == 1 for x in smith_diag)
-    min_norm = minimum(gram) if pd else None
-    criterion = CriterionReport(
-        contains_h_squared=has_h,
-        positive_definite=pd,
-        saturated=saturated,
-        minimum_norm=min_norm,
-        passed=has_h and pd and saturated and min_norm is not None and min_norm >= 3,
-    )
-    if not has_h:
+    criterion = criterion_report(gram, invariants, h_in_m is not None)
+    min_norm = criterion.minimum_norm
+    if not criterion.contains_h_squared:
         reasons.append("MISSING_H_SQUARED")
-    if not pd:
+    if not criterion.positive_definite:
         reasons.append("NOT_POSITIVE_DEFINITE")
-    if not saturated:
+    if not criterion.saturated:
         reasons.append("NOT_SATURATED")
     if min_norm is not None and min_norm < 3:
         reasons.append(f"MIN_NORM_{min_norm}")
@@ -240,8 +205,9 @@ def verify_witness(
         realized = 3 * inner_product(v, v) - hv * hv
         sat_in_m = False
         if independent and h_in_m is not None:
-            v_in_m = solve(v.coords)
-            sat_in_m = v_in_m is not None and _spans_saturated_plane(h_in_m, v_in_m)
+            # Independent basis: v = basis[i + 1] has coordinates e_{i+1} in M.
+            unit = tuple(int(j == i + 1) for j in range(len(basis)))
+            sat_in_m = _spans_saturated_plane(h_in_m, unit)
         labellings.append(
             LabellingCheck(target_d=targets[i], realized_d=realized, saturated_in_m=sat_in_m)
         )

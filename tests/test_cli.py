@@ -71,16 +71,6 @@ class TestIntersect:
         assert cert.report.gram_matches_reference is True
         assert cert.report.realized_gram.rows[0] == (3, 0, 0, 0)
 
-    def test_params_file_validation(self, capsys, tmp_path):
-        good = tmp_path / "good.json"
-        good.write_text(json.dumps({"n": [2, 2, 4]}))
-        code, _, _ = run(capsys, "intersect", "12", "12", "26", "--params", str(good))
-        assert code == 0
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"n": [2, 2, 5]}))
-        code, _, err = run(capsys, "intersect", "12", "12", "26", "--params", str(bad))
-        assert code == 2 and "inconsistent" in err
-
     def test_byte_identical_output(self, capsys):
         _, out1, _ = run(capsys, "intersect", "12", "12", "26", "--json")
         _, out2, _ = run(capsys, "intersect", "12", "12", "26", "--json")
@@ -187,6 +177,7 @@ class TestUsage:
             (["sweep-conjecture", "--limit", str(10**13)], 2),
             (["verify-file", "/nonexistent/cert.json"], 2),
             (["intersect", "12", "12", "24"], 0),
+            (["intersect", "12", "12", "26", "--params", "x.json"], 2),
         ],
     )
     def test_exit_code_matrix(self, capsys, argv, expected):

@@ -8,13 +8,10 @@ import hassett.lattice as lattice
 from hassett.lattice import (
     A1,
     A2,
-    AMBIENT,
     AMBIENT_GRAM,
-    A2Embedding,
     AmbientVector,
     E8_GRAM,
     H_SQUARED,
-    Labelling,
     RANK,
     Sublattice,
     _ldl,
@@ -27,7 +24,6 @@ from hassett.lattice import (
     is_saturated,
     minimum,
     norm,
-    saturation_in,
     short_vectors,
     t_vec,
     zero_vector,
@@ -63,7 +59,6 @@ class TestAmbient:
     def test_ambient_is_unimodular_of_signature_21_2(self):
         assert determinant(AMBIENT_GRAM) == 1
         assert inertia(AMBIENT_GRAM) == (21, 2, 0)
-        assert AMBIENT.rank == 23
 
     def test_h_squared_norm(self):
         assert inner_product(H_SQUARED, H_SQUARED) == 3
@@ -80,11 +75,6 @@ class TestAmbient:
         assert inner_product(A1, A2) == 1
         assert inner_product(A1, H_SQUARED) == 0
         assert inner_product(A2, H_SQUARED) == 0
-        A2Embedding()  # default embedding validates
-
-    def test_invalid_a2_embedding_rejected(self):
-        with pytest.raises(ValueError):
-            A2Embedding(a1=i3_unit(1), a2=i3_unit(2))
 
     def test_e8_blocks_are_orthogonal(self):
         assert inner_product(t_vec(1, 3), t_vec(2, 3)) == 0
@@ -148,13 +138,6 @@ class TestSublattice:
         sub = Sublattice([e_vec(1, 1)])
         assert sub.gram == IntMatrix([[0]])
 
-    def test_labelling_discriminant(self):
-        lab = Labelling(e_vec(1, 1) + 2 * e_vec(1, 2))
-        assert lab.discriminant == 12
-        assert lab.sub.gram == IntMatrix([[3, 0], [0, 4]])
-        lab2 = Labelling(2 * A1 + i3_unit(3))
-        assert lab2.discriminant == 26
-
 
 class TestSaturation:
     def test_primitive_vector(self):
@@ -193,24 +176,6 @@ class TestContains:
     def test_saturation_gap_witness(self):
         # a1 = (2*a1)/2 is in the rational span but not in the sublattice.
         assert not contains(Sublattice(rank4_000_basis()), A1)
-
-
-class TestSaturationIn:
-    def test_sub_basis_is_saturated(self):
-        m = Sublattice(rank4_000_basis())
-        k = Sublattice((m.basis[0], m.basis[1]))
-        assert saturation_in(k, m)
-
-    def test_doubled_generator(self):
-        m = Sublattice(rank4_000_basis())
-        k = Sublattice((H_SQUARED, 2 * m.basis[1]))
-        assert not saturation_in(k, m)
-
-    def test_containment_violation_is_an_error(self):
-        m = Sublattice(rank4_000_basis())
-        k = Sublattice((H_SQUARED, t_vec(1, 1)))
-        with pytest.raises(ValueError):
-            saturation_in(k, m)
 
 
 class TestShortVectors:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,9 +10,9 @@ from hassett.lattice import AMBIENT_GRAM, E8_GRAM, U_GRAM
 from hassett.linalg import (
     IntMatrix,
     determinant,
-    hermite_normal_form,
     inertia,
     integer_rank,
+    integer_solver,
     invariant_factors,
     is_positive_definite,
     quadratic_form,
@@ -106,29 +107,6 @@ class TestSmithNormalForm:
             assert product == abs(det)
 
 
-class TestHermiteNormalForm:
-    def test_identity(self):
-        h, t = hermite_normal_form(IntMatrix.identity(2))
-        assert h == IntMatrix.identity(2)
-        assert t == IntMatrix.identity(2)
-
-    def test_gcd_reduction(self):
-        h, t = hermite_normal_form(IntMatrix([[2, 4]]))
-        assert h == IntMatrix([[2, 0]])
-        assert determinant(t) in (1, -1)
-
-    def test_unimodular_input_reduces_to_identity(self):
-        h, _ = hermite_normal_form(IntMatrix([[1, 2], [0, 1]]))
-        assert h == IntMatrix.identity(2)
-
-    @given(small_matrices())
-    @settings(max_examples=200, deadline=None)
-    def test_transform_property(self, m):
-        h, t = hermite_normal_form(m)
-        assert m @ t == h
-        assert determinant(t) in (1, -1)
-
-
 class TestInertia:
     def test_hyperbolic_plane(self):
         assert inertia(U_GRAM) == (1, 1, 0)
@@ -203,6 +181,69 @@ class TestSolveInteger:
         x = solve_integer(m, b)
         assert x is not None
         assert m.mul_vector(x) == tuple(b)
+
+
+def _in_image_oracle(a: IntMatrix, b) -> bool:
+    """b is in a Z^n iff [a | b] has a's rank and a's product of invariants (sympy)."""
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+    def rank_and_product(rows):
+        factors = [int(f) for f in sympy_factors(Matrix(rows), domain=ZZ) if f != 0]
+        return len(factors), math.prod(factors)
+
+    rows = a.to_lists()
+    return rank_and_product(rows) == rank_and_product(
+        [row + [e] for row, e in zip(rows, b)]
+    )
+
+
+class TestIntegerSolver:
+    def test_against_smith_form_and_sympy(self):
+        rng = random.Random(4242)
+        outcomes = set()
+        for trial in range(240):
+            kind = ("wide", "tall", "square", "deficient")[trial % 4]
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+            if kind == "wide":
+                ncols = nrows + rng.randint(1, 3)
+            elif kind == "tall":
+                nrows = ncols + rng.randint(1, 3)
+            elif kind == "square":
+                ncols = nrows
+            if kind == "deficient":
+                nrows, ncols = nrows + 1, ncols + 1
+                inner = rng.randint(1, min(nrows, ncols) - 1)
+                left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(nrows)]
+                right = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(inner)]
+                a = IntMatrix(left) @ IntMatrix(right)
+            else:
+                a = IntMatrix([[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)])
+            if rng.random() < 0.5:
+                # Scale one column so that some invariants exceed 1.
+                scale, j = rng.randint(2, 4), rng.randrange(ncols)
+                rows = a.to_lists()
+                for row in rows:
+                    row[j] *= scale
+                a = IntMatrix(rows)
+
+            solve, invariants = integer_solver(a)
+            _, d, _ = smith_normal_form(a)
+            assert invariants == tuple(d[i][i] for i in range(min(nrows, ncols)))
+
+            b = a.mul_vector([rng.randint(-5, 5) for _ in range(ncols)])
+            x = solve(b)
+            assert x is not None and a.mul_vector(x) == b
+
+            i = rng.randrange(nrows)
+            off = tuple(e + (k == i) for k, e in enumerate(b))
+            for c in (off, tuple(rng.randint(-6, 6) for _ in range(nrows))):
+                expected = _in_image_oracle(a, c)
+                y = solve(c)
+                assert (y is not None) == expected, (a, c)
+                assert y is None or a.mul_vector(y) == c
+                outcomes.add(expected)
+        assert outcomes == {True, False}
 
 
 class TestRationalInverse:

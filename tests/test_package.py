@@ -1,5 +1,8 @@
+import importlib
+import importlib.util
 import inspect
 import types
+from pathlib import Path
 
 import hassett
 
@@ -11,3 +14,21 @@ def test_all_exports_functions_classes_and_constants_only():
         assert not isinstance(value, types.ModuleType), name
         is_constant = name.isupper() and not callable(value)
         assert inspect.isfunction(value) or inspect.isclass(value) or is_constant, name
+
+
+def test_benchmark_traced_names_resolve():
+    # perfbench/tracing.py rebinds these names by lookup; a deleted or renamed
+    # function would break the traced benchmark run, whose own self-tests are
+    # outside the default test paths.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    for module_name, qualname in tracing.TRACED:
+        module = importlib.import_module(f"hassett.{module_name}")
+        if "." in qualname:
+            cls_name, attr = qualname.split(".")
+            assert attr in vars(getattr(module, cls_name)), qualname
+        else:
+            assert callable(getattr(module, qualname)), qualname

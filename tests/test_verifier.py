@@ -1,9 +1,11 @@
+import hashlib
 import json
 import random
 
 import pytest
 
 from hassett.constructions import CaseId, Mode, build, build_generic
+from hassett.criteria import satisfies_star
 from hassett.lattice import (
     A1,
     AmbientVector,
@@ -140,6 +142,54 @@ class TestLabellingSaturation:
             f = invariant_factors(IntMatrix.from_columns([a, b]))
             expected = len(f) == 2 and all(x == 1 for x in f)
             assert _spans_saturated_plane(tuple(a), tuple(b)) == expected, (a, b, f)
+
+
+# sha256 of the concatenated certificate JSON of ``golden_pool``.  Any change
+# to a verdict, a reason, a labelling or a realized Gram changes it.
+GOLDEN_DIGEST = "b43e078844df01ab1efaa4cef34705416b749836704ec658855de78a5cf90ad8"
+
+
+def golden_pool():
+    """Seeded GOAL and STRICT witnesses, hostile variants of each, and the corollary.
+
+    Yields (basis, targets, reference) triples; ``reference`` is the STRICT
+    target Gram, as ``intersect`` passes it.
+    """
+    rng = random.Random(20240101)
+    star = [d for d in range(8, 200) if satisfies_star(d)]
+    double_star = [6 * m * m + r for m in range(2, 12) for r in (0, 2)]
+    lists = [(Mode.GOAL, n) for n in range(2, 21)] + [(Mode.STRICT, n) for n in range(2, 11)]
+    for mode, n in lists:
+        targets = tuple(rng.sample(star, 2) + rng.sample(double_star, n - 2))
+        outcome = build_generic(targets, mode)
+        basis = outcome.basis
+        reference = None
+        if outcome.gram_delta is not None:
+            reference = outcome.realized_gram - outcome.gram_delta
+        doubled = rng.randrange(len(basis))
+        repeated = rng.randrange(1, len(basis))
+        shuffled = list(basis[1:])
+        rng.shuffle(shuffled)
+        yield basis, targets, reference
+        yield (basis[0] + basis[1],) + basis[1:], targets, None
+        yield basis[1:] + basis[:1], targets, None
+        yield basis[:doubled] + (2 * basis[doubled],) + basis[doubled + 1 :], targets, None
+        yield basis[:repeated] + (basis[repeated - 1],) + basis[repeated + 1 :], targets, None
+        yield (basis[0],) + tuple(shuffled), targets, None
+        yield basis, targets[:-1], None
+    yield build_generic(COROLLARY_DISCRIMINANTS, Mode.GOAL).basis, COROLLARY_DISCRIMINANTS, None
+
+
+def golden_digest():
+    h = hashlib.sha256()
+    for basis, targets, reference in golden_pool():
+        report = verify_witness(basis, targets, reference=reference)
+        h.update(certificate_for(basis, targets, report).to_json().encode())
+    return h.hexdigest()
+
+
+def test_golden_reports():
+    assert golden_digest() == GOLDEN_DIGEST
 
 
 class TestCorollary20:
