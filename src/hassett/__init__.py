@@ -21,7 +21,6 @@ from .linalg import (
     quadratic_form,
     rational_inverse,
     smith_normal_form,
-    solve_integer,
 )
 from .lattice import (
     A1,
@@ -30,9 +29,7 @@ from .lattice import (
     AmbientVector,
     E8_GRAM,
     H_SQUARED,
-    Sublattice,
     U_GRAM,
-    contains,
     e_vec,
     gram_of,
     i3_unit,
@@ -47,7 +44,6 @@ from .lattice import (
 from .criteria import (
     CriterionReport,
     DiscriminantReport,
-    certify_nonempty,
     conjecture_shape,
     conjecture_sweep,
     criterion_report,

@@ -14,33 +14,22 @@ of residue 2 additionally receives a perturbation ``p`` from the I3 block with
 the three I3 unit vectors; for A2 slots a bounded box search solves the norm
 equation ``2m(b.p) + p.p = 1``.
 
-Two realization modes for the named cases (``build``):
+Two realization modes, for named cases (``build``) and target lists
+(``build_generic``) alike:
 
 * STRICT searches perturbation assignments whose full Gram reproduces a
   reference matrix entry for entry, and reports the best achievable delta
   when no assignment does.  It reproduces the scaled reference Grams, so its
   witnesses can fail saturation: a residue-0 column ``m * b`` has content m.
-* GOAL keeps only the per-slot constraints (so labelling discriminants are
-  exact by construction) and searches for an assignment whose witness passes
-  all four certification checks.  Several configurations provably cannot
-  pass; those are detected up front and reported as NOT_REALIZABLE:
+* GOAL keeps only the per-slot discriminants and builds a glued witness,
+  saturated by construction, that must also pass the remaining checks.
 
-  - a scaled slot of residue 0 yields a coordinate column of content m >= 2,
-    so the witness is never saturated;
-  - two A2 slots plus h2 span the whole rationalized I3 block, so a saturated
-    witness would contain the I3 unit vectors of norm 1, violating the
-    minimum-norm check;
-  - if more than two scaled slots share a prime divisor p of their scales
-    (A2 slots count for every p), more than three coordinate columns become
-    I3-resident mod p and cannot stay independent in a rank-3 space.
-
-Target lists (``build_generic``) use the same STRICT search against the
-ideal Gram of their slots.  In GOAL mode they get a glued witness instead,
-which is saturated by construction.  Write P = E8+E8+I3, so L = P+U1+U2 with
-U_i spanned by the isotropic pair e_i = e_vec(i, 1), f_i = e_vec(i, 2).  The
-basis is h2, the U-slot generators
-v1 = e1 + n1*f1 (+p1) and v2 = e2 + n2*f2 (+p2) exactly as above, and for
-every later target of parameter m and residue r
+STRICT compares a named case with its reference Gram and a target list with
+the ideal Gram of its slots.  The glued GOAL witness is built as follows.
+Write P = E8+E8+I3, so L = P+U1+U2 with U_i spanned by the isotropic pair
+e_i = e_vec(i, 1), f_i = e_vec(i, 2).  The basis is h2, the U-slot
+generators v1 = e1 + n1*f1 (+p1) and v2 = e2 + n2*f2 (+p2) exactly as above,
+and for every later slot of parameter m and residue r
 
     v_j = y_j + s_j*f1 + u_j*f2,   y_j in P,  y_j.y_j = 2m^2 + r,  h2.y_j = r.
 
@@ -70,14 +59,13 @@ from functools import lru_cache
 from enum import Enum
 from typing import Sequence
 
-from .criteria import criterion_report, satisfies_double_star, satisfies_star
+from .criteria import satisfies_double_star, satisfies_star
 from .lattice import (
     A1,
     A2,
     E8_EDGES,
     AmbientVector,
     H_SQUARED,
-    coordinate_matrix,
     e_vec,
     gram_of,
     i3_unit,
@@ -88,7 +76,6 @@ from .lattice import (
 )
 from .linalg import (
     IntMatrix,
-    integer_solver,
     is_positive_definite,
     quadratic_form,
     smith_normal_form,
@@ -477,122 +464,20 @@ def realize_perturbations(
     )
 
 
-def _goal_infeasibility(slots: Sequence[SlotSpec]) -> str | None:
-    """A proof sketch of why no assignment can pass all checks, or None."""
-    scaled = [s for s in slots if s.kind not in U_KINDS]
-    for s in scaled:
-        if s.residue == 0:
-            return (
-                f"slot {s.kind} (d={s.target_d}) contributes the column "
-                f"{s.scale}*{s.kind}, whose content {s.scale} is a Smith invariant; "
-                "the witness cannot be saturated"
-            )
-    a2_count = sum(1 for s in slots if s.kind in ("A2_1", "A2_2"))
-    if a2_count >= 2:
-        return (
-            "two A2 slots and h2 span the rationalized I3 block, so a saturated "
-            "witness would contain norm-1 unit vectors and fail the minimum check"
-        )
-    primes: set[int] = set()
-    for s in scaled:
-        m = s.scale
-        f = 2
-        while f * f <= m:
-            if m % f == 0:
-                primes.add(f)
-                while m % f == 0:
-                    m //= f
-            f += 1
-        if m > 1:
-            primes.add(m)
-    for p in sorted(primes):
-        resident = 1 + a2_count + sum(
-            1 for s in scaled if s.kind.startswith("E8") and s.scale % p == 0
-        )
-        if resident > 3:
-            return (
-                f"mod {p}, {resident} coordinate columns collapse into the rank-3 "
-                "I3 block, so they cannot remain independent and saturation fails"
-            )
-    return None
-
-
-def _goal_search(slots: Sequence[SlotSpec], search_bound: int = 3) -> RealizationOutcome:
-    slots = tuple(slots)
-    targets = tuple(s.target_d for s in slots)
-    missing: list[str] = []
-    cands: list[tuple[AmbientVector | None, ...]] = []
-    for s in slots:
-        options = candidate_perturbations(s, search_bound)
-        if s.residue == 2 and not options:
-            missing.append(
-                f"slot {s.kind} (d={s.target_d}) has no admissible perturbation "
-                f"within bound {search_bound}"
-            )
-        cands.append(options or (None,))
-
-    canonical = _assigned_slots(slots, [c[0] for c in cands])
-    reason = "; ".join(missing) if missing else _goal_infeasibility(slots)
-    if reason is None:
-        nodes = 0
-
-        def dfs(i: int, chosen: list[AmbientVector | None]) -> tuple[SlotSpec, ...] | None:
-            nonlocal nodes
-            if i == len(slots):
-                assigned = _assigned_slots(slots, chosen)
-                basis = _basis_of(assigned)
-                solve, invariants = integer_solver(coordinate_matrix(basis))
-                has_h = solve(H_SQUARED.coords) is not None
-                if criterion_report(gram_of(basis), invariants, has_h).passed:
-                    return assigned
-                return None
-            for p in cands[i]:
-                nodes += 1
-                if nodes > SEARCH_NODE_CAP:
-                    return None
-                chosen.append(p)
-                hit = dfs(i + 1, chosen)
-                chosen.pop()
-                if hit is not None:
-                    return hit
-            return None
-
-        winner = dfs(0, [])
-        if winner is not None:
-            basis = _basis_of(winner)
-            return RealizationOutcome(
-                status=RealizationStatus.REALIZED_GOAL,
-                basis=basis,
-                realized_gram=gram_of(basis),
-                gram_delta=None,
-                targets=targets,
-            )
-        reason = "no perturbation assignment passes all certification checks " \
-                 f"within bound {search_bound}"
-
-    basis = _basis_of(canonical)
-    return RealizationOutcome(
-        status=RealizationStatus.NOT_REALIZABLE,
-        basis=basis,
-        realized_gram=gram_of(basis),
-        gram_delta=None,
-        targets=targets,
-        detail=reason,
-    )
-
-
 def build(
     case_id: CaseId, params: Sequence[int], mode: Mode = Mode.GOAL, search_bound: int = 3
 ) -> RealizationOutcome:
-    """Assemble a named witness in the requested realization mode."""
+    """Assemble a named witness in the requested realization mode.
+
+    GOAL builds the glued witness of ``build_generic`` for the case's slots;
+    its ``gram_delta`` is taken against the case's reference Gram.
+    """
     slots = case_slots(case_id, params)
+    target = reference_gram(case_id, params)
     if mode == Mode.STRICT:
-        return realize_perturbations(slots, reference_gram(case_id, params), search_bound)
-    outcome = _goal_search(slots, search_bound)
-    if outcome.realized_gram is not None:
-        target = reference_gram(case_id, params)
-        outcome = replace(outcome, gram_delta=outcome.realized_gram - target)
-    return outcome
+        return realize_perturbations(slots, target, search_bound)
+    outcome = _glued_search(slots, search_bound)
+    return replace(outcome, gram_delta=outcome.realized_gram - target)
 
 
 def generic_slots(targets: Sequence[int]) -> tuple[SlotSpec, ...]:

@@ -22,8 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lattice import H_SQUARED, Sublattice, minimum
-from .linalg import IntMatrix, integer_solver, is_positive_definite
+from .lattice import minimum
+from .linalg import IntMatrix, is_positive_definite
 
 _TRIAL_LIMIT = 10**6
 
@@ -280,9 +280,3 @@ def criterion_report(
         minimum_norm=min_norm,
         passed=has_h and pd and saturated and min_norm is not None and min_norm >= 3,
     )
-
-
-def certify_nonempty(m: Sublattice) -> CriterionReport:
-    """Run the four lattice checks on a candidate witness sublattice."""
-    solve, invariants = integer_solver(m.coordinates())
-    return criterion_report(m.gram, invariants, solve(H_SQUARED.coords) is not None)

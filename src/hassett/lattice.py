@@ -1,4 +1,4 @@
-"""The ambient rank-23 lattice, its vectors, sublattices, and short vectors.
+"""The ambient rank-23 lattice, its vectors, saturation, and short vectors.
 
 The ambient lattice is the orthogonal direct sum
 
@@ -18,26 +18,20 @@ roots of this plane; the chosen pair realizes the Gram [[2,1],[1,2]].
 Saturation (the quotient of the ambient lattice by a sublattice being
 torsion-free) is detected through Smith invariants of the 23 x k coordinate
 matrix.  Short vectors and the minimum come from one exact enumeration,
-``_enumerate``: Fincke-Pohst on the LDL decomposition, each level visited
-centre-first (Schnorr-Euchner order), one vector per +- pair.
-``short_vectors`` runs it with a fixed bound; ``minimum`` starts from the
-least diagonal entry and lowers the bound with every vector it finds.
+``_enumerate``: Fincke-Pohst on the integer LDL elimination ``_ldl`` (which
+also rejects indefinite forms), each level visited centre-first
+(Schnorr-Euchner order), one vector per +- pair.  ``short_vectors`` runs it
+with a fixed bound; ``minimum`` starts from the least diagonal entry and
+lowers the bound with every vector it finds.
 No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .linalg import (
-    IntMatrix,
-    integer_rank,
-    invariant_factors,
-    is_positive_definite,
-    solve_integer,
-)
+from .linalg import IntMatrix, invariant_factors
 
 RANK = 23
 
@@ -106,10 +100,6 @@ class AmbientVector:
     def __repr__(self) -> str:
         named = [f"{c}*{l}" for c, l in zip(self.coords, BASIS_LABELS) if c != 0]
         return "AmbientVector(" + (" + ".join(named) if named else "0") + ")"
-
-
-def zero_vector() -> AmbientVector:
-    return AmbientVector((0,) * RANK)
 
 
 def _unit(index: int) -> AmbientVector:
@@ -190,92 +180,59 @@ def coordinate_matrix(basis: Sequence[AmbientVector]) -> IntMatrix:
     return IntMatrix.from_columns([v.coords for v in basis])
 
 
-class Sublattice:
-    """Ordered independent vectors spanning a sublattice, with cached Gram."""
+def is_saturated(basis: Sequence[AmbientVector]) -> bool:
+    """Whether the ambient quotient by the span of ``basis`` is torsion-free.
 
-    __slots__ = ("basis", "gram")
-
-    def __init__(self, basis: Iterable[AmbientVector]):
-        vectors = tuple(basis)
-        if not vectors:
-            raise ValueError("sublattice needs at least one basis vector")
-        coords = coordinate_matrix(vectors)
-        if integer_rank(coords) != len(vectors):
-            raise ValueError("basis vectors are linearly dependent")
-        self.basis = vectors
-        self.gram = gram_of(vectors)
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-    def coordinates(self) -> IntMatrix:
-        return coordinate_matrix(self.basis)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Sublattice) and self.basis == other.basis
-
-    def __hash__(self) -> int:
-        return hash(self.basis)
-
-    def __repr__(self) -> str:
-        return f"Sublattice(rank={self.rank})"
-
-
-def is_saturated(m: Sublattice) -> bool:
-    """Whether the ambient quotient by ``m`` is torsion-free.
-
-    Equivalent to every Smith invariant of the 23 x k coordinate matrix
-    being 1, i.e. m equals the intersection of its rational span with the
-    ambient lattice.
+    Equivalent to the 23 x k coordinate matrix having k Smith invariants,
+    all 1, i.e. the span equals the intersection of its rational span with
+    the ambient lattice.
     """
-    factors = invariant_factors(m.coordinates())
-    return len(factors) == m.rank and all(f == 1 for f in factors)
+    factors = invariant_factors(coordinate_matrix(basis))
+    return len(factors) == len(basis) and all(f == 1 for f in factors)
 
 
-def contains(m: Sublattice, v: AmbientVector) -> bool:
-    """Whether ``v`` is an integer combination of the basis of ``m``."""
-    return solve_integer(m.coordinates(), v.coords) is not None
+def _ldl(g: IntMatrix) -> tuple[list[int], list[list[int]]] | None:
+    """Symmetric Bareiss elimination of ``g``: (pivots, rows), or None.
 
-
-def _ldl(g: IntMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Decompose positive definite ``g`` as U^T D U with U unit upper triangular.
-
-    Fraction-free: symmetric Bareiss elimination keeps every intermediate an
-    integer (row i holds the Schur complement scaled by the leading minor
-    D_i), and only the results are formed as fractions,
-    d_i = D_{i+1} / D_i and u_ij = a_ij / D_{i+1}.
+    Returns None at the first pivot that is not positive, so a result means
+    ``g`` is positive definite (Sylvester).  Pivot i is the leading
+    principal minor p_i of size i + 1, and rows[i][j] = p_i u_ij for
+    g = U^T D U with U unit upper triangular and d_i = p_i / p_{i-1}; row i
+    is the Schur complement scaled by p_{i-1}, zero left of the diagonal.
+    Every intermediate is an integer.
     """
+    if not g.is_symmetric():
+        raise ValueError("the Gram matrix must be symmetric")
     n = g.nrows
     a = g.to_lists()
-    d: list[Fraction] = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
+    piv: list[int] = []
     prev = 1
     for i in range(n):
         row = a[i]
         pivot = row[i]
-        d[i] = Fraction(pivot, prev)
-        u[i][i] = Fraction(1)
-        for j in range(i + 1, n):
-            u[i][j] = Fraction(row[j], pivot)
+        if pivot <= 0:
+            return None
+        row[:i] = [0] * i
+        piv.append(pivot)
         for r in range(i + 1, n):
             ar, air = a[r], row[r]
             for c in range(r, n):
                 ar[c] = (ar[c] * pivot - air * row[c]) // prev
         prev = pivot
-    return d, u
+    return piv, a
 
 
 def _enumerate(
-    g: IntMatrix, ldl: tuple[list[Fraction], list[list[Fraction]]], bound: int, shrink: bool
+    ldl: tuple[list[int], list[list[int]]], bound: int, shrink: bool
 ) -> list[tuple[tuple[int, ...], int]]:
     """Pairs (x, x^T g x) for nonzero x of norm at most ``bound``, one x per +- pair.
 
-    Depth first from the last coordinate down, on the decomposition ``ldl``
-    of ``g``.  Each level visits its candidates centre-first: the integer
-    nearest the centre -offset, then alternately outwards in increasing
-    partial norm, stopping at the first one whose partial norm exceeds the
-    bound (Fincke-Pohst with the Schnorr-Euchner order).  While every higher
+    Depth first from the last coordinate down, on the elimination ``ldl``
+    of a positive definite g (see ``_ldl``).  Each level visits its
+    candidates centre-first: the integer nearest the centre -offset, then
+    alternately outwards in increasing partial norm, stopping at the first
+    one whose partial norm exceeds the bound (Fincke-Pohst with the
+    Schnorr-Euchner order).  While every higher
     coordinate is 0 the centre is 0 and only x_i >= 0 is visited, so each
     +- pair is met once, with its last nonzero coordinate positive.
 
@@ -285,19 +242,12 @@ def _enumerate(
 
     The search uses only integers.  With p_i the leading principal minor
     of size i + 1 (p_{-1} = 1), level i adds t^2 / (p_{i-1} p_i) to the
-    norm, where t = p_i x_i + sum_{j>i} p_i u_ij x_j.  The norm of the
+    norm, where t = p_i x_i + sum_{j>i} rows[i][j] x_j.  The norm of the
     levels above i is carried as p_i times itself, an integer because p_i
     times a Schur complement of g is integral; at level -1 that is x^T g x.
     """
-    n = g.nrows
-    d, u = ldl
-    piv: list[int] = []
-    rows: list[list[int]] = []
-    p = 1
-    for i in range(n):
-        p = p * d[i].numerator // d[i].denominator
-        piv.append(p)
-        rows.append([f.numerator * (p // f.denominator) for f in u[i]])
+    piv, rows = ldl
+    n = len(piv)
     x = [0] * n
     found: list[tuple[tuple[int, ...], int]] = []
     c = bound
@@ -352,25 +302,28 @@ def short_vectors(g: IntMatrix, c: int) -> list[tuple[int, ...]]:
     Representatives have a positive first nonzero coordinate and the list is
     sorted lexicographically.  The vectors come from the exact centre-first
     enumeration that ``minimum`` also runs, here with the fixed bound c; an
-    indefinite input is rejected.
+    indefinite input is rejected by the same elimination.
     """
     if c < 0:
         raise ValueError("short_vectors needs a nonnegative bound")
-    if not is_positive_definite(g):
+    ldl = _ldl(g)
+    if ldl is None:
         raise ValueError("short_vectors requires a positive definite Gram matrix")
-    return sorted(_canonical(x) for x, _ in _enumerate(g, _ldl(g), c, shrink=False))
+    return sorted(_canonical(x) for x, _ in _enumerate(ldl, c, shrink=False))
 
 
 def minimum(g: IntMatrix) -> int:
     """Least nonzero value of a positive definite integral form.
 
-    One definiteness test, one decomposition and one enumeration.  A unit
-    vector attains the least diagonal entry, so the enumeration looks only
-    for strictly smaller norms: its bound starts one below that entry, and
-    each vector found lowers it to one below the vector's norm.
+    One elimination, which also rejects an indefinite ``g``, and one
+    enumeration.  A unit vector attains the least diagonal entry, so the
+    enumeration looks only for strictly smaller norms: its bound starts one
+    below that entry, and each vector found lowers it to one below the
+    vector's norm.
     """
-    if not is_positive_definite(g):
+    ldl = _ldl(g)
+    if ldl is None:
         raise ValueError("minimum requires a positive definite Gram matrix")
     least = min(g[i][i] for i in range(g.nrows))
-    found = _enumerate(g, _ldl(g), least - 1, shrink=True)
+    found = _enumerate(ldl, least - 1, shrink=True)
     return found[-1][1] if found else least

@@ -331,13 +331,6 @@ def integer_solver(
     return solve, invariants
 
 
-def solve_integer(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """One integer solution ``x`` of ``a x = b``, or ``None`` if there is none."""
-    if len(b) != a.nrows:
-        raise ValueError("right-hand side length must match row count")
-    return integer_solver(a)[0](b)
-
-
 def inertia(g: IntMatrix) -> tuple[int, int, int]:
     """Signs of the eigenvalues of a symmetric matrix: (positive, negative, zero).
 

@@ -40,6 +40,23 @@ RANK5_CASES = (
     CaseId.R5_2222,
 )
 
+# Every named case with a fixed slot plan, at the parameters used in this file.
+NAMED_CASE_PARAMS = (
+    (CaseId.R4_000, (2, 2, 4)),
+    (CaseId.R4_002, (2, 2, 4)),
+    (CaseId.R4_022, (2, 2, 4)),
+    (CaseId.R4_222, (2, 2, 4)),
+    (CaseId.R4_222, (1, 1, 4)),
+    (CaseId.R5_0000, (2, 2, 4, 4)),
+    (CaseId.R5_0002, (2, 2, 4, 4)),
+    (CaseId.R5_0022, (2, 2, 4, 4)),
+    (CaseId.R5_0222, (2, 2, 4, 4)),
+    (CaseId.R5_2222, (1, 1, 4, 4)),
+    (CaseId.R5_2222, (1, 1, 4, 9)),
+    (CaseId.R21_ALL0, (2, 2) + (4,) * 18),
+    (CaseId.R21_ALL2, (1, 1) + (4,) * 18),
+)
+
 
 def random_params(rng, case_id):
     residues = case_id.value.split("-")[1]
@@ -106,7 +123,6 @@ def test_public_namespace_exposes_core_api():
 
     for name in (
         "IntMatrix",
-        "Sublattice",
         "build_generic",
         "verify_witness",
         "Certificate",
@@ -221,31 +237,60 @@ class TestBuildGoal:
             assert 3 * inner_product(v, v) - hv * hv == d
 
     def test_rank4_all_zero_goal_blocked_by_scaled_slot(self):
+        # The scaled slot 2*a1 has content 2, but the glued witness does not
+        # use it: GOAL passes at (12, 12, 24).
         outcome = build(CaseId.R4_000, (2, 2, 4), Mode.GOAL)
-        assert outcome.status == RealizationStatus.NOT_REALIZABLE
-        assert "content" in outcome.detail
-        assert outcome.basis is not None  # canonical best effort still provided
+        assert outcome.status == RealizationStatus.REALIZED_GOAL
+        report = verify_witness(outcome.basis, outcome.targets)
+        assert report.verdict == "PASS", report.failure_reasons
+        assert [l.realized_d for l in report.labellings] == [12, 12, 24]
 
     def test_rank5_goal_blocked_by_two_a2_slots(self):
-        outcome = build(CaseId.R5_0022, (2, 2, 4, 4), Mode.GOAL)
-        assert outcome.status == RealizationStatus.NOT_REALIZABLE
-        assert "A2" in outcome.detail
+        # Two A2 slots would fill the rational I3 block with h2; the glued
+        # witness places its y_j across E8+E8+I3 and passes.
+        for case_id, params, ds in (
+            (CaseId.R5_0022, (2, 2, 4, 4), (12, 12, 26, 26)),
+            (CaseId.R5_2222, (1, 1, 4, 9), (8, 8, 26, 56)),
+        ):
+            outcome = build(case_id, params, Mode.GOAL)
+            assert outcome.status == RealizationStatus.REALIZED_GOAL
+            assert outcome.targets == ds
+            report = verify_witness(outcome.basis, outcome.targets)
+            assert report.verdict == "PASS", report.failure_reasons
 
     def test_slot_norm_and_pairing_invariants(self):
         rng = random.Random(99)
         for case_id in RANK4_CASES + RANK5_CASES:
             params = random_params(rng, case_id)
             outcome = build(case_id, params, Mode.GOAL)
-            if outcome.basis is None:
-                continue
+            assert outcome.status == RealizationStatus.REALIZED_GOAL, (case_id, params)
             slots = case_slots(case_id, params)
             for slot, v in zip(slots, outcome.basis[1:]):
                 hv = inner_product(H_SQUARED, v)
                 vv = inner_product(v, v)
-                if outcome.status != RealizationStatus.NOT_REALIZABLE:
+                assert 3 * vv - hv * hv == slot.target_d
+                if slot.kind in ("U1", "U2"):
+                    # U slots keep e_i + n f_i (+ an I3 unit vector).
                     assert (hv, vv) == (
                         (0, 2 * slot.n) if slot.residue == 0 else (1, 2 * slot.n + 1)
                     )
+                else:
+                    # Glued slots: y_j has h2.y_j = r and y_j.y_j = 2m^2 + r.
+                    assert (hv, vv) == (slot.residue, 2 * slot.n + slot.residue)
+
+    def test_every_named_case_passes_or_reports_exhaustion(self):
+        assert {case_id for case_id, _ in NAMED_CASE_PARAMS} == set(CaseId) - {CaseId.GENERIC}
+        for case_id, params in NAMED_CASE_PARAMS:
+            outcome = build(case_id, params, Mode.GOAL)
+            assert outcome.gram_delta == outcome.realized_gram - reference_gram(case_id, params)
+            if outcome.status == RealizationStatus.REALIZED_GOAL:
+                report = verify_witness(outcome.basis, outcome.targets)
+                assert report.verdict == "PASS", (case_id, report.failure_reasons)
+            else:
+                # A truncated search is never reported as a proof of impossibility.
+                assert outcome.status == RealizationStatus.NOT_REALIZABLE
+                assert outcome.detail.startswith("search exhausted"), outcome.detail
+                assert "does not show that the targets are impossible" in outcome.detail
 
 
 class TestGenericBuilds:

@@ -1,16 +1,17 @@
 import pytest
 
 from hassett.criteria import (
-    certify_nonempty,
     conjecture_shape,
     conjecture_sweep,
+    criterion_report,
     discriminant_report,
     factorize,
     has_associated_k3,
     satisfies_double_star,
     satisfies_star,
 )
-from hassett.lattice import A1, H_SQUARED, Sublattice, e_vec, i3_unit
+from hassett.lattice import A1, H_SQUARED, coordinate_matrix, e_vec, gram_of, i3_unit
+from hassett.linalg import integer_solver
 from hassett.verifier import COROLLARY_DISCRIMINANTS
 
 
@@ -139,9 +140,15 @@ class TestDiscriminantReport:
         assert witnesses == [2, 4, 6, 7, 8, 10, 12, 14, 16, 18, 19, 20, 22, 24, 26, 28, 32, 34]
 
 
+def certify(basis):
+    """The four checks on an explicit basis, as ``verify_witness`` runs them."""
+    solve, invariants = integer_solver(coordinate_matrix(basis))
+    return criterion_report(gram_of(basis), invariants, solve(H_SQUARED.coords) is not None)
+
+
 class TestCertifyNonempty:
     def test_passing_witness(self):
-        sub = Sublattice(
+        report = certify(
             (
                 H_SQUARED,
                 e_vec(1, 1) + 2 * e_vec(1, 2),
@@ -149,31 +156,28 @@ class TestCertifyNonempty:
                 2 * A1 + i3_unit(3),
             )
         )
-        report = certify_nonempty(sub)
         assert report.passed
         assert report.minimum_norm == 3
 
     def test_norm_two_vector_fails(self):
-        report = certify_nonempty(Sublattice((H_SQUARED, e_vec(1, 1) + e_vec(1, 2))))
+        report = certify((H_SQUARED, e_vec(1, 1) + e_vec(1, 2)))
         assert not report.passed
         assert report.minimum_norm == 2
 
     def test_doubled_generator_fails_saturation(self):
-        report = certify_nonempty(
-            Sublattice((H_SQUARED, 2 * (e_vec(1, 1) + 2 * e_vec(1, 2))))
-        )
+        report = certify((H_SQUARED, 2 * (e_vec(1, 1) + 2 * e_vec(1, 2))))
         assert not report.passed
         assert not report.saturated
 
     def test_indefinite_gram_is_reported_not_raised(self):
-        report = certify_nonempty(Sublattice((H_SQUARED, e_vec(1, 1))))
+        report = certify((H_SQUARED, e_vec(1, 1)))
         assert not report.positive_definite
         assert report.minimum_norm is None
         assert not report.passed
 
     def test_scaled_generator_fails_saturation(self):
         # All other checks succeed, but 2*a1 leaves the index-2 gap.
-        sub = Sublattice(
+        report = certify(
             (
                 H_SQUARED,
                 e_vec(1, 1) + 2 * e_vec(1, 2),
@@ -181,7 +185,6 @@ class TestCertifyNonempty:
                 2 * A1,
             )
         )
-        report = certify_nonempty(sub)
         assert report.contains_h_squared
         assert report.positive_definite
         assert report.minimum_norm == 3

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import hassett.lattice as lattice
+import hassett.linalg as linalg
 from hassett.lattice import (
     A1,
     A2,
@@ -13,9 +14,7 @@ from hassett.lattice import (
     E8_GRAM,
     H_SQUARED,
     RANK,
-    Sublattice,
     _ldl,
-    contains,
     coordinate_matrix,
     e_vec,
     gram_of,
@@ -26,7 +25,6 @@ from hassett.lattice import (
     norm,
     short_vectors,
     t_vec,
-    zero_vector,
 )
 from hassett.linalg import (
     IntMatrix,
@@ -129,29 +127,19 @@ class TestGramOf:
                 assert gp[i][j] == g[perm[i]][perm[j]]
 
 
-class TestSublattice:
-    def test_rejects_dependent_basis(self):
-        with pytest.raises(ValueError):
-            Sublattice([A1, 2 * A1])
-
-    def test_isotropic_vector_is_fine(self):
-        sub = Sublattice([e_vec(1, 1)])
-        assert sub.gram == IntMatrix([[0]])
-
-
 class TestSaturation:
     def test_primitive_vector(self):
-        assert is_saturated(Sublattice([H_SQUARED]))
+        assert is_saturated([H_SQUARED])
 
     def test_doubled_vector(self):
-        assert not is_saturated(Sublattice([2 * H_SQUARED]))
+        assert not is_saturated([2 * H_SQUARED])
 
     def test_scaled_slot_breaks_saturation(self):
         # The column 2*a1 gives Smith invariants (1,1,1,2): the vector a1 lies
         # in the rational span and the ambient lattice but not in the span.
-        sub = Sublattice(rank4_000_basis())
-        assert invariant_factors(coordinate_matrix(sub.basis)) == (1, 1, 1, 2)
-        assert not is_saturated(sub)
+        basis = rank4_000_basis()
+        assert invariant_factors(coordinate_matrix(basis)) == (1, 1, 1, 2)
+        assert not is_saturated(basis)
 
     def test_unit_perturbation_restores_saturation(self):
         basis = (
@@ -160,22 +148,7 @@ class TestSaturation:
             e_vec(2, 1) + 2 * e_vec(2, 2),
             2 * A1 + i3_unit(3),
         )
-        assert is_saturated(Sublattice(basis))
-
-
-class TestContains:
-    def test_h_squared_member(self):
-        assert contains(Sublattice(rank4_000_basis()), H_SQUARED)
-
-    def test_non_member(self):
-        assert not contains(Sublattice(rank4_000_basis()), e_vec(1, 1))
-
-    def test_zero_vector(self):
-        assert contains(Sublattice(rank4_000_basis()), zero_vector())
-
-    def test_saturation_gap_witness(self):
-        # a1 = (2*a1)/2 is in the rational span but not in the sublattice.
-        assert not contains(Sublattice(rank4_000_basis()), A1)
+        assert is_saturated(basis)
 
 
 class TestShortVectors:
@@ -224,6 +197,14 @@ def reference_ldl(g):
     return d, u
 
 
+def as_fractions(ldl):
+    """(d, u) of g = U^T D U from the integer pivots p_i and rows p_i u_ij."""
+    pivots, rows = ldl
+    d = [Fraction(p, q) for p, q in zip(pivots, [1] + pivots)]
+    u = [[Fraction(x, p) for x in row] for p, row in zip(pivots, rows)]
+    return d, u
+
+
 class TestLdl:
     def test_matches_elimination_over_fractions(self):
         rng = random.Random(17)
@@ -237,12 +218,19 @@ class TestLdl:
             if not is_positive_definite(g):
                 continue
             checked += 1
-            assert _ldl(g) == reference_ldl(g), g
+            assert as_fractions(_ldl(g)) == reference_ldl(g), g
 
     def test_e8_pivots_are_minor_ratios(self):
-        d, _ = _ldl(E8_GRAM)
+        ldl = _ldl(E8_GRAM)
+        d, _ = as_fractions(ldl)
         minors = [determinant(IntMatrix([row[:k] for row in E8_GRAM.rows[:k]])) for k in range(1, 9)]
+        assert ldl[0] == minors
         assert d == [Fraction(b, a) for a, b in zip([1] + minors, minors)]
+
+    def test_stops_at_first_nonpositive_pivot(self):
+        assert _ldl(IntMatrix([[0, 1], [1, 0]])) is None
+        assert _ldl(IntMatrix([[2, 0, 0], [0, 1, 1], [0, 1, 1]])) is None
+        assert _ldl(IntMatrix([[1, 2], [2, 1]])) is None
 
 
 def reference_minimum(g):
@@ -275,6 +263,11 @@ class TestMinimum:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             minimum(IntMatrix([[0, 1], [1, 0]]))
+
+    def test_rejects_nonsymmetric(self):
+        for check in (minimum, lambda g: short_vectors(g, 2)):
+            with pytest.raises(ValueError):
+                check(IntMatrix([[3, 1], [0, 3]]))
 
     def test_matches_reference_loop_and_oracle(self):
         rng = random.Random(29)
@@ -311,10 +304,15 @@ class TestMinimum:
             assert minimum(g) == 2 * m * m
 
     def test_one_decomposition_per_call(self, monkeypatch):
+        # _ldl also decides definiteness, so minimum runs no separate
+        # is_positive_definite.  lattice does not import that name, so the
+        # count is taken where it is defined.
+        assert not hasattr(lattice, "is_positive_definite")
         calls = {"_ldl": 0, "is_positive_definite": 0}
+        owners = {"_ldl": lattice, "is_positive_definite": linalg}
 
         def counted(name):
-            inner = getattr(lattice, name)
+            inner = getattr(owners[name], name)
 
             def wrapper(*args):
                 calls[name] += 1
@@ -322,12 +320,12 @@ class TestMinimum:
 
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(lattice, name, counted(name))
+        for name, owner in owners.items():
+            monkeypatch.setattr(owner, name, counted(name))
         g = IntMatrix([[3, 0, 0, 1], [0, 40, 0, 0], [0, 0, 40, 0], [1, 0, 0, 90]])
         assert minimum(g) == 3
-        assert calls == {"_ldl": 1, "is_positive_definite": 1}
+        assert calls == {"_ldl": 1, "is_positive_definite": 0}
         calls.update(_ldl=0, is_positive_definite=0)
         n = 10**8
         assert minimum(IntMatrix([[n, n - 1], [n - 1, n]])) == 2
-        assert calls == {"_ldl": 1, "is_positive_definite": 1}
+        assert calls == {"_ldl": 1, "is_positive_definite": 0}

@@ -32,3 +32,11 @@ def test_benchmark_traced_names_resolve():
             assert attr in vars(getattr(module, cls_name)), qualname
         else:
             assert callable(getattr(module, qualname)), qualname
+
+
+def test_every_export_imports_from_package():
+    namespace: dict = {}
+    exec("from hassett import *", namespace)
+    assert set(hassett.__all__) <= set(namespace)
+    for name in hassett.__all__:
+        assert namespace[name] is getattr(hassett, name), name
