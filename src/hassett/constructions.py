@@ -17,9 +17,12 @@ equation ``2m(b.p) + p.p = 1``.
 Two realization modes, for named cases (``build``) and target lists
 (``build_generic``) alike:
 
-* STRICT searches perturbation assignments whose full Gram reproduces a
-  reference matrix entry for entry, and reports the best achievable delta
-  when no assignment does.  It reproduces the scaled reference Grams, so its
+* STRICT picks the perturbation assignment whose full Gram deviates least,
+  entry for entry, from a reference matrix, and reports the delta when no
+  assignment reproduces it.  Against the ideal Gram of the slots the search
+  is exact (see ``realize_perturbations``); against any other reference it
+  is a branch and bound with a node cap, and a capped result says that it
+  was truncated.  STRICT reproduces the scaled reference Grams, so its
   witnesses can fail saturation: a residue-0 column ``m * b`` has content m.
 * GOAL keeps only the per-slot discriminants and builds a glued witness,
   saturated by construction, that must also pass the remaining checks.
@@ -66,6 +69,7 @@ from .lattice import (
     E8_EDGES,
     AmbientVector,
     H_SQUARED,
+    NotPositiveDefinite,
     e_vec,
     gram_of,
     i3_unit,
@@ -74,12 +78,7 @@ from .lattice import (
     short_vectors,
     t_vec,
 )
-from .linalg import (
-    IntMatrix,
-    is_positive_definite,
-    quadratic_form,
-    smith_normal_form,
-)
+from .linalg import IntMatrix, quadratic_form, smith_normal_form
 
 SEARCH_NODE_CAP = 200_000
 
@@ -118,6 +117,7 @@ for _copy in (1, 2):
         _SCALED_BASES[f"E8_{_copy}_{_i}"] = t_vec(_copy, _i)
 
 U_KINDS = ("U1", "U2")
+_A2_KINDS = ("A2_1", "A2_2")
 
 # Scaled-slot assignment order for generic builds: the two A2 generators, then
 # E8 basis vectors of both copies interleaved so that early slots avoid
@@ -355,7 +355,7 @@ def candidate_perturbations(slot: SlotSpec, search_bound: int = 3) -> tuple[Ambi
         raise ValueError("search bound must be at least 1")
     if slot.residue == 0:
         return ()
-    if slot.kind not in ("A2_1", "A2_2"):
+    if slot.kind not in _A2_KINDS:
         return _UNITS_SORTED
     base = _SCALED_BASES[slot.kind].i3_part()
     m = slot.scale
@@ -388,77 +388,204 @@ def _basis_of(slots: Sequence[SlotSpec]) -> tuple[AmbientVector, ...]:
     return (H_SQUARED,) + tuple(s.generator() for s in slots)
 
 
+def _cost_tables(
+    slots: Sequence[SlotSpec],
+    cands: Sequence[Sequence[AmbientVector | None]],
+    target: IntMatrix,
+    pair_rows: Sequence[int],
+) -> tuple[list[list[AmbientVector]], list[list[int]], dict[tuple[int, int], list[list[int]]]]:
+    """Generators of every candidate and their entrywise deviations from ``target``.
+
+    ``own[i][a]`` is the deviation of the h2 and diagonal entries of slot i
+    with candidate a, and ``pair[j, i][b][a]`` that of entry (j, i) with
+    candidates b and a, for each j in ``pair_rows`` and every i > j.
+    """
+    k = len(slots)
+    gens = [
+        [s.bare_generator() if p is None else s.bare_generator() + p for p in cs]
+        for s, cs in zip(slots, cands)
+    ]
+    own = [
+        [
+            abs(inner_product(H_SQUARED, g) - target[0][i + 1])
+            + abs(inner_product(g, g) - target[i + 1][i + 1])
+            for g in gens[i]
+        ]
+        for i in range(k)
+    ]
+    pair = {
+        (j, i): [
+            [abs(inner_product(gj, gi) - target[j + 1][i + 1]) for gi in gens[i]]
+            for gj in gens[j]
+        ]
+        for j in pair_rows
+        for i in range(j + 1, k)
+    }
+    return gens, own, pair
+
+
+def _exact_assignment(
+    slots: Sequence[SlotSpec],
+    cands: Sequence[Sequence[AmbientVector | None]],
+    target: IntMatrix,
+) -> tuple[int, list[int]]:
+    """Least deviation from the ideal Gram ``target`` and its first optimal assignment.
+
+    A residue-2 U or E8 slot is "coloured" by the I3 unit vector it takes,
+    since its bare generator has no I3 part.  Against the ideal target a
+    slot with generator g therefore deviates from an earlier coloured slot
+    with unit u by |u.g|, which for two coloured slots is 1 when they share
+    the unit and 0 otherwise.  So the state (number of earlier coloured
+    slots per unit, candidates of the earlier uncoloured slots) fixes every
+    later cost, and the cost-to-go is tabulated on it: forward over the
+    reachable states, then backward.  Walking the slots in order and taking
+    the first candidate that keeps the optimum gives the lexicographically
+    first optimal assignment.
+    """
+    k = len(slots)
+    coloured = [s.residue == 2 and s.kind not in _A2_KINDS for s in slots]
+    explicit = [i for i in range(k) if not coloured[i]]
+    gens, own, pair = _cost_tables(slots, cands, target, explicit)
+    colour = {i: [[abs(inner_product(u, g)) for u in _UNITS_SORTED] for g in gens[i]] for i in explicit}
+    fixed: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+
+    def moves(i: int, state: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+        """(step cost, next state) for each candidate of slot i, in order.
+
+        A state is (c0, c1, c2, *chosen): the unit counts, then the
+        candidates of the uncoloured slots so far.
+        """
+        c0, c1, c2 = state[:3]
+        chosen = state[3:]
+        if (i, chosen) not in fixed:
+            fixed[i, chosen] = [
+                own[i][a] + sum(pair[j, i][b][a] for j, b in zip(explicit, chosen))
+                for a in range(len(cands[i]))
+            ]
+        base = fixed[i, chosen]
+        if coloured[i]:
+            return [
+                (base[0] + c0, (c0 + 1, c1, c2) + chosen),
+                (base[1] + c1, (c0, c1 + 1, c2) + chosen),
+                (base[2] + c2, (c0, c1, c2 + 1) + chosen),
+            ]
+        return [
+            (b + c0 * w0 + c1 * w1 + c2 * w2, state + (a,))
+            for a, (b, (w0, w1, w2)) in enumerate(zip(base, colour[i]))
+        ]
+
+    start = (0, 0, 0)
+    layers = []
+    frontier = {start}
+    for i in range(k):
+        layers.append({state: moves(i, state) for state in frontier})
+        frontier = {following for options in layers[-1].values() for _, following in options}
+    # The counts and the candidates of a state add up to its slot index, so
+    # states of different layers never collide and one table holds them all.
+    cost_to_go = dict.fromkeys(frontier, 0)
+    for layer in reversed(layers):
+        for state, options in layer.items():
+            cost_to_go[state] = min(cost + cost_to_go[following] for cost, following in options)
+    optimum = left = cost_to_go[start]
+    state, picks = start, []
+    for layer in layers:
+        for a, (cost, following) in enumerate(layer[state]):
+            if cost + cost_to_go[following] == left:
+                break
+        picks.append(a)
+        left -= cost
+        state = following
+    return optimum, picks
+
+
+def _bounded_assignment(
+    slots: Sequence[SlotSpec],
+    cands: Sequence[Sequence[AmbientVector | None]],
+    target: IntMatrix,
+) -> tuple[int, list[int], bool]:
+    """Branch and bound for an arbitrary target: (miss, assignment, truncated).
+
+    Slots are placed in order, candidates in candidate order.  A branch is
+    cut when its deviation so far plus an admissible bound on the unplaced
+    slots (each one's cheapest own deviation and the cheapest deviation of
+    each pair among them) cannot beat the best assignment found.  After
+    ``SEARCH_NODE_CAP`` candidate placements the search stops and reports
+    itself truncated.
+    """
+    k = len(slots)
+    _, own, pair = _cost_tables(slots, cands, target, range(k))
+    rest = [0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        rest[i] = rest[i + 1] + min(own[i]) + sum(
+            min(map(min, pair[i, l])) for l in range(i + 1, k)
+        )
+    best_sum: int | None = None
+    best: list[int] = []
+    current = [0] * k
+    nodes = 0
+
+    def dfs(i: int, acc: int) -> bool:
+        nonlocal best_sum, best, nodes
+        if best_sum is not None and acc + rest[i] >= best_sum:
+            return False
+        if i == k:
+            best_sum, best = acc, list(current)
+            return acc == 0
+        for a in range(len(cands[i])):
+            nodes += 1
+            if nodes > SEARCH_NODE_CAP:
+                return False
+            current[i] = a
+            cost = own[i][a] + sum(pair[j, i][current[j]][a] for j in range(i))
+            if dfs(i + 1, acc + cost):
+                return True
+        return False
+
+    dfs(0, 0)
+    assert best_sum is not None
+    return best_sum, best, nodes > SEARCH_NODE_CAP
+
+
 def realize_perturbations(
     slots: Sequence[SlotSpec], target: IntMatrix, search_bound: int = 3
 ) -> RealizationOutcome:
-    """Search perturbation assignments minimizing the distance to ``target``.
+    """Find the perturbation assignment whose Gram deviates least from ``target``.
 
-    Returns REALIZED_STRICT on an exact match (the lexicographically first
-    one in candidate order), otherwise NOT_REALIZABLE carrying the best
-    realized Gram and its delta.  Branch and bound on the accumulated
-    entrywise deviation, with a deterministic node cap.
+    The deviation is the sum of absolute entrywise differences.  For the
+    ideal Gram of the slots (every target list, and every named case except
+    ``R21_ALL2``) a search tabulated on unit counts (``_exact_assignment``)
+    computes the exact optimum.  Any other
+    target runs a branch and bound capped at ``SEARCH_NODE_CAP`` nodes; when
+    the cap stops it, the detail says so and gives the best miss found.
+    Ties go to the lexicographically first assignment in candidate order.
+    Returns REALIZED_STRICT on an exact match, otherwise NOT_REALIZABLE
+    carrying the realized Gram and its delta.
     """
     slots = tuple(slots)
     k = len(slots)
     if target.nrows != k + 1 or target.ncols != k + 1:
         raise ValueError("target Gram must be (k+1) x (k+1) including the h2 row")
-    cands: list[tuple[AmbientVector | None, ...]] = [
-        candidate_perturbations(s, search_bound) or (None,) for s in slots
-    ]
-    bare = [s.bare_generator() for s in slots]
-    gens: list[AmbientVector] = list(bare)
-
-    best_sum: int | None = None
-    best_assignment: tuple[AmbientVector | None, ...] | None = None
-    nodes = 0
-
-    def partial_cost(i: int) -> int:
-        g = gens[i]
-        cost = abs(inner_product(H_SQUARED, g) - target[0][i + 1])
-        cost += abs(inner_product(g, g) - target[i + 1][i + 1])
-        for j in range(i):
-            cost += abs(inner_product(gens[j], g) - target[j + 1][i + 1])
-        return cost
-
-    def dfs(i: int, acc: int) -> bool:
-        nonlocal best_sum, best_assignment, nodes
-        if best_sum is not None and acc >= best_sum:
-            return False
-        if i == k:
-            best_sum = acc
-            best_assignment = tuple(
-                None if p is None else p for p in current
-            )
-            return acc == 0
-        for p in cands[i]:
-            nodes += 1
-            if nodes > SEARCH_NODE_CAP:
-                return False
-            current[i] = p
-            gens[i] = bare[i] if p is None else bare[i] + p
-            if dfs(i + 1, acc + partial_cost(i)):
-                return True
-        current[i] = None
-        gens[i] = bare[i]
-        return False
-
-    current: list[AmbientVector | None] = [None] * k
-    dfs(0, abs(3 - target[0][0]))
-
-    assert best_assignment is not None
-    realized_slots = _assigned_slots(slots, best_assignment)
-    basis = _basis_of(realized_slots)
+    cands = [candidate_perturbations(s, search_bound) or (None,) for s in slots]
+    truncated = False
+    if target == ideal_gram(slots):
+        miss, picks = _exact_assignment(slots, cands, target)
+    else:
+        miss, picks, truncated = _bounded_assignment(slots, cands, target)
+    miss += abs(3 - target[0][0])
+    basis = _basis_of(_assigned_slots(slots, [c[a] for c, a in zip(cands, picks)]))
     realized = gram_of(basis)
-    delta = realized - target
-    status = (
-        RealizationStatus.REALIZED_STRICT if best_sum == 0 else RealizationStatus.NOT_REALIZABLE
-    )
-    detail = "" if best_sum == 0 else f"best assignment misses target by {best_sum}"
+    if truncated:
+        detail = (
+            f"search truncated at {SEARCH_NODE_CAP} nodes; "
+            f"best found misses target by {miss}"
+        )
+    else:
+        detail = f"optimal assignment misses target by {miss}" if miss else ""
     return RealizationOutcome(
-        status=status,
+        status=RealizationStatus.NOT_REALIZABLE if miss else RealizationStatus.REALIZED_STRICT,
         basis=basis,
         realized_gram=realized,
-        gram_delta=delta,
+        gram_delta=realized - target,
         targets=tuple(s.target_d for s in slots),
         detail=detail,
     )
@@ -680,8 +807,13 @@ def _glued_search(slots: Sequence[SlotSpec], search_bound: int = 3) -> Realizati
             continue
         basis = head + tuple(y + s * _F1 + u * _F2 for y, (s, u) in zip(ys, glue))
         gram = gram_of(basis)
-        # Minimum at least 3: no nonzero vector of norm 1 or 2.
-        if is_positive_definite(gram) and not short_vectors(gram, 2):
+        # Minimum at least 3: no nonzero vector of norm 1 or 2.  The
+        # elimination inside short_vectors also decides definiteness.
+        try:
+            passed = not short_vectors(gram, 2)
+        except NotPositiveDefinite:
+            passed = False
+        if passed:
             return RealizationOutcome(
                 status=RealizationStatus.REALIZED_GOAL,
                 basis=basis,

@@ -22,8 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lattice import minimum
-from .linalg import IntMatrix, is_positive_definite
+from .lattice import NotPositiveDefinite, minimum
+from .linalg import IntMatrix
 
 _TRIAL_LIMIT = 10**6
 
@@ -268,11 +268,15 @@ def criterion_report(
     its 23 x k coordinate matrix (saturated iff there are k entries and all
     are 1), and ``has_h`` whether h2 is an integer combination of the basis.
     An indefinite Gram is reported (positive_definite False, minimum
-    omitted), never raised.
+    omitted), never raised.  The elimination inside ``minimum`` decides
+    definiteness, so the Gram is eliminated once.
     """
-    pd = is_positive_definite(gram)
+    try:
+        min_norm: int | None = minimum(gram)
+    except NotPositiveDefinite:
+        min_norm = None
+    pd = min_norm is not None
     saturated = len(invariants) == gram.nrows and all(x == 1 for x in invariants)
-    min_norm = minimum(gram) if pd else None
     return CriterionReport(
         contains_h_squared=has_h,
         positive_definite=pd,

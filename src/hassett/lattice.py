@@ -191,6 +191,10 @@ def is_saturated(basis: Sequence[AmbientVector]) -> bool:
     return len(factors) == len(basis) and all(f == 1 for f in factors)
 
 
+class NotPositiveDefinite(ValueError):
+    """Raised by ``short_vectors`` and ``minimum`` when the elimination meets a pivot <= 0."""
+
+
 def _ldl(g: IntMatrix) -> tuple[list[int], list[list[int]]] | None:
     """Symmetric Bareiss elimination of ``g``: (pivots, rows), or None.
 
@@ -308,7 +312,7 @@ def short_vectors(g: IntMatrix, c: int) -> list[tuple[int, ...]]:
         raise ValueError("short_vectors needs a nonnegative bound")
     ldl = _ldl(g)
     if ldl is None:
-        raise ValueError("short_vectors requires a positive definite Gram matrix")
+        raise NotPositiveDefinite("short_vectors requires a positive definite Gram matrix")
     return sorted(_canonical(x) for x, _ in _enumerate(ldl, c, shrink=False))
 
 
@@ -323,7 +327,7 @@ def minimum(g: IntMatrix) -> int:
     """
     ldl = _ldl(g)
     if ldl is None:
-        raise ValueError("minimum requires a positive definite Gram matrix")
+        raise NotPositiveDefinite("minimum requires a positive definite Gram matrix")
     least = min(g[i][i] for i in range(g.nrows))
     found = _enumerate(ldl, least - 1, shrink=True)
     return found[-1][1] if found else least

@@ -1,3 +1,4 @@
+import itertools
 import random
 import subprocess
 import sys
@@ -17,10 +18,13 @@ from hassett.constructions import (
     candidate_perturbations,
     case_slots,
     generic_slots,
+    ideal_gram,
     identity_pair,
     realize_perturbations,
     reference_gram,
 )
+import hassett.lattice as lattice
+import hassett.linalg as linalg
 from hassett.lattice import (
     A1,
     H_SQUARED,
@@ -179,6 +183,109 @@ class TestRealizePerturbations:
         assert not outcome.gram_delta.is_zero()
 
 
+def exhaustive_first_optimum(slots, target, search_bound):
+    """Least miss and first assignment attaining it, over every candidate tuple.
+
+    The miss sums |realized - target| over the h2 row and the upper triangle,
+    as ``realize_perturbations`` reports it.  ``min`` keeps the first of equal
+    keys and ``itertools.product`` runs in lexicographic order.
+    """
+    cands = [candidate_perturbations(s, search_bound) or (None,) for s in slots]
+    gens = [
+        [s.bare_generator() if p is None else s.bare_generator() + p for p in row]
+        for s, row in zip(slots, cands)
+    ]
+    k = len(slots)
+    own = [
+        [
+            abs(inner_product(H_SQUARED, g) - target[0][i + 1])
+            + abs(inner_product(g, g) - target[i + 1][i + 1])
+            for g in gens[i]
+        ]
+        for i in range(k)
+    ]
+    cross = [
+        (j, i, [[abs(inner_product(gj, gi) - target[j + 1][i + 1]) for gi in gens[i]] for gj in gens[j]])
+        for i in range(k)
+        for j in range(i)
+    ]
+
+    def miss(choice):
+        return sum(own[i][a] for i, a in enumerate(choice)) + sum(
+            table[choice[j]][choice[i]] for j, i, table in cross
+        )
+
+    best = min(itertools.product(*(range(len(row)) for row in cands)), key=miss)
+    basis = (H_SQUARED,) + tuple(row[a] for row, a in zip(gens, best))
+    return miss(best) + abs(3 - target[0][0]), basis
+
+
+def upper_miss(delta):
+    return sum(abs(delta[i][j]) for i in range(delta.nrows) for j in range(i, delta.ncols))
+
+
+def random_strict_targets(rng, n):
+    """n admissible targets; positions 3 and 4 take the A2 slots at m = 2..4."""
+    star = [d for d in range(8, 200) if d % 6 in (0, 2)]
+    targets = [rng.choice(star), rng.choice(star)]
+    for position in range(2, n):
+        m = rng.randint(2, 4) if position < 4 else rng.randint(2, 9)
+        targets.append(6 * m * m + rng.choice((0, 2, 2)))
+    return targets
+
+
+class TestExactStrictSearch:
+    @pytest.mark.parametrize("search_bound", [1, 3])
+    def test_matches_exhaustive_search(self, search_bound):
+        rng = random.Random(2020 + search_bound)
+        for _ in range(100):
+            targets = random_strict_targets(rng, rng.randint(2, 8))
+            slots = generic_slots(targets)
+            target = ideal_gram(slots)
+            miss, basis = exhaustive_first_optimum(slots, target, search_bound)
+            outcome = realize_perturbations(slots, target, search_bound)
+            assert outcome.basis == basis, targets
+            assert upper_miss(outcome.gram_delta) == miss, targets
+            if miss:
+                assert outcome.status == RealizationStatus.NOT_REALIZABLE
+                assert outcome.detail == f"optimal assignment misses target by {miss}"
+            else:
+                assert outcome.status == RealizationStatus.REALIZED_STRICT
+                assert outcome.detail == ""
+
+    def test_bounded_search_matches_exhaustive_search(self):
+        # Off-ideal targets take the branch and bound; below its node cap it
+        # must return the same first optimum.
+        rng = random.Random(77)
+        for _ in range(40):
+            slots = generic_slots(random_strict_targets(rng, rng.randint(3, 6)))
+            rows = ideal_gram(slots).to_lists()
+            i, j = sorted(rng.sample(range(1, len(rows)), 2))
+            rows[i][j] = rows[j][i] = rows[i][j] + rng.choice((-1, 1))
+            target = IntMatrix(rows)
+            miss, basis = exhaustive_first_optimum(slots, target, 3)
+            outcome = realize_perturbations(slots, target)
+            assert outcome.basis == basis
+            assert upper_miss(outcome.gram_delta) == miss
+            assert "truncated" not in outcome.detail
+
+    @pytest.mark.parametrize(
+        "head,top,optimum",
+        [
+            ((14, 14, 152, 488), 10, 86),
+            ((14, 14, 26, 26), 10, 37),
+            ((14, 14, 152, 488), 20, 223),
+            ((14, 14, 26, 26), 20, 109),
+        ],
+    )
+    def test_long_lists_reach_their_optimum(self, head, top, optimum):
+        targets = list(head) + [6 * m * m + 2 for m in range(5, top + 1)]
+        outcome = build_generic(targets, Mode.STRICT)
+        assert outcome.status == RealizationStatus.NOT_REALIZABLE
+        assert outcome.detail == f"optimal assignment misses target by {optimum}"
+        assert upper_miss(outcome.gram_delta) == optimum
+
+
 class TestBuildStrict:
     def test_rank4_case1_exact(self):
         outcome = build(CaseId.R4_000, (2, 2, 4), Mode.STRICT)
@@ -216,6 +323,13 @@ class TestBuildStrict:
         outcome = build(CaseId.R21_ALL2, params, Mode.STRICT)
         assert outcome.status == RealizationStatus.NOT_REALIZABLE
         assert not outcome.gram_delta.is_zero()
+        # The transcribed Gram is not ideal, so the capped branch and bound
+        # runs; its miss is the best found, not a proven optimum.
+        miss = upper_miss(outcome.gram_delta)
+        assert outcome.detail == (
+            f"search truncated at {constructions.SEARCH_NODE_CAP} nodes; "
+            f"best found misses target by {miss}"
+        )
 
 
 class TestBuildGoal:
@@ -422,6 +536,29 @@ class TestGenericBuilds:
             for v in outcome.basis[1:]:
                 hv = inner_product(H_SQUARED, v)
                 assert (3 * inner_product(v, v) - hv * hv) % 6 in (0, 2)
+
+
+def test_glued_draw_eliminates_each_gram_once(monkeypatch):
+    # short_vectors' elimination also decides definiteness, so every glued
+    # draw runs one _ldl on its Gram and no is_positive_definite.  At these
+    # parameters all 64 draws fail, most of them as indefinite Grams, and the
+    # last gram_of call is the canonical basis of the NOT_REALIZABLE outcome.
+    assert not hasattr(constructions, "is_positive_definite")
+    calls = {"_ldl": 0, "is_positive_definite": 0, "gram_of": 0}
+    owners = {"_ldl": lattice, "is_positive_definite": linalg, "gram_of": constructions}
+    for name, owner in owners.items():
+        inner = getattr(owner, name)
+
+        def wrapper(*args, name=name, inner=inner):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    slots = case_slots(CaseId.R21_ALL0, (2, 2) + (4,) * 18)
+    outcome = constructions._glued_search(slots)
+    assert outcome.status == RealizationStatus.NOT_REALIZABLE
+    assert calls["_ldl"] == calls["gram_of"] - 1 > 0
+    assert calls["is_positive_definite"] == 0
 
 
 class TestIdentities:

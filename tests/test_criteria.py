@@ -1,5 +1,8 @@
 import pytest
 
+import hassett.criteria as criteria
+import hassett.lattice as lattice
+import hassett.linalg as linalg
 from hassett.criteria import (
     conjecture_shape,
     conjecture_sweep,
@@ -174,6 +177,33 @@ class TestCertifyNonempty:
         assert not report.positive_definite
         assert report.minimum_norm is None
         assert not report.passed
+
+    def test_one_elimination_per_report(self, monkeypatch):
+        # minimum's elimination also decides definiteness, so a report runs
+        # no separate is_positive_definite, definite or not.
+        assert not hasattr(criteria, "is_positive_definite")
+        calls = {"_ldl": 0, "is_positive_definite": 0}
+        owners = {"_ldl": lattice, "is_positive_definite": linalg}
+        for name, owner in owners.items():
+            inner = getattr(owner, name)
+
+            def wrapper(*args, name=name, inner=inner):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+        definite = (
+            H_SQUARED,
+            e_vec(1, 1) + 2 * e_vec(1, 2),
+            e_vec(2, 1) + 2 * e_vec(2, 2),
+            2 * A1 + i3_unit(3),
+        )
+        for basis, pd, least in ((definite, True, 3), ((H_SQUARED, e_vec(1, 1)), False, None)):
+            gram = gram_of(basis)
+            calls.update(_ldl=0, is_positive_definite=0)
+            report = criterion_report(gram, (1,) * len(basis), True)
+            assert (report.positive_definite, report.minimum_norm) == (pd, least)
+            assert calls == {"_ldl": 1, "is_positive_definite": 0}
 
     def test_scaled_generator_fails_saturation(self):
         # All other checks succeed, but 2*a1 leaves the index-2 gap.
