@@ -64,10 +64,8 @@ from .constructions import (
     build_generic,
     candidate_perturbations,
     case_slots,
-    form_value,
     generic_slots,
     ideal_gram,
-    identity_pair,
     realize_perturbations,
     reference_gram,
     squares_value,

@@ -1,5 +1,11 @@
 """Builders for the explicit witness sublattices and their reference Grams.
 
+A witness is built for a target list of 2 to 20 discriminants
+d_i = 6 n_i + r_i with r_i in {0, 2}.  The named rank-4, rank-5 and rank-21
+cases (``CaseId``) are such lists, with the residues read off the case
+value, so they take the same slots as any other list (``case_slots``); what
+sets them apart is their reference Gram.
+
 Every slot witness here is spanned by h2 together with one generator per
 "slot":
 
@@ -12,7 +18,7 @@ of residue 2 additionally receives a perturbation ``p`` from the I3 block with
 ``p . h2 = 1`` and ``(g + p)**2 = 2n + 1``, which moves the discriminant to
 ``6n + 2``.  For U and E8 slots the norm constraint forces ``p`` to be one of
 the three I3 unit vectors; for A2 slots a bounded box search solves the norm
-equation ``2m(b.p) + p.p = 1``.
+equation ``2m(b.p) + p.p = 1`` in the box of half-width ``A2_SEARCH_BOUND``.
 
 Two realization modes, for named cases (``build``) and target lists
 (``build_generic``) alike:
@@ -78,9 +84,12 @@ from .lattice import (
     short_vectors,
     t_vec,
 )
-from .linalg import IntMatrix, quadratic_form, smith_normal_form
+from .linalg import IntMatrix, smith_normal_form
 
 SEARCH_NODE_CAP = 200_000
+
+# Half-width of the box in which A2 slots look for perturbations.
+A2_SEARCH_BOUND = 3
 
 
 class CaseId(str, Enum):
@@ -97,7 +106,6 @@ class CaseId(str, Enum):
     R5_2222 = "r5-2222"
     R21_ALL0 = "r21-all0"
     R21_ALL2 = "r21-all2"
-    GENERIC = "generic"
 
 
 class Mode(str, Enum):
@@ -151,7 +159,6 @@ class SlotSpec:
     kind: str
     n: int
     residue: int
-    perturbation: AmbientVector | None = None
 
     def __post_init__(self):
         if self.kind not in U_KINDS and self.kind not in _SCALED_BASES:
@@ -166,8 +173,6 @@ class SlotSpec:
                 raise ValueError(
                     f"scaled slot needs a perfect-square parameter >= 4, got {self.n}"
                 )
-        if self.perturbation is not None and inner_product(self.perturbation, H_SQUARED) != 1:
-            raise ValueError("perturbation must pair to 1 with h2")
 
     @property
     def scale(self) -> int:
@@ -183,9 +188,11 @@ class SlotSpec:
             return e_vec(copy, 1) + self.n * e_vec(copy, 2)
         return self.scale * _SCALED_BASES[self.kind]
 
-    def generator(self) -> AmbientVector:
-        g = self.bare_generator()
-        return g if self.perturbation is None else g + self.perturbation
+
+def _generator(slot: SlotSpec, perturbation: AmbientVector | None) -> AmbientVector:
+    """Generator of ``slot`` with one of its candidate perturbations (None: bare)."""
+    g = slot.bare_generator()
+    return g if perturbation is None else g + perturbation
 
 
 @dataclass(frozen=True)
@@ -198,38 +205,18 @@ class RealizationOutcome:
     detail: str = ""
 
 
-_CASE_PLANS: dict[CaseId, tuple[tuple[str, ...], tuple[int, ...]]] = {
-    CaseId.R4_000: (("U1", "U2", "A2_1"), (0, 0, 0)),
-    CaseId.R4_002: (("U1", "U2", "A2_1"), (0, 0, 2)),
-    CaseId.R4_022: (("U1", "U2", "A2_1"), (0, 2, 2)),
-    CaseId.R4_222: (("U1", "U2", "A2_1"), (2, 2, 2)),
-    CaseId.R5_0000: (("U1", "U2", "A2_1", "A2_2"), (0, 0, 0, 0)),
-    CaseId.R5_0002: (("U1", "U2", "A2_1", "A2_2"), (0, 0, 0, 2)),
-    CaseId.R5_0022: (("U1", "U2", "A2_1", "A2_2"), (0, 0, 2, 2)),
-    CaseId.R5_0222: (("U1", "U2", "A2_1", "A2_2"), (0, 2, 2, 2)),
-    CaseId.R5_2222: (("U1", "U2", "A2_1", "A2_2"), (2, 2, 2, 2)),
-    CaseId.R21_ALL0: (("U1", "U2") + SLOT_POOL, (0,) * 20),
-    CaseId.R21_ALL2: (("U1", "U2") + SLOT_POOL, (2,) * 20),
-}
-
-
 def case_slots(case_id: CaseId, params: Sequence[int]) -> tuple[SlotSpec, ...]:
-    """Instantiate the slots of a named case, validating parameter ranges."""
-    if case_id not in _CASE_PLANS:
-        raise ValueError(f"case {case_id} has no fixed slot plan")
-    kinds, residues = _CASE_PLANS[case_id]
-    if len(params) != len(kinds):
-        raise ValueError(f"case {case_id.value} takes {len(kinds)} parameters")
-    slots = []
-    for kind, residue, n in zip(kinds, residues, params):
-        if kind in U_KINDS:
-            low = 2 if residue == 0 else 1
-            if n < low:
-                raise ValueError(
-                    f"slot {kind} with residue {residue} needs parameter >= {low}, got {n}"
-                )
-        slots.append(SlotSpec(kind=kind, n=int(n), residue=residue))
-    return tuple(slots)
+    """Slots of a named case: those of its target list d_i = 6 n_i + r_i.
+
+    The residues r_i are read off the case value ("r4-022": 0, 2, 2;
+    "r21-all2": twenty 2s), so a named case is ``generic_slots`` of its
+    targets and is validated the same way.
+    """
+    tag = case_id.value.split("-")[1]
+    residues = [int(tag[-1])] * 20 if tag.startswith("all") else [int(r) for r in tag]
+    if len(params) != len(residues):
+        raise ValueError(f"case {case_id.value} takes {len(residues)} parameters")
+    return generic_slots([6 * int(n) + r for n, r in zip(params, residues)])
 
 
 def _sqrt_entry(ni: int, nj: int) -> int:
@@ -344,15 +331,14 @@ def reference_gram(case_id: CaseId, params: Sequence[int]) -> IntMatrix:
 _UNITS_SORTED = (i3_unit(3), i3_unit(2), i3_unit(1))  # lexicographic by coordinates
 
 
-def candidate_perturbations(slot: SlotSpec, search_bound: int = 3) -> tuple[AmbientVector, ...]:
+def candidate_perturbations(slot: SlotSpec) -> tuple[AmbientVector, ...]:
     """Admissible perturbations of one slot, unit vectors first then by coords.
 
     Residue-0 slots admit none.  U and E8 slots need p.p = 1, so only the
-    unit vectors qualify at any bound.  A2 slots solve 2m(b.p) + p.p = 1 over
-    the box [-search_bound, search_bound]^3 with coordinate sum 1.
+    unit vectors qualify.  A2 slots solve 2m(b.p) + p.p = 1 over the box
+    [-A2_SEARCH_BOUND, A2_SEARCH_BOUND]^3 with coordinate sum 1; a unit
+    vector solves it for every m, so the first candidate is always a unit.
     """
-    if search_bound < 1:
-        raise ValueError("search bound must be at least 1")
     if slot.residue == 0:
         return ()
     if slot.kind not in _A2_KINDS:
@@ -361,11 +347,11 @@ def candidate_perturbations(slot: SlotSpec, search_bound: int = 3) -> tuple[Ambi
     m = slot.scale
     units: list[tuple[int, int, int]] = []
     rest: list[tuple[int, int, int]] = []
-    span = range(-search_bound, search_bound + 1)
+    span = range(-A2_SEARCH_BOUND, A2_SEARCH_BOUND + 1)
     for x in span:
         for y in span:
             z = 1 - x - y
-            if abs(z) > search_bound:
+            if abs(z) > A2_SEARCH_BOUND:
                 continue
             pp = x * x + y * y + z * z
             bp = base[0] * x + base[1] * y + base[2] * z
@@ -373,19 +359,6 @@ def candidate_perturbations(slot: SlotSpec, search_bound: int = 3) -> tuple[Ambi
                 (units if pp == 1 else rest).append((x, y, z))
     ordered = sorted(units) + sorted(rest)
     return tuple(i3_vector(*p) for p in ordered)
-
-
-def _assigned_slots(
-    slots: Sequence[SlotSpec], assignment: Sequence[AmbientVector | None]
-) -> tuple[SlotSpec, ...]:
-    return tuple(
-        replace(s, perturbation=p) if p is not None else s
-        for s, p in zip(slots, assignment)
-    )
-
-
-def _basis_of(slots: Sequence[SlotSpec]) -> tuple[AmbientVector, ...]:
-    return (H_SQUARED,) + tuple(s.generator() for s in slots)
 
 
 def _cost_tables(
@@ -401,10 +374,7 @@ def _cost_tables(
     candidates b and a, for each j in ``pair_rows`` and every i > j.
     """
     k = len(slots)
-    gens = [
-        [s.bare_generator() if p is None else s.bare_generator() + p for p in cs]
-        for s, cs in zip(slots, cands)
-    ]
+    gens = [[_generator(s, p) for p in cs] for s, cs in zip(slots, cands)]
     own = [
         [
             abs(inner_product(H_SQUARED, g) - target[0][i + 1])
@@ -547,14 +517,15 @@ def _bounded_assignment(
 
 
 def realize_perturbations(
-    slots: Sequence[SlotSpec], target: IntMatrix, search_bound: int = 3
+    slots: Sequence[SlotSpec], target: IntMatrix | None = None
 ) -> RealizationOutcome:
     """Find the perturbation assignment whose Gram deviates least from ``target``.
 
+    ``target`` defaults to the ideal Gram of the slots and must be symmetric.
     The deviation is the sum of absolute entrywise differences.  For the
-    ideal Gram of the slots (every target list, and every named case except
-    ``R21_ALL2``) a search tabulated on unit counts (``_exact_assignment``)
-    computes the exact optimum.  Any other
+    ideal Gram (every target list, and every named case except ``R21_ALL2``)
+    a search tabulated on unit counts (``_exact_assignment``) computes the
+    exact optimum.  Any other
     target runs a branch and bound capped at ``SEARCH_NODE_CAP`` nodes; when
     the cap stops it, the detail says so and gives the best miss found.
     Ties go to the lexicographically first assignment in candidate order.
@@ -563,16 +534,21 @@ def realize_perturbations(
     """
     slots = tuple(slots)
     k = len(slots)
+    ideal = ideal_gram(slots)
+    if target is None:
+        target = ideal
     if target.nrows != k + 1 or target.ncols != k + 1:
         raise ValueError("target Gram must be (k+1) x (k+1) including the h2 row")
-    cands = [candidate_perturbations(s, search_bound) or (None,) for s in slots]
+    if not target.is_symmetric():
+        raise ValueError("target Gram must be symmetric")
+    cands = [candidate_perturbations(s) or (None,) for s in slots]
     truncated = False
-    if target == ideal_gram(slots):
+    if target == ideal:
         miss, picks = _exact_assignment(slots, cands, target)
     else:
         miss, picks, truncated = _bounded_assignment(slots, cands, target)
     miss += abs(3 - target[0][0])
-    basis = _basis_of(_assigned_slots(slots, [c[a] for c, a in zip(cands, picks)]))
+    basis = (H_SQUARED,) + tuple(_generator(s, c[a]) for s, c, a in zip(slots, cands, picks))
     realized = gram_of(basis)
     if truncated:
         detail = (
@@ -591,19 +567,18 @@ def realize_perturbations(
     )
 
 
-def build(
-    case_id: CaseId, params: Sequence[int], mode: Mode = Mode.GOAL, search_bound: int = 3
-) -> RealizationOutcome:
+def build(case_id: CaseId, params: Sequence[int], mode: Mode = Mode.GOAL) -> RealizationOutcome:
     """Assemble a named witness in the requested realization mode.
 
-    GOAL builds the glued witness of ``build_generic`` for the case's slots;
-    its ``gram_delta`` is taken against the case's reference Gram.
+    A named case is its target list d_i = 6 n_i + r_i (see ``case_slots``),
+    built as ``build_generic`` builds it, except that STRICT compares with
+    the case's reference Gram and GOAL takes its ``gram_delta`` against it.
     """
     slots = case_slots(case_id, params)
     target = reference_gram(case_id, params)
     if mode == Mode.STRICT:
-        return realize_perturbations(slots, target, search_bound)
-    outcome = _glued_search(slots, search_bound)
+        return realize_perturbations(slots, target)
+    outcome = _glued_search(slots)
     return replace(outcome, gram_delta=outcome.realized_gram - target)
 
 
@@ -636,9 +611,7 @@ def generic_slots(targets: Sequence[int]) -> tuple[SlotSpec, ...]:
     return tuple(slots)
 
 
-def build_generic(
-    targets: Sequence[int], mode: Mode = Mode.GOAL, search_bound: int = 3
-) -> RealizationOutcome:
+def build_generic(targets: Sequence[int], mode: Mode = Mode.GOAL) -> RealizationOutcome:
     """Witness builder for 2 to 20 arbitrary admissible discriminants.
 
     STRICT searches slot perturbations against the ideal Gram of the slots;
@@ -653,8 +626,8 @@ def build_generic(
     """
     slots = generic_slots(targets)
     if mode == Mode.STRICT:
-        return realize_perturbations(slots, ideal_gram(slots), search_bound)
-    return _glued_search(slots, search_bound)
+        return realize_perturbations(slots)
+    return _glued_search(slots)
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +760,7 @@ def _glue(ys: Sequence[AmbientVector]) -> list[tuple[int, int]] | None:
     return None
 
 
-def _glued_search(slots: Sequence[SlotSpec], search_bound: int = 3) -> RealizationOutcome:
+def _glued_search(slots: Sequence[SlotSpec]) -> RealizationOutcome:
     """GOAL witness: v1, v2 from the U slots, v_j = y_j + s_j f1 + u_j f2.
 
     Only positive definiteness and the minimum are left to check; saturation
@@ -795,8 +768,9 @@ def _glued_search(slots: Sequence[SlotSpec], search_bound: int = 3) -> Realizati
     """
     slots = tuple(slots)
     targets = tuple(s.target_d for s in slots)
-    first = [(candidate_perturbations(s, search_bound) or (None,))[0] for s in slots]
-    canonical = _basis_of(_assigned_slots(slots, first))
+    canonical = (H_SQUARED,) + tuple(
+        _generator(s, (candidate_perturbations(s) or (None,))[0]) for s in slots
+    )
     head = canonical[:3]
     rng = random.Random(",".join(map(str, targets)))
     attempts = GOAL_ATTEMPTS if len(slots) > 2 else 1
@@ -837,27 +811,6 @@ def _glued_search(slots: Sequence[SlotSpec], search_bound: int = 3) -> Realizati
 # ---------------------------------------------------------------------------
 # Closed-form completed-squares identities for the rank-4 and rank-5 cases.
 
-_IDENTITY_CASES = (
-    CaseId.R4_000,
-    CaseId.R4_002,
-    CaseId.R4_022,
-    CaseId.R4_222,
-    CaseId.R5_0000,
-    CaseId.R5_0002,
-    CaseId.R5_0022,
-    CaseId.R5_0222,
-    CaseId.R5_2222,
-)
-
-
-def form_value(case_id: CaseId, params: Sequence[int], point: Sequence[int]) -> int:
-    """Quadratic form of the case's reference Gram at an integer point."""
-    g = reference_gram(case_id, params)
-    if len(point) != g.nrows:
-        raise ValueError("point dimension must match the case rank")
-    return quadratic_form(g, point)
-
-
 def squares_value(
     case_id: CaseId,
     params: Sequence[int],
@@ -870,7 +823,7 @@ def squares_value(
     transcription slip (a product where a sum belongs); every other case is
     identical in both variants.
     """
-    if case_id not in _IDENTITY_CASES:
+    if case_id in (CaseId.R21_ALL0, CaseId.R21_ALL2):
         raise ValueError(f"no closed identity for case {case_id}")
     x = [int(v) for v in point]
     expected_dim = 4 if case_id.value.startswith("r4") else 5
@@ -921,17 +874,4 @@ def squares_value(
         + (x1 + x3) ** 2
         + (x1 + x2) ** 2
         - x1**2
-    )
-
-
-def identity_pair(
-    case_id: CaseId,
-    params: Sequence[int],
-    point: Sequence[int],
-    corrected: bool = True,
-) -> tuple[int, int]:
-    """Form value and completed-squares value at one point."""
-    return (
-        form_value(case_id, params, point),
-        squares_value(case_id, params, point, corrected=corrected),
     )

@@ -18,8 +18,8 @@ roots of this plane; the chosen pair realizes the Gram [[2,1],[1,2]].
 Saturation (the quotient of the ambient lattice by a sublattice being
 torsion-free) is detected through Smith invariants of the 23 x k coordinate
 matrix.  Short vectors and the minimum come from one exact enumeration,
-``_enumerate``: Fincke-Pohst on the integer LDL elimination ``_ldl`` (which
-also rejects indefinite forms), each level visited centre-first
+``_enumerate``: Fincke-Pohst on the integer LDL elimination ``linalg._ldl``
+(which also rejects indefinite forms), each level visited centre-first
 (Schnorr-Euchner order), one vector per +- pair.  ``short_vectors`` runs it
 with a fixed bound; ``minimum`` starts from the least diagonal entry and
 lowers the bound with every vector it finds.
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import IntMatrix, invariant_factors
+from .linalg import IntMatrix, _ldl, invariant_factors
 
 RANK = 23
 
@@ -193,37 +193,6 @@ def is_saturated(basis: Sequence[AmbientVector]) -> bool:
 
 class NotPositiveDefinite(ValueError):
     """Raised by ``short_vectors`` and ``minimum`` when the elimination meets a pivot <= 0."""
-
-
-def _ldl(g: IntMatrix) -> tuple[list[int], list[list[int]]] | None:
-    """Symmetric Bareiss elimination of ``g``: (pivots, rows), or None.
-
-    Returns None at the first pivot that is not positive, so a result means
-    ``g`` is positive definite (Sylvester).  Pivot i is the leading
-    principal minor p_i of size i + 1, and rows[i][j] = p_i u_ij for
-    g = U^T D U with U unit upper triangular and d_i = p_i / p_{i-1}; row i
-    is the Schur complement scaled by p_{i-1}, zero left of the diagonal.
-    Every intermediate is an integer.
-    """
-    if not g.is_symmetric():
-        raise ValueError("the Gram matrix must be symmetric")
-    n = g.nrows
-    a = g.to_lists()
-    piv: list[int] = []
-    prev = 1
-    for i in range(n):
-        row = a[i]
-        pivot = row[i]
-        if pivot <= 0:
-            return None
-        row[:i] = [0] * i
-        piv.append(pivot)
-        for r in range(i + 1, n):
-            ar, air = a[r], row[r]
-            for c in range(r, n):
-                ar[c] = (ar[c] * pivot - air * row[c]) // prev
-        prev = pivot
-    return piv, a
 
 
 def _enumerate(

@@ -4,7 +4,9 @@ Everything in this module runs on arbitrary-precision Python integers (and
 ``fractions.Fraction`` where a division is unavoidable).  There is no floating
 point anywhere: determinants use fraction-free Bareiss elimination, the Smith
 normal form uses elementary unimodular operations with a smallest-pivot
-strategy, and signatures come from exact symmetric elimination.
+strategy, and signatures come from exact symmetric elimination.  ``_ldl``
+is the one fraction-free symmetric elimination: it decides positive
+definiteness and feeds the short-vector enumeration of ``lattice``.
 
 Smith normal form diagonal entries are nonnegative and satisfy the
 divisibility chain ``d1 | d2 | ...``, so results are reproducible byte for
@@ -84,9 +86,6 @@ class IntMatrix:
 
     def __getitem__(self, i: int) -> tuple[int, ...]:
         return self._rows[i]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self._rows)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(zip(*self._rows))
@@ -169,26 +168,6 @@ def determinant(m: IntMatrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def integer_rank(m: IntMatrix) -> int:
-    """Rank over the rationals, computed fraction-free."""
-    a = m.to_lists()
-    nrows, ncols = m.nrows, m.ncols
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        for i in range(rank + 1, nrows):
-            if a[i][col] != 0:
-                p, q = a[rank][col], a[i][col]
-                a[i] = [p * x - q * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
 
 
 def _swap_rows(a: list[list[int]], u: list[list[int]], i: int, j: int) -> None:
@@ -295,6 +274,11 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     return tuple(out)
 
 
+def integer_rank(m: IntMatrix) -> int:
+    """Rank over the rationals: the number of nonzero Smith invariants."""
+    return len(invariant_factors(m))
+
+
 def integer_solver(
     a: IntMatrix,
 ) -> tuple[Callable[[Sequence[int]], tuple[int, ...] | None], tuple[int, ...]]:
@@ -383,20 +367,39 @@ def inertia(g: IntMatrix) -> tuple[int, int, int]:
     return nplus, nminus, nzero
 
 
-def is_positive_definite(g: IntMatrix) -> bool:
-    """Exact Sylvester test: every leading principal minor is positive."""
-    _require_symmetric(g, "is_positive_definite")
+def _ldl(g: IntMatrix) -> tuple[list[int], list[list[int]]] | None:
+    """Symmetric Bareiss elimination of ``g``: (pivots, rows), or None.
+
+    Returns None at the first pivot that is not positive, so a result means
+    ``g`` is positive definite (Sylvester).  Pivot i is the leading
+    principal minor p_i of size i + 1, and rows[i][j] = p_i u_ij for
+    g = U^T D U with U unit upper triangular and d_i = p_i / p_{i-1}; row i
+    is the Schur complement scaled by p_{i-1}, zero left of the diagonal.
+    Every intermediate is an integer.
+    """
+    _require_symmetric(g, "the LDL elimination")
     n = g.nrows
     a = g.to_lists()
+    piv: list[int] = []
     prev = 1
-    for k in range(n):
-        if a[k][k] <= 0:
-            return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return True
+    for i in range(n):
+        row = a[i]
+        pivot = row[i]
+        if pivot <= 0:
+            return None
+        row[:i] = [0] * i
+        piv.append(pivot)
+        for r in range(i + 1, n):
+            ar, air = a[r], row[r]
+            for c in range(r, n):
+                ar[c] = (ar[c] * pivot - air * row[c]) // prev
+        prev = pivot
+    return piv, a
+
+
+def is_positive_definite(g: IntMatrix) -> bool:
+    """Exact Sylvester test: every leading principal minor is positive."""
+    return _ldl(g) is not None
 
 
 def rational_inverse(g: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import subprocess
@@ -19,9 +20,9 @@ from hassett.constructions import (
     case_slots,
     generic_slots,
     ideal_gram,
-    identity_pair,
     realize_perturbations,
     reference_gram,
+    squares_value,
 )
 import hassett.lattice as lattice
 import hassett.linalg as linalg
@@ -32,7 +33,7 @@ from hassett.lattice import (
     i3_unit,
     inner_product,
 )
-from hassett.linalg import IntMatrix, invariant_factors
+from hassett.linalg import IntMatrix, invariant_factors, quadratic_form
 from hassett.verifier import verify_witness
 
 RANK4_CASES = (CaseId.R4_000, CaseId.R4_002, CaseId.R4_022, CaseId.R4_222)
@@ -44,7 +45,7 @@ RANK5_CASES = (
     CaseId.R5_2222,
 )
 
-# Every named case with a fixed slot plan, at the parameters used in this file.
+# Every named case, at the parameters used in this file.
 NAMED_CASE_PARAMS = (
     (CaseId.R4_000, (2, 2, 4)),
     (CaseId.R4_002, (2, 2, 4)),
@@ -60,6 +61,27 @@ NAMED_CASE_PARAMS = (
     (CaseId.R21_ALL0, (2, 2) + (4,) * 18),
     (CaseId.R21_ALL2, (1, 1) + (4,) * 18),
 )
+
+
+# sha256 over the ``build`` outcome of every NAMED_CASE_PARAMS entry in both
+# modes.  Any change to a status, a basis, a realized Gram, a delta, the
+# targets or a detail changes it.
+NAMED_BUILD_DIGEST = "92ddc54128a4cacc86e531414d3c605f8c4ab69c53422f7dab739c3acf6ed828"
+
+
+def named_build_digest():
+    h = hashlib.sha256()
+    for case_id, params in NAMED_CASE_PARAMS:
+        for mode in (Mode.STRICT, Mode.GOAL):
+            o = build(case_id, params, mode)
+            basis = None if o.basis is None else tuple(v.coords for v in o.basis)
+            grams = [None if m is None else m.rows for m in (o.realized_gram, o.gram_delta)]
+            h.update(repr((o.status.value, basis, *grams, o.targets, o.detail)).encode())
+    return h.hexdigest()
+
+
+def test_golden_named_builds():
+    assert named_build_digest() == NAMED_BUILD_DIGEST
 
 
 def random_params(rng, case_id):
@@ -99,7 +121,7 @@ class TestReferenceGram:
         slots = case_slots(CaseId.R21_ALL0, params)
         from hassett.lattice import gram_of
 
-        realized = gram_of([H_SQUARED] + [s.generator() for s in slots])
+        realized = gram_of([H_SQUARED] + [s.bare_generator() for s in slots])
         assert reference_gram(CaseId.R21_ALL0, params) == realized
 
     def test_rank21_all_two_composite_entries(self):
@@ -143,23 +165,25 @@ class TestCandidatePerturbations:
     def test_u_and_e8_slots_get_units(self):
         for kind in ("U1", "E8_2_5"):
             slot = SlotSpec(kind=kind, n=4 if kind != "U1" else 1, residue=2)
-            cands = candidate_perturbations(slot, 3)
+            cands = candidate_perturbations(slot)
             assert cands == (i3_unit(3), i3_unit(2), i3_unit(1))
 
     def test_a2_slot_box_solutions(self):
         slot = SlotSpec(kind="A2_1", n=4, residue=2)
-        cands = candidate_perturbations(slot, 3)
+        cands = candidate_perturbations(slot)
         assert [c.i3_part() for c in cands] == [(0, 0, 1), (-1, 0, 2), (0, 3, -2)]
         for p in cands:
             assert inner_product(p, H_SQUARED) == 1
             g = 2 * A1 + p
             assert inner_product(g, g) == 9
 
-    def test_a2_slot_always_has_a_unit(self):
-        for m in (2, 3, 5, 7):
-            slot = SlotSpec(kind="A2_1", n=m * m, residue=2)
-            cands = candidate_perturbations(slot, 1)
-            assert cands and cands[0] == i3_unit(3)
+    def test_a2_slot_always_has_a_unit(self, monkeypatch):
+        for bound in (1, 3):
+            monkeypatch.setattr(constructions, "A2_SEARCH_BOUND", bound)
+            for m in (2, 3, 5, 7):
+                slot = SlotSpec(kind="A2_1", n=m * m, residue=2)
+                cands = candidate_perturbations(slot)
+                assert cands and cands[0] == i3_unit(3)
 
 
 class TestRealizePerturbations:
@@ -176,21 +200,35 @@ class TestRealizePerturbations:
         assert outcome.status == RealizationStatus.REALIZED_STRICT
 
     def test_two_perturbed_a2_slots_obstructed_at_bound_one(self):
+        # The optimum misses by 4 whether the A2 box has half-width 1 or 3.
         slots = case_slots(CaseId.R5_0022, (2, 2, 4, 4))
         target = reference_gram(CaseId.R5_0022, (2, 2, 4, 4))
-        outcome = realize_perturbations(slots, target, search_bound=1)
+        outcome = realize_perturbations(slots, target)
         assert outcome.status == RealizationStatus.NOT_REALIZABLE
         assert not outcome.gram_delta.is_zero()
 
+    def test_target_defaults_to_the_ideal_gram(self):
+        slots = generic_slots((12, 12, 26, 26))
+        assert realize_perturbations(slots) == realize_perturbations(slots, ideal_gram(slots))
 
-def exhaustive_first_optimum(slots, target, search_bound):
+    def test_nonsymmetric_target_rejected(self):
+        # Only the upper triangle enters the deviation, so a target that
+        # differs below the diagonal would otherwise be reported realized.
+        slots = generic_slots((12, 12, 24))
+        rows = ideal_gram(slots).to_lists()
+        rows[3][0] = 7
+        with pytest.raises(ValueError, match="symmetric"):
+            realize_perturbations(slots, IntMatrix(rows))
+
+
+def exhaustive_first_optimum(slots, target):
     """Least miss and first assignment attaining it, over every candidate tuple.
 
     The miss sums |realized - target| over the h2 row and the upper triangle,
     as ``realize_perturbations`` reports it.  ``min`` keeps the first of equal
     keys and ``itertools.product`` runs in lexicographic order.
     """
-    cands = [candidate_perturbations(s, search_bound) or (None,) for s in slots]
+    cands = [candidate_perturbations(s) or (None,) for s in slots]
     gens = [
         [s.bare_generator() if p is None else s.bare_generator() + p for p in row]
         for s, row in zip(slots, cands)
@@ -236,14 +274,15 @@ def random_strict_targets(rng, n):
 
 class TestExactStrictSearch:
     @pytest.mark.parametrize("search_bound", [1, 3])
-    def test_matches_exhaustive_search(self, search_bound):
+    def test_matches_exhaustive_search(self, search_bound, monkeypatch):
+        monkeypatch.setattr(constructions, "A2_SEARCH_BOUND", search_bound)
         rng = random.Random(2020 + search_bound)
         for _ in range(100):
             targets = random_strict_targets(rng, rng.randint(2, 8))
             slots = generic_slots(targets)
             target = ideal_gram(slots)
-            miss, basis = exhaustive_first_optimum(slots, target, search_bound)
-            outcome = realize_perturbations(slots, target, search_bound)
+            miss, basis = exhaustive_first_optimum(slots, target)
+            outcome = realize_perturbations(slots, target)
             assert outcome.basis == basis, targets
             assert upper_miss(outcome.gram_delta) == miss, targets
             if miss:
@@ -263,7 +302,7 @@ class TestExactStrictSearch:
             i, j = sorted(rng.sample(range(1, len(rows)), 2))
             rows[i][j] = rows[j][i] = rows[i][j] + rng.choice((-1, 1))
             target = IntMatrix(rows)
-            miss, basis = exhaustive_first_optimum(slots, target, 3)
+            miss, basis = exhaustive_first_optimum(slots, target)
             outcome = realize_perturbations(slots, target)
             assert outcome.basis == basis
             assert upper_miss(outcome.gram_delta) == miss
@@ -393,7 +432,7 @@ class TestBuildGoal:
                     assert (hv, vv) == (slot.residue, 2 * slot.n + slot.residue)
 
     def test_every_named_case_passes_or_reports_exhaustion(self):
-        assert {case_id for case_id, _ in NAMED_CASE_PARAMS} == set(CaseId) - {CaseId.GENERIC}
+        assert {case_id for case_id, _ in NAMED_CASE_PARAMS} == set(CaseId)
         for case_id, params in NAMED_CASE_PARAMS:
             outcome = build(case_id, params, Mode.GOAL)
             assert outcome.gram_delta == outcome.realized_gram - reference_gram(case_id, params)
@@ -563,32 +602,37 @@ def test_glued_draw_eliminates_each_gram_once(monkeypatch):
 
 class TestIdentities:
     def test_case2_point_value(self):
-        assert identity_pair(CaseId.R4_002, (2, 2, 4), (1, 0, 0, -1)) == (10, 10)
+        point = (1, 0, 0, -1)
+        assert quadratic_form(reference_gram(CaseId.R4_002, (2, 2, 4)), point) == 10
+        assert squares_value(CaseId.R4_002, (2, 2, 4), point) == 10
 
     def test_zero_point(self):
-        assert identity_pair(CaseId.R4_002, (3, 5, 9), (0, 0, 0, 0)) == (0, 0)
+        point = (0, 0, 0, 0)
+        assert quadratic_form(reference_gram(CaseId.R4_002, (3, 5, 9)), point) == 0
+        assert squares_value(CaseId.R4_002, (3, 5, 9), point) == 0
 
     def test_typo_detected_in_raw_all2_identity(self):
-        lhs, rhs = identity_pair(CaseId.R4_222, (1, 1, 4), (1, 1, 1, 1), corrected=False)
-        assert lhs == 24 and rhs == 32
-        lhs, rhs = identity_pair(CaseId.R4_222, (1, 1, 4), (1, 1, 1, 1), corrected=True)
-        assert lhs == rhs == 24
+        point = (1, 1, 1, 1)
+        assert quadratic_form(reference_gram(CaseId.R4_222, (1, 1, 4)), point) == 24
+        assert squares_value(CaseId.R4_222, (1, 1, 4), point, corrected=False) == 32
+        assert squares_value(CaseId.R4_222, (1, 1, 4), point, corrected=True) == 24
 
     def test_all_corrected_identities_agree(self):
         rng = random.Random(123)
         for case_id in RANK4_CASES + RANK5_CASES:
             for _ in range(5):
                 params = random_params(rng, case_id)
-                rank = 4 if case_id in RANK4_CASES else 5
+                gram = reference_gram(case_id, params)
                 for _ in range(200):
-                    point = [rng.randint(-50, 50) for _ in range(rank)]
-                    lhs, rhs = identity_pair(case_id, params, point)
+                    point = [rng.randint(-50, 50) for _ in range(gram.nrows)]
+                    lhs = quadratic_form(gram, point)
+                    rhs = squares_value(case_id, params, point)
                     assert lhs == rhs, (case_id, params, point)
 
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError):
-            identity_pair(CaseId.R21_ALL0, (2, 2) + (4,) * 18, (0,) * 21)
+            squares_value(CaseId.R21_ALL0, (2, 2) + (4,) * 18, (0,) * 21)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            identity_pair(CaseId.R4_002, (2, 2, 4), (1, 2, 3))
+            squares_value(CaseId.R4_002, (2, 2, 4), (1, 2, 3))
