@@ -25,10 +25,12 @@ Two realization modes, for named cases (``build``) and target lists
 
 * STRICT picks the perturbation assignment whose full Gram deviates least,
   entry for entry, from a reference matrix, and reports the delta when no
-  assignment reproduces it.  Against the ideal Gram of the slots the search
-  is exact (see ``realize_perturbations``); against any other reference it
-  is a branch and bound with a node cap, and a capped result says that it
-  was truncated.  STRICT reproduces the scaled reference Grams, so its
+  assignment reproduces it.  Against the ideal Gram of the slots only I3
+  parts deviate, and the miss is a closed form in how many residue-2 U and
+  E8 slots take each I3 unit and which candidates the A2 slots take, so the
+  search is exact (see ``_exact_assignment``); against any other reference
+  it is a branch and bound with a node cap, and a capped result says that
+  it was truncated.  STRICT reproduces the scaled reference Grams, so its
   witnesses can fail saturation: a residue-0 column ``m * b`` has content m.
 * GOAL keeps only the per-slot discriminants and builds a glued witness,
   saturated by construction, that must also pass the remaining checks.
@@ -322,10 +324,8 @@ def _r21_all2_gram(params: Sequence[int]) -> IntMatrix:
 
 def reference_gram(case_id: CaseId, params: Sequence[int]) -> IntMatrix:
     """Reference Gram matrix of a named case at concrete parameters."""
-    if case_id == CaseId.R21_ALL2:
-        case_slots(case_id, params)  # validate ranges
-        return _r21_all2_gram(params)
-    return ideal_gram(case_slots(case_id, params))
+    slots = case_slots(case_id, params)
+    return _r21_all2_gram(params) if case_id == CaseId.R21_ALL2 else ideal_gram(slots)
 
 
 _UNITS_SORTED = (i3_unit(3), i3_unit(2), i3_unit(1))  # lexicographic by coordinates
@@ -361,17 +361,76 @@ def candidate_perturbations(slot: SlotSpec) -> tuple[AmbientVector, ...]:
     return tuple(i3_vector(*p) for p in ordered)
 
 
-def _cost_tables(
+def _exact_assignment(
     slots: Sequence[SlotSpec],
     cands: Sequence[Sequence[AmbientVector | None]],
     target: IntMatrix,
-    pair_rows: Sequence[int],
-) -> tuple[list[list[AmbientVector]], list[list[int]], dict[tuple[int, int], list[list[int]]]]:
-    """Generators of every candidate and their entrywise deviations from ``target``.
+) -> tuple[int, list[int]]:
+    """Least deviation from the ideal Gram ``target`` and its first optimal assignment.
+
+    Against the ideal target every candidate meets its own h2 and diagonal
+    entries, and only I3 parts can deviate.  A residue-2 U or E8 slot has no
+    I3 part but the unit vector it takes; with c_u such slots on unit u and
+    one candidate picked for each A2 slot, the miss is
+
+        sum_u C(c_u, 2) + sum_u c_u * w_u + (deviation among the A2 slots),
+
+    where w_u = sum |u.g| over the A2 generators g.  Every other entry meets
+    its target.  So the optimum is a minimum over the A2 picks and the counts
+    c0 + c1 + c2 = K.  Walking the slots in order and keeping the least pick
+    that some optimal (picks, counts) still allows gives the
+    lexicographically first optimal assignment.
+    """
+    a2 = [i for i, s in enumerate(slots) if s.kind in _A2_KINDS]
+    units = sum(s.residue == 2 and s.kind not in _A2_KINDS for s in slots)
+    gens = {i: [_generator(slots[i], p) for p in cands[i]] for i in a2}
+    weight = {i: [[abs(inner_product(u, g)) for u in _UNITS_SORTED] for g in gens[i]] for i in a2}
+    options = []
+    for picks in itertools.product(*(range(len(gens[i])) for i in a2)):
+        a2_miss = sum(
+            abs(inner_product(gens[i][a], gens[j][b]) - target[i + 1][j + 1])
+            for (i, a), (j, b) in itertools.combinations(zip(a2, picks), 2)
+        )
+        w = [sum(weight[i][a][u] for i, a in zip(a2, picks)) for u in range(3)]
+        for c0 in range(units + 1):
+            for c1 in range(units + 1 - c0):
+                counts = (c0, c1, units - c0 - c1)
+                miss = a2_miss + sum(c * (c - 1) // 2 + c * wu for c, wu in zip(counts, w))
+                options.append((miss, picks, counts))
+    optimum = min(miss for miss, _, _ in options)
+    allowed = [(p, c) for miss, p, c in options if miss == optimum]
+    placed = [0, 0, 0]
+    assignment = []
+    for i, s in enumerate(slots):
+        if i in gens:
+            slot = a2.index(i)
+            a = min(p[slot] for p, _ in allowed)
+            allowed = [(p, c) for p, c in allowed if p[slot] == a]
+        elif s.residue == 2:
+            a = next(u for u in range(3) if any(c[u] > placed[u] for _, c in allowed))
+            placed[a] += 1
+            allowed = [(p, c) for p, c in allowed if c[a] >= placed[a]]
+        else:
+            a = 0
+        assignment.append(a)
+    return optimum, assignment
+
+
+def _bounded_assignment(
+    slots: Sequence[SlotSpec],
+    cands: Sequence[Sequence[AmbientVector | None]],
+    target: IntMatrix,
+) -> tuple[int, list[int], bool]:
+    """Branch and bound for an arbitrary target: (miss, assignment, truncated).
 
     ``own[i][a]`` is the deviation of the h2 and diagonal entries of slot i
     with candidate a, and ``pair[j, i][b][a]`` that of entry (j, i) with
-    candidates b and a, for each j in ``pair_rows`` and every i > j.
+    candidates b and a.  Slots are placed in order, candidates in candidate
+    order.  A branch is cut when its deviation so far plus an admissible
+    bound on the unplaced slots (each one's cheapest own deviation and the
+    cheapest deviation of each pair among them) cannot beat the best
+    assignment found.  After ``SEARCH_NODE_CAP`` candidate placements the
+    search stops and reports itself truncated.
     """
     k = len(slots)
     gens = [[_generator(s, p) for p in cs] for s, cs in zip(slots, cands)]
@@ -388,102 +447,9 @@ def _cost_tables(
             [abs(inner_product(gj, gi) - target[j + 1][i + 1]) for gi in gens[i]]
             for gj in gens[j]
         ]
-        for j in pair_rows
-        for i in range(j + 1, k)
+        for i in range(k)
+        for j in range(i)
     }
-    return gens, own, pair
-
-
-def _exact_assignment(
-    slots: Sequence[SlotSpec],
-    cands: Sequence[Sequence[AmbientVector | None]],
-    target: IntMatrix,
-) -> tuple[int, list[int]]:
-    """Least deviation from the ideal Gram ``target`` and its first optimal assignment.
-
-    A residue-2 U or E8 slot is "coloured" by the I3 unit vector it takes,
-    since its bare generator has no I3 part.  Against the ideal target a
-    slot with generator g therefore deviates from an earlier coloured slot
-    with unit u by |u.g|, which for two coloured slots is 1 when they share
-    the unit and 0 otherwise.  So the state (number of earlier coloured
-    slots per unit, candidates of the earlier uncoloured slots) fixes every
-    later cost, and the cost-to-go is tabulated on it: forward over the
-    reachable states, then backward.  Walking the slots in order and taking
-    the first candidate that keeps the optimum gives the lexicographically
-    first optimal assignment.
-    """
-    k = len(slots)
-    coloured = [s.residue == 2 and s.kind not in _A2_KINDS for s in slots]
-    explicit = [i for i in range(k) if not coloured[i]]
-    gens, own, pair = _cost_tables(slots, cands, target, explicit)
-    colour = {i: [[abs(inner_product(u, g)) for u in _UNITS_SORTED] for g in gens[i]] for i in explicit}
-    fixed: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-
-    def moves(i: int, state: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-        """(step cost, next state) for each candidate of slot i, in order.
-
-        A state is (c0, c1, c2, *chosen): the unit counts, then the
-        candidates of the uncoloured slots so far.
-        """
-        c0, c1, c2 = state[:3]
-        chosen = state[3:]
-        if (i, chosen) not in fixed:
-            fixed[i, chosen] = [
-                own[i][a] + sum(pair[j, i][b][a] for j, b in zip(explicit, chosen))
-                for a in range(len(cands[i]))
-            ]
-        base = fixed[i, chosen]
-        if coloured[i]:
-            return [
-                (base[0] + c0, (c0 + 1, c1, c2) + chosen),
-                (base[1] + c1, (c0, c1 + 1, c2) + chosen),
-                (base[2] + c2, (c0, c1, c2 + 1) + chosen),
-            ]
-        return [
-            (b + c0 * w0 + c1 * w1 + c2 * w2, state + (a,))
-            for a, (b, (w0, w1, w2)) in enumerate(zip(base, colour[i]))
-        ]
-
-    start = (0, 0, 0)
-    layers = []
-    frontier = {start}
-    for i in range(k):
-        layers.append({state: moves(i, state) for state in frontier})
-        frontier = {following for options in layers[-1].values() for _, following in options}
-    # The counts and the candidates of a state add up to its slot index, so
-    # states of different layers never collide and one table holds them all.
-    cost_to_go = dict.fromkeys(frontier, 0)
-    for layer in reversed(layers):
-        for state, options in layer.items():
-            cost_to_go[state] = min(cost + cost_to_go[following] for cost, following in options)
-    optimum = left = cost_to_go[start]
-    state, picks = start, []
-    for layer in layers:
-        for a, (cost, following) in enumerate(layer[state]):
-            if cost + cost_to_go[following] == left:
-                break
-        picks.append(a)
-        left -= cost
-        state = following
-    return optimum, picks
-
-
-def _bounded_assignment(
-    slots: Sequence[SlotSpec],
-    cands: Sequence[Sequence[AmbientVector | None]],
-    target: IntMatrix,
-) -> tuple[int, list[int], bool]:
-    """Branch and bound for an arbitrary target: (miss, assignment, truncated).
-
-    Slots are placed in order, candidates in candidate order.  A branch is
-    cut when its deviation so far plus an admissible bound on the unplaced
-    slots (each one's cheapest own deviation and the cheapest deviation of
-    each pair among them) cannot beat the best assignment found.  After
-    ``SEARCH_NODE_CAP`` candidate placements the search stops and reports
-    itself truncated.
-    """
-    k = len(slots)
-    _, own, pair = _cost_tables(slots, cands, target, range(k))
     rest = [0] * (k + 1)
     for i in range(k - 1, -1, -1):
         rest[i] = rest[i + 1] + min(own[i]) + sum(
@@ -524,8 +490,9 @@ def realize_perturbations(
     ``target`` defaults to the ideal Gram of the slots and must be symmetric.
     The deviation is the sum of absolute entrywise differences.  For the
     ideal Gram (every target list, and every named case except ``R21_ALL2``)
-    a search tabulated on unit counts (``_exact_assignment``) computes the
-    exact optimum.  Any other
+    the deviation is a closed form in how many residue-2 U and E8 slots take
+    each I3 unit and which candidates the A2 slots take, and
+    ``_exact_assignment`` minimises it over those few choices.  Any other
     target runs a branch and bound capped at ``SEARCH_NODE_CAP`` nodes; when
     the cap stops it, the detail says so and gives the best miss found.
     Ties go to the lexicographically first assignment in candidate order.
@@ -575,11 +542,13 @@ def build(case_id: CaseId, params: Sequence[int], mode: Mode = Mode.GOAL) -> Rea
     the case's reference Gram and GOAL takes its ``gram_delta`` against it.
     """
     slots = case_slots(case_id, params)
-    target = reference_gram(case_id, params)
+    # R21_ALL2 is the one case whose reference is not the ideal Gram of its slots.
+    target = _r21_all2_gram(params) if case_id == CaseId.R21_ALL2 else None
     if mode == Mode.STRICT:
         return realize_perturbations(slots, target)
     outcome = _glued_search(slots)
-    return replace(outcome, gram_delta=outcome.realized_gram - target)
+    reference = ideal_gram(slots) if target is None else target
+    return replace(outcome, gram_delta=outcome.realized_gram - reference)
 
 
 def generic_slots(targets: Sequence[int]) -> tuple[SlotSpec, ...]:

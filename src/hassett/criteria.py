@@ -11,6 +11,13 @@ Two arithmetic conditions recur throughout the toolkit:
 A divisor admits an associated polarized K3 surface when ``4 ∤ d``,
 ``9 ∤ d``, and no odd prime ``p = 2 (mod 3)`` divides d.
 
+Every conjecture-shaped d = 6 * 4^k * s^2 + 2 (k >= 1, s >= 2) is
+K3-admissible.  Write d = 2(3x^2 + 1) with x = 2^k s.  As x is even,
+3x^2 + 1 is odd, so 4 ∤ d, and it is 1 (mod 3), so 9 ∤ d.  An odd prime p
+dividing 3x^2 + 1 has (3x)^2 = -3 (mod p), so -3 is a square mod p and
+p = 1 (mod 3).  ``conjecture_sweep`` therefore never finds a counterexample;
+it still computes every verdict, and the lemma serves as its test oracle.
+
 The lattice-level certification a witness must pass has four checks:
 contains h2, positive definite, saturated in the ambient lattice, and no
 nonzero vector of norm below 3.  ``criterion_report`` is the one place that
@@ -170,27 +177,22 @@ def conjecture_shape(d: int) -> tuple[int, int] | None:
 def conjecture_sweep(limit: int) -> list[tuple[int, int, int, bool]]:
     """All conjecture-shaped d <= limit with their K3-admissibility verdicts.
 
-    Rows are (d, k, s, admissible) in ascending d order, one row per d.
-    Limits below the smallest shaped value (98) give an empty list.
+    The shaped values are exactly d = 24 t^2 + 2 with t >= 2, because
+    6 * 4^k * s^2 + 2 = 24 (2^(k-1) s)^2 + 2, so one ascending loop over t
+    visits each once; (k, s) is the decomposition ``conjecture_shape``
+    returns.  Rows are (d, k, s, admissible) in ascending d order.  Limits
+    below the smallest shaped value (98) give an empty list.
     """
     if limit < 1:
         raise ValueError("sweep limit must be positive")
-    shaped: dict[int, tuple[int, int]] = {}
-    k = 1
-    while 6 * 4**k * 4 + 2 <= limit:
-        s = 2
-        while True:
-            d = 6 * 4**k * s * s + 2
-            if d > limit:
-                break
-            prev = shaped.get(d)
-            if prev is None or k > prev[0]:
-                shaped[d] = (k, s)
-            s += 1
-        k += 1
-    return [
-        (d, ks[0], ks[1], has_associated_k3(d)) for d, ks in sorted(shaped.items())
-    ]
+    rows = []
+    t = 2
+    while 24 * t * t + 2 <= limit:
+        d = 24 * t * t + 2
+        k, s = conjecture_shape(d)
+        rows.append((d, k, s, has_associated_k3(d)))
+        t += 1
+    return rows
 
 
 @dataclass(frozen=True)

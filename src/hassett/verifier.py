@@ -142,20 +142,14 @@ class WitnessReport:
         )
 
 
-def _spans_saturated_plane(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """Whether integer columns a, b span a saturated rank-2 sublattice.
+def _labelling_saturated(h: tuple[int, ...], j: int) -> bool:
+    """Whether h and the unit vector e_j span a saturated rank-2 sublattice.
 
-    The gcd of the 2 x 2 minors of [a b] is the product of its two Smith
-    invariants, and 0 when the rank is below 2; so it is 1 exactly when the
-    rank is 2 and both invariants are 1.  The scan stops once the gcd is 1.
+    The 2 x 2 minors of [h e_j] are +-h_i for i != j, or 0.  Their gcd is the
+    product of the two Smith invariants, and 0 when the rank is below 2; so
+    the plane is saturated exactly when gcd(h_i : i != j) is 1.
     """
-    g = 0
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            g = math.gcd(g, a[i] * b[j] - a[j] * b[i])
-            if g == 1:
-                return True
-    return False
+    return math.gcd(*h[:j], *h[j + 1 :]) == 1
 
 
 def verify_witness(
@@ -206,8 +200,7 @@ def verify_witness(
         sat_in_m = False
         if independent and h_in_m is not None:
             # Independent basis: v = basis[i + 1] has coordinates e_{i+1} in M.
-            unit = tuple(int(j == i + 1) for j in range(len(basis)))
-            sat_in_m = _spans_saturated_plane(h_in_m, unit)
+            sat_in_m = _labelling_saturated(h_in_m, i + 1)
         labellings.append(
             LabellingCheck(target_d=targets[i], realized_d=realized, saturated_in_m=sat_in_m)
         )

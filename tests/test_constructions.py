@@ -325,6 +325,40 @@ class TestExactStrictSearch:
         assert upper_miss(outcome.gram_delta) == optimum
 
 
+def test_exact_search_does_no_work_per_unit_slot(monkeypatch):
+    # Residue-2 U and E8 slots enter the exact search only through their
+    # unit counts, so a longer list of them adds no inner product.
+    calls = []
+
+    def counting(u, v):
+        calls.append(None)
+        return inner_product(u, v)
+
+    monkeypatch.setattr(constructions, "inner_product", counting)
+    counts = []
+    for top in (6, 10, 20):
+        calls.clear()
+        build_generic([14, 14, 152, 488] + [6 * m * m + 2 for m in range(5, top + 1)], Mode.STRICT)
+        counts.append(len(calls))
+    assert counts[0] > 0
+    assert counts == [counts[0]] * 3, counts
+
+
+@pytest.mark.parametrize("mode", [Mode.STRICT, Mode.GOAL])
+def test_named_build_makes_slots_and_ideal_gram_once(mode, monkeypatch):
+    calls = {"case_slots": 0, "ideal_gram": 0}
+    for name in calls:
+        original = getattr(constructions, name)
+
+        def counting(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(constructions, name, counting)
+    build(CaseId.R5_0222, (2, 2, 4, 4), mode)
+    assert calls == {"case_slots": 1, "ideal_gram": 1}
+
+
 class TestBuildStrict:
     def test_rank4_case1_exact(self):
         outcome = build(CaseId.R4_000, (2, 2, 4), Mode.STRICT)

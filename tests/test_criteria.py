@@ -116,6 +116,21 @@ class TestConjectureSweep:
         assert all(ok for _, _, _, ok in rows)
         assert (98, 1, 2, True) in rows and (218, 1, 3, True) in rows
 
+    def test_matches_enumeration_over_k_and_s(self):
+        # Every 6 * 4^k * s^2 + 2 <= limit with k >= 1, s >= 2, keeping the
+        # largest k per d (k ascends, so later entries overwrite).
+        limit = 200_000
+        shaped = {}
+        k = 1
+        while 6 * 4**k * 4 + 2 <= limit:
+            s = 2
+            while 6 * 4**k * s * s + 2 <= limit:
+                shaped[6 * 4**k * s * s + 2] = (k, s)
+                s += 1
+            k += 1
+        rows = conjecture_sweep(limit)
+        assert [row[:3] for row in rows] == [(d, *ks) for d, ks in sorted(shaped.items())]
+
     def test_rejects_nonpositive_limit(self):
         with pytest.raises(ValueError):
             conjecture_sweep(0)

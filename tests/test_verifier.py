@@ -18,7 +18,7 @@ from hassett.lattice import (
 from hassett.linalg import IntMatrix, invariant_factors, quadratic_form
 from hassett.verifier import (
     COROLLARY_DISCRIMINANTS,
-    _spans_saturated_plane,
+    _labelling_saturated,
     Certificate,
     CertificateError,
     certificate_for,
@@ -122,26 +122,26 @@ class TestVerifyWitness:
 
 class TestLabellingSaturation:
     def test_gcd_of_minors_matches_smith_invariants(self):
+        # Columns (h, e_j), as verify_witness forms them for labelling j - 1.
         rng = random.Random(31)
         for trial in range(600):
             k = rng.randint(2, 21)
-            kind = ("random", "zero", "proportional", "content")[trial % 4]
-            a = [rng.randint(-3, 3) for _ in range(k)]
-            b = [rng.randint(-3, 3) for _ in range(k)]
+            j = rng.randrange(1, k)
+            kind = ("random", "zero", "along_unit", "content")[trial % 4]
+            h = [rng.randint(-3, 3) for _ in range(k)]
             if kind == "zero":
-                b = [0] * k
-            elif kind == "proportional":
-                p, q = rng.choice([(1, 1), (2, 1), (-3, 2), (0, 5)])
-                b = [p * x for x in a]
-                a = [q * x for x in a]
+                h = [0] * k
+            elif kind == "along_unit":
+                h = [0] * k
+                h[j] = rng.randint(-3, 3)
             elif kind == "content":
                 content = rng.randint(2, 6)
-                b = [content * x for x in b]
-            if rng.random() < 0.5:
-                a, b = b, a
-            f = invariant_factors(IntMatrix.from_columns([a, b]))
+                h = [content * x for x in h]
+                h[j] = rng.randint(-3, 3)
+            unit = [int(i == j) for i in range(k)]
+            f = invariant_factors(IntMatrix.from_columns([h, unit]))
             expected = len(f) == 2 and all(x == 1 for x in f)
-            assert _spans_saturated_plane(tuple(a), tuple(b)) == expected, (a, b, f)
+            assert _labelling_saturated(tuple(h), j) == expected, (h, j, f)
 
 
 # sha256 of the concatenated certificate JSON of ``golden_pool``.  Any change
