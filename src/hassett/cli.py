@@ -18,10 +18,11 @@ from ._version import __version__
 from .constructions import Mode, build_generic, generic_slots
 from .criteria import conjecture_sweep, discriminant_report
 from .verifier import (
+    COROLLARY_DISCRIMINANTS,
     Certificate,
     CertificateError,
+    _corollary_basis,
     certificate_for,
-    corollary20_certificate,
     verify_corollary20,
     verify_witness,
 )
@@ -52,6 +53,14 @@ def _render_discriminant(report, out) -> None:
     )
     print(f"  associated K3:   {_flag(report.k3_admissible)}", file=out)
     print(f"  factorization:   {factors}", file=out)
+
+
+def _render_report(report) -> None:
+    print(f"verdict: {report.verdict}")
+    if report.failure_reasons:
+        print("reasons: " + ", ".join(report.failure_reasons))
+    discs = ", ".join(str(l.realized_d) for l in report.labellings)
+    print(f"labelling discriminants: {discs}")
 
 
 def cmd_check_d(args) -> int:
@@ -91,20 +100,16 @@ def cmd_intersect(args) -> int:
         print(f"status:  {outcome.status.value}")
         if outcome.detail:
             print(f"note:    {outcome.detail}", file=sys.stderr)
-        print(f"verdict: {report.verdict}")
-        if report.failure_reasons:
-            print("reasons: " + ", ".join(report.failure_reasons))
-        discs = ", ".join(str(l.realized_d) for l in report.labellings)
-        print(f"labelling discriminants: {discs}")
+        _render_report(report)
     return 0 if report.verdict == "PASS" else 1
 
 
 def cmd_corollary20(args) -> int:
     witness, reports = verify_corollary20()
-    cert = corollary20_certificate()
     all_star = all(r.star for r in reports)
     all_k3 = all(r.k3_admissible for r in reports)
     if args.json:
+        cert = certificate_for(_corollary_basis(), COROLLARY_DISCRIMINANTS, witness)
         doc = {
             "discriminants": [r.to_dict() for r in reports],
             "certificate": json.loads(cert.to_json()),
@@ -166,11 +171,7 @@ def cmd_verify_file(args) -> int:
     if args.json:
         print(json.dumps(report.to_dict(), separators=(",", ":")))
     else:
-        print(f"verdict: {report.verdict}")
-        if report.failure_reasons:
-            print("reasons: " + ", ".join(report.failure_reasons))
-        discs = ", ".join(str(l.realized_d) for l in report.labellings)
-        print(f"labelling discriminants: {discs}")
+        _render_report(report)
     return 0 if report.verdict == "PASS" else 1
 
 

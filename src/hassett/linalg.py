@@ -1,12 +1,15 @@
 """Exact integer and rational matrix kernel.
 
-Everything in this module runs on arbitrary-precision Python integers (and
-``fractions.Fraction`` where a division is unavoidable).  There is no floating
-point anywhere: determinants use fraction-free Bareiss elimination, the Smith
-normal form uses elementary unimodular operations with a smallest-pivot
-strategy, and signatures come from exact symmetric elimination.  ``_ldl``
-is the one fraction-free symmetric elimination: it decides positive
-definiteness and feeds the short-vector enumeration of ``lattice``.
+Everything in this module runs on arbitrary-precision Python integers;
+``fractions.Fraction`` appears only in the entries ``rational_inverse``
+returns.  There is no floating point anywhere.  Three computations carry
+the module.  ``_charpoly`` is the integer Faddeev-LeVerrier recurrence:
+determinants, exact inverses (Cayley-Hamilton) and signatures (Descartes'
+rule of signs, exact for the real-rooted characteristic polynomial of a
+symmetric matrix) all read off it.  ``_ldl`` is the one fraction-free
+symmetric elimination: it decides positive definiteness and feeds the
+short-vector enumeration of ``lattice``.  The Smith normal form uses
+elementary unimodular operations with a smallest-pivot strategy.
 
 Smith normal form diagonal entries are nonnegative and satisfy the
 divisibility chain ``d1 | d2 | ...``, so results are reproducible byte for
@@ -147,27 +150,33 @@ def _require_symmetric(g: IntMatrix, op: str) -> None:
         raise ValueError(f"{op} requires a symmetric matrix")
 
 
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
+def _charpoly(m: IntMatrix) -> tuple[list[int], list[list[int]]]:
+    """Faddeev-LeVerrier: coefficients c_0..c_n of det(xI - m), and M_n.
+
+    M_0 = 0, M_k = m M_{k-1} + c_{n-k+1} I and c_{n-k} = -tr(m M_k) / k.
+    The coefficients are integers, so every division is exact, and
+    m M_n = -c_0 I by Cayley-Hamilton.
+    """
     if not m.is_square:
-        raise ValueError("determinant requires a square matrix")
+        raise ValueError("the characteristic polynomial requires a square matrix")
     n = m.nrows
-    a = m.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    a = m.rows
+    c = [0] * n + [1]
+    mk = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        cols = tuple(zip(*mk))
+        mk = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+        for i in range(n):
+            mk[i][i] += c[n - k + 1]
+        trace = sum(x * mk[j][i] for i, row in enumerate(a) for j, x in enumerate(row))
+        c[n - k] = -trace // k
+    return c, mk
+
+
+def determinant(m: IntMatrix) -> int:
+    """Exact determinant: (-1)^n c_0 of the characteristic polynomial."""
+    c, _ = _charpoly(m)
+    return c[0] if m.nrows % 2 == 0 else -c[0]
 
 
 def _swap_rows(a: list[list[int]], u: list[list[int]], i: int, j: int) -> None:
@@ -318,53 +327,18 @@ def integer_solver(
 def inertia(g: IntMatrix) -> tuple[int, int, int]:
     """Signs of the eigenvalues of a symmetric matrix: (positive, negative, zero).
 
-    Uses exact symmetric (congruence) elimination over the rationals, so the
-    counts are Sylvester inertia, not a numerical estimate.
+    The characteristic polynomial of a symmetric matrix has only real roots,
+    so Descartes' rule of signs is exact: the positive count is the number of
+    sign changes among its nonzero coefficients, and the zero count is the
+    index of its lowest nonzero coefficient.  These are Sylvester inertia,
+    not a numerical estimate.
     """
     _require_symmetric(g, "inertia")
-    n = g.nrows
-    a = [[Fraction(x) for x in row] for row in g.rows]
-    nplus = nminus = nzero = 0
-    i = 0
-    while i < n:
-        if a[i][i] == 0:
-            swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
-            if swap is not None:
-                a[i], a[swap] = a[swap], a[i]
-                for row in a:
-                    row[i], row[swap] = row[swap], row[i]
-            else:
-                pair = None
-                for j in range(i, n):
-                    for k in range(j + 1, n):
-                        if a[j][k] != 0:
-                            pair = (j, k)
-                            break
-                    if pair is not None:
-                        break
-                if pair is None:
-                    nzero += n - i
-                    break
-                j, k = pair
-                # Congruence by (row_j += row_k) creates a nonzero diagonal entry.
-                a[j] = [x + y for x, y in zip(a[j], a[k])]
-                for row in a:
-                    row[j] = row[j] + row[k]
-                continue
-        pivot = a[i][i]
-        for j in range(i + 1, n):
-            if a[j][i] == 0:
-                continue
-            f = a[j][i] / pivot
-            a[j] = [x - f * y for x, y in zip(a[j], a[i])]
-            for row in a:
-                row[j] = row[j] - f * row[i]
-        if pivot > 0:
-            nplus += 1
-        else:
-            nminus += 1
-        i += 1
-    return nplus, nminus, nzero
+    c, _ = _charpoly(g)
+    nzero = next(i for i, x in enumerate(c) if x != 0)
+    signs = [x > 0 for x in c if x != 0]
+    nplus = sum(s != t for s, t in zip(signs, signs[1:]))
+    return nplus, g.nrows - nplus - nzero, nzero
 
 
 def _ldl(g: IntMatrix) -> tuple[list[int], list[list[int]]] | None:
@@ -403,28 +377,11 @@ def is_positive_definite(g: IntMatrix) -> bool:
 
 
 def rational_inverse(g: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of a nonsingular matrix, entries in lowest terms."""
-    if not g.is_square:
-        raise ValueError("rational_inverse requires a square matrix")
-    n = g.nrows
-    a = [[Fraction(x) for x in row] for row in g.rows]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix has no inverse")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for i in range(n):
-            if i == col or a[i][col] == 0:
-                continue
-            f = a[i][col]
-            a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-            inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-    return tuple(tuple(row) for row in inv)
+    """Exact inverse -M_n / c_0 of a nonsingular matrix (``_charpoly``), in lowest terms."""
+    c, adj = _charpoly(g)
+    if c[0] == 0:
+        raise ValueError("singular matrix has no inverse")
+    return tuple(tuple(Fraction(-x, c[0]) for x in row) for row in adj)
 
 
 def quadratic_form(g: IntMatrix, x: Sequence[int]) -> int:

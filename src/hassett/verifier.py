@@ -7,7 +7,8 @@ trusts the builder that produced the basis, so certificates can be checked
 by third parties from the serialized coordinates alone.
 
 ``oracle_short_vectors`` is a deliberately naive exhaustive box enumeration
-used to cross-check the branch-and-bound enumerator on small ranks.
+used to cross-check the Fincke-Pohst enumeration of ``lattice`` on small
+ranks.
 """
 
 from __future__ import annotations

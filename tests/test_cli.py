@@ -99,6 +99,29 @@ class TestCorollary20:
         assert len(doc["discriminants"]) == 20
         assert doc["certificate"]["targets"][0] == 14
 
+    @pytest.mark.parametrize("argv", [["corollary20"], ["corollary20", "--json"]])
+    def test_verifies_the_witness_once(self, capsys, monkeypatch, argv):
+        import hassett.verifier as verifier
+
+        calls = {"verify_witness": 0, "discriminant_report": 0}
+
+        def counted(name):
+            inner = getattr(verifier, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(verifier, name, counted(name))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert calls == {"verify_witness": 1, "discriminant_report": 20}
+        if "--json" in argv:
+            assert json.loads(out)["certificate"]["report"]["verdict"] == "PASS"
+
 
 class TestSweepConjecture:
     def test_rows_and_header(self, capsys):

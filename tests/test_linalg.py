@@ -265,6 +265,61 @@ class TestRationalInverse:
             rational_inverse(IntMatrix([[1, 2], [2, 4]]))
 
 
+def _seeded_square(rng: random.Random, kind: str) -> list[list[int]]:
+    """A square matrix of size 1..6: general or symmetric, regular or singular."""
+    n = rng.randint(1, 6)
+    rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+    if kind.startswith("symmetric"):
+        for i in range(n):
+            for j in range(i):
+                rows[i][j] = rows[j][i]
+    if kind.endswith("singular") and n > 1:
+        # Row i repeats row j; for symmetric input column i repeats column j too.
+        i, j = rng.sample(range(n), 2)
+        rows[i] = list(rows[j])
+        if kind.startswith("symmetric"):
+            for row in rows:
+                row[i] = row[j]
+    return rows
+
+
+class TestSympyOracle:
+    def test_determinant_inverse_and_inertia(self):
+        from sympy import Matrix, Poly, symbols
+
+        x = symbols("x")
+        rng = random.Random(1018)
+        kinds = ("general", "general singular", "symmetric", "symmetric singular")
+        seen = set()
+        for trial in range(200):
+            kind = kinds[trial % 4]
+            rows = _seeded_square(rng, kind)
+            m, ref = IntMatrix(rows), Matrix(rows)
+            det = determinant(m)
+            assert det == ref.det(), rows
+            if det == 0:
+                with pytest.raises(ValueError):
+                    rational_inverse(m)
+            else:
+                expected = tuple(
+                    tuple(Fraction(int(e.p), int(e.q)) for e in ref.inv().row(i))
+                    for i in range(m.nrows)
+                )
+                assert rational_inverse(m) == expected, rows
+            if kind.startswith("symmetric"):
+                roots = Poly(ref.charpoly(x).as_expr(), x).real_roots()
+                assert len(roots) == m.nrows
+                signs = (
+                    sum(1 for r in roots if r.is_positive),
+                    sum(1 for r in roots if r.is_negative),
+                    sum(1 for r in roots if r.is_zero),
+                )
+                assert inertia(m) == signs, rows
+                seen.add((signs[0] > 0 and signs[1] > 0, signs[2] > 0))
+        # Indefinite input, with and without a kernel, was exercised.
+        assert {(True, False), (True, True)} <= seen
+
+
 class TestRankAndForm:
     def test_isotropic_vector_has_full_coordinate_rank(self):
         # A Gram can be singular while the vectors stay independent.

@@ -18,8 +18,8 @@ def test_all_exports_functions_classes_and_constants_only():
 
 def test_benchmark_traced_names_resolve():
     # perfbench/tracing.py rebinds these names by lookup; a deleted or renamed
-    # function would break the traced benchmark run, whose own self-tests are
-    # outside the default test paths.
+    # function would break the traced benchmark run.  This check names the
+    # missing function directly, before the slower perfbench self-tests.
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
