@@ -24,14 +24,14 @@ Two realization modes, for named cases (``build``) and target lists
 (``build_generic``) alike:
 
 * STRICT picks the perturbation assignment whose full Gram deviates least,
-  entry for entry, from a reference matrix, and reports the delta when no
-  assignment reproduces it.  Against the ideal Gram of the slots only I3
-  parts deviate, and the miss is a closed form in how many residue-2 U and
-  E8 slots take each I3 unit and which candidates the A2 slots take, so the
-  search is exact (see ``_exact_assignment``); against any other reference
-  it is a branch and bound with a node cap, and a capped result says that
-  it was truncated.  STRICT reproduces the scaled reference Grams, so its
-  witnesses can fail saturation: a residue-0 column ``m * b`` has content m.
+  entry for entry, from the ideal Gram of the slots, and reports the delta
+  when no assignment reproduces it.  Only I3 parts deviate, and the miss is
+  a closed form in how many residue-2 U and E8 slots take each I3 unit and
+  which candidates the A2 slots take, so the search is exact (see
+  ``_exact_assignment``).  The transcribed ``R21_ALL2`` Gram is decided by
+  the entries that no pair of candidate generators meets (see ``build``).
+  STRICT reproduces the scaled reference Grams, so its witnesses can fail
+  saturation: a residue-0 column ``m * b`` has content m.
 * GOAL keeps only the per-slot discriminants and builds a glued witness,
   saturated by construction, that must also pass the remaining checks.
 
@@ -87,8 +87,6 @@ from .lattice import (
     t_vec,
 )
 from .linalg import IntMatrix, smith_normal_form
-
-SEARCH_NODE_CAP = 200_000
 
 # Half-width of the box in which A2 slots look for perturbations.
 A2_SEARCH_BOUND = 3
@@ -247,7 +245,7 @@ def _r21_all2_gram(params: Sequence[int]) -> IntMatrix:
     """The displayed Gram of the rank-21 all-residue-2 construction.
 
     Transcribed literally; its perturbation cross terms are not realizable by
-    the stated generators (STRICT reports the delta).
+    the stated generators (STRICT names the entries no candidate pair meets).
     """
     n = [0] + [int(x) for x in params]  # 1-based
     g = [[0] * 21 for _ in range(21)]
@@ -416,139 +414,90 @@ def _exact_assignment(
     return optimum, assignment
 
 
-def _bounded_assignment(
-    slots: Sequence[SlotSpec],
-    cands: Sequence[Sequence[AmbientVector | None]],
-    target: IntMatrix,
-) -> tuple[int, list[int], bool]:
-    """Branch and bound for an arbitrary target: (miss, assignment, truncated).
+def realize_perturbations(slots: Sequence[SlotSpec]) -> RealizationOutcome:
+    """Find the perturbation assignment whose Gram deviates least from the ideal Gram.
 
-    ``own[i][a]`` is the deviation of the h2 and diagonal entries of slot i
-    with candidate a, and ``pair[j, i][b][a]`` that of entry (j, i) with
-    candidates b and a.  Slots are placed in order, candidates in candidate
-    order.  A branch is cut when its deviation so far plus an admissible
-    bound on the unplaced slots (each one's cheapest own deviation and the
-    cheapest deviation of each pair among them) cannot beat the best
-    assignment found.  After ``SEARCH_NODE_CAP`` candidate placements the
-    search stops and reports itself truncated.
-    """
-    k = len(slots)
-    gens = [[_generator(s, p) for p in cs] for s, cs in zip(slots, cands)]
-    own = [
-        [
-            abs(inner_product(H_SQUARED, g) - target[0][i + 1])
-            + abs(inner_product(g, g) - target[i + 1][i + 1])
-            for g in gens[i]
-        ]
-        for i in range(k)
-    ]
-    pair = {
-        (j, i): [
-            [abs(inner_product(gj, gi) - target[j + 1][i + 1]) for gi in gens[i]]
-            for gj in gens[j]
-        ]
-        for i in range(k)
-        for j in range(i)
-    }
-    rest = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        rest[i] = rest[i + 1] + min(own[i]) + sum(
-            min(map(min, pair[i, l])) for l in range(i + 1, k)
-        )
-    best_sum: int | None = None
-    best: list[int] = []
-    current = [0] * k
-    nodes = 0
-
-    def dfs(i: int, acc: int) -> bool:
-        nonlocal best_sum, best, nodes
-        if best_sum is not None and acc + rest[i] >= best_sum:
-            return False
-        if i == k:
-            best_sum, best = acc, list(current)
-            return acc == 0
-        for a in range(len(cands[i])):
-            nodes += 1
-            if nodes > SEARCH_NODE_CAP:
-                return False
-            current[i] = a
-            cost = own[i][a] + sum(pair[j, i][current[j]][a] for j in range(i))
-            if dfs(i + 1, acc + cost):
-                return True
-        return False
-
-    dfs(0, 0)
-    assert best_sum is not None
-    return best_sum, best, nodes > SEARCH_NODE_CAP
-
-
-def realize_perturbations(
-    slots: Sequence[SlotSpec], target: IntMatrix | None = None
-) -> RealizationOutcome:
-    """Find the perturbation assignment whose Gram deviates least from ``target``.
-
-    ``target`` defaults to the ideal Gram of the slots and must be symmetric.
-    The deviation is the sum of absolute entrywise differences.  For the
-    ideal Gram (every target list, and every named case except ``R21_ALL2``)
-    the deviation is a closed form in how many residue-2 U and E8 slots take
-    each I3 unit and which candidates the A2 slots take, and
-    ``_exact_assignment`` minimises it over those few choices.  Any other
-    target runs a branch and bound capped at ``SEARCH_NODE_CAP`` nodes; when
-    the cap stops it, the detail says so and gives the best miss found.
-    Ties go to the lexicographically first assignment in candidate order.
-    Returns REALIZED_STRICT on an exact match, otherwise NOT_REALIZABLE
-    carrying the realized Gram and its delta.
+    The deviation is the sum of absolute entrywise differences.  It is a
+    closed form in how many residue-2 U and E8 slots take each I3 unit and
+    which candidates the A2 slots take, and ``_exact_assignment`` minimises
+    it over those few choices.  Ties go to the lexicographically first
+    assignment in candidate order.  Returns REALIZED_STRICT on an exact
+    match, otherwise NOT_REALIZABLE carrying the realized Gram and its delta.
     """
     slots = tuple(slots)
-    k = len(slots)
     ideal = ideal_gram(slots)
-    if target is None:
-        target = ideal
-    if target.nrows != k + 1 or target.ncols != k + 1:
-        raise ValueError("target Gram must be (k+1) x (k+1) including the h2 row")
-    if not target.is_symmetric():
-        raise ValueError("target Gram must be symmetric")
     cands = [candidate_perturbations(s) or (None,) for s in slots]
-    truncated = False
-    if target == ideal:
-        miss, picks = _exact_assignment(slots, cands, target)
-    else:
-        miss, picks, truncated = _bounded_assignment(slots, cands, target)
-    miss += abs(3 - target[0][0])
+    miss, picks = _exact_assignment(slots, cands, ideal)
     basis = (H_SQUARED,) + tuple(_generator(s, c[a]) for s, c, a in zip(slots, cands, picks))
     realized = gram_of(basis)
-    if truncated:
-        detail = (
-            f"search truncated at {SEARCH_NODE_CAP} nodes; "
-            f"best found misses target by {miss}"
-        )
-    else:
-        detail = f"optimal assignment misses target by {miss}" if miss else ""
     return RealizationOutcome(
         status=RealizationStatus.NOT_REALIZABLE if miss else RealizationStatus.REALIZED_STRICT,
         basis=basis,
         realized_gram=realized,
-        gram_delta=realized - target,
+        gram_delta=realized - ideal,
         targets=tuple(s.target_d for s in slots),
-        detail=detail,
+        detail=f"optimal assignment misses target by {miss}" if miss else "",
     )
+
+
+def _unmet_entries(slots: Sequence[SlotSpec], target: IntMatrix) -> list[tuple[int, int]]:
+    """Entries (i, j), i <= j, of ``target`` that no pair of candidate generators meets.
+
+    Row and column 0 belong to h2; entry (i, j) is met when some candidate of
+    slot i pairs to ``target[i][j]`` with some candidate of slot j, where on
+    the diagonal a candidate pairs only with itself.  Every witness the slots
+    can give misses each such entry, so one of them proves the target
+    unrealizable.
+    """
+    gens = [(H_SQUARED,)] + [
+        tuple(_generator(s, p) for p in candidate_perturbations(s) or (None,)) for s in slots
+    ]
+    return [
+        (i, j)
+        for i, j in itertools.combinations_with_replacement(range(len(gens)), 2)
+        if not any(
+            inner_product(a, b) == target[i][j]
+            for a, b in (zip(gens[i], gens[i]) if i == j else itertools.product(gens[i], gens[j]))
+        )
+    ]
 
 
 def build(case_id: CaseId, params: Sequence[int], mode: Mode = Mode.GOAL) -> RealizationOutcome:
     """Assemble a named witness in the requested realization mode.
 
     A named case is its target list d_i = 6 n_i + r_i (see ``case_slots``),
-    built as ``build_generic`` builds it, except that STRICT compares with
-    the case's reference Gram and GOAL takes its ``gram_delta`` against it.
+    built as ``build_generic`` builds it, and ``gram_delta`` is taken
+    against the case's reference Gram.  For every case but ``R21_ALL2`` that
+    is the ideal Gram STRICT already compares with.  STRICT for ``R21_ALL2``
+    keeps the basis of the ideal search and reports NOT_REALIZABLE with the
+    entries of the transcribed Gram that no pair of candidate generators
+    meets (``_unmet_entries``): no assignment reproduces such an entry.  If
+    every entry were met by some pair, that would decide nothing, so
+    ``build`` raises ``RuntimeError`` rather than report a verdict.
     """
     slots = case_slots(case_id, params)
     # R21_ALL2 is the one case whose reference is not the ideal Gram of its slots.
-    target = _r21_all2_gram(params) if case_id == CaseId.R21_ALL2 else None
-    if mode == Mode.STRICT:
-        return realize_perturbations(slots, target)
-    outcome = _glued_search(slots)
-    reference = ideal_gram(slots) if target is None else target
-    return replace(outcome, gram_delta=outcome.realized_gram - reference)
+    transcribed = _r21_all2_gram(params) if case_id == CaseId.R21_ALL2 else None
+    if mode == Mode.GOAL:
+        outcome = _glued_search(slots)
+        reference = ideal_gram(slots) if transcribed is None else transcribed
+        return replace(outcome, gram_delta=outcome.realized_gram - reference)
+    outcome = realize_perturbations(slots)
+    if transcribed is None:
+        return outcome
+    unmet = _unmet_entries(slots, transcribed)
+    if not unmet:
+        raise RuntimeError("every reference entry is met by some candidate pair; no verdict")
+    i, j = unmet[0]
+    return replace(
+        outcome,
+        status=RealizationStatus.NOT_REALIZABLE,
+        gram_delta=outcome.realized_gram - transcribed,
+        detail=(
+            f"{len(unmet)} target entries are met by no candidate pair, "
+            f"first ({i}, {j}) = {transcribed[i][j]}"
+        ),
+    )
 
 
 def generic_slots(targets: Sequence[int]) -> tuple[SlotSpec, ...]:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,10 +31,11 @@ from hassett.lattice import (
     A1,
     H_SQUARED,
     e_vec,
+    gram_of,
     i3_unit,
     inner_product,
 )
-from hassett.linalg import IntMatrix, invariant_factors, quadratic_form
+from hassett.linalg import IntMatrix, invariant_factors, is_positive_definite, quadratic_form
 from hassett.verifier import verify_witness
 
 RANK4_CASES = (CaseId.R4_000, CaseId.R4_002, CaseId.R4_022, CaseId.R4_222)
@@ -63,25 +65,55 @@ NAMED_CASE_PARAMS = (
 )
 
 
-# sha256 over the ``build`` outcome of every NAMED_CASE_PARAMS entry in both
-# modes.  Any change to a status, a basis, a realized Gram, a delta, the
-# targets or a detail changes it.
-NAMED_BUILD_DIGEST = "92ddc54128a4cacc86e531414d3c605f8c4ab69c53422f7dab739c3acf6ed828"
+# sha256 of the ``build`` outcome of every NAMED_CASE_PARAMS entry in each
+# mode.  Any change to a status, a basis, a realized Gram, a delta, the
+# targets or a detail changes the entry's digest.
+NAMED_BUILD_DIGESTS = {
+    ("r4-000", (2, 2, 4), "strict"): "dc0be38c5073ac90c47bbc3e426029d9e68313bfeef5e8771d0622f1585150fa",
+    ("r4-000", (2, 2, 4), "goal"): "0cb5e74e33da48298b0e20867621893dfbe4e20d6300a175348f18436e10f9a0",
+    ("r4-002", (2, 2, 4), "strict"): "91490585520c19761274a570787c3b97b7a47601f50e7fb00c66b87d2b3dce98",
+    ("r4-002", (2, 2, 4), "goal"): "13783894cc6ae53876d43ad0b6deced3b9b2636f37f893c8dad7ccc7a0246d01",
+    ("r4-022", (2, 2, 4), "strict"): "2af62f0ba6c8e7193b1a5ab1b18dbad859d98e354868faba79b4ae0a6d71cfd4",
+    ("r4-022", (2, 2, 4), "goal"): "5e562ac2a359a53a8319dc5ec14c9aabf9f830b52b8272b8be019679bdbfc382",
+    ("r4-222", (2, 2, 4), "strict"): "84c670b3ec62606170c06be1a9bc062afd685e3c2d28d6fbf35eb31536490c07",
+    ("r4-222", (2, 2, 4), "goal"): "4daec95e6089043f05ac09a7cb94d2d42283a8708de6d02a0fbdd8c9d2048abf",
+    ("r4-222", (1, 1, 4), "strict"): "4864012e2143a40a7cd247b3d4157d086c270a70e87f0887188de08f5da87d0c",
+    ("r4-222", (1, 1, 4), "goal"): "2684096e0a3caacaad6a125619ea415125d10d971f00d1aa33c3b3317fabd7a8",
+    ("r5-0000", (2, 2, 4, 4), "strict"): "2084cf91357985eb5c3b45d09177187774e9493df9ab541272a7d7548f7833e7",
+    ("r5-0000", (2, 2, 4, 4), "goal"): "e46f3770c18d0b8ef0915c425d93cbaf6747cb3bccadb668acf7bf260b113551",
+    ("r5-0002", (2, 2, 4, 4), "strict"): "8ee3aebd8c8da0077e65d6e45fdd6cdfab4514853cc4d94787327109290a8661",
+    ("r5-0002", (2, 2, 4, 4), "goal"): "e290240b0ebd582eca6a8ae918574fab509e98bc90bd2266a5854ae8b03762c6",
+    ("r5-0022", (2, 2, 4, 4), "strict"): "9a295a487b15df839914070eb85696d79bb3f4af844c98da4e31eae6a79595c4",
+    ("r5-0022", (2, 2, 4, 4), "goal"): "589679b92e690dbe238d9b5f73e53ae87ea5a7d91a4c37a2403cbc895baac510",
+    ("r5-0222", (2, 2, 4, 4), "strict"): "093b4e92a41163eac9c149ecf6e33936061caed4a8d24e03032c0080de5c76b9",
+    ("r5-0222", (2, 2, 4, 4), "goal"): "3ce8724ce66b839d95fe0f73c772ab8417aeb1cbe90bd071163036e2c63e4c3c",
+    ("r5-2222", (1, 1, 4, 4), "strict"): "73237f7e5d466c08220642e56ea9be789a7c2c91206d1e4a39d41f86d7912878",
+    ("r5-2222", (1, 1, 4, 4), "goal"): "9baf0793140172575da5d5defa312f0416d616d2a014ab9bd871fb063495eb84",
+    ("r5-2222", (1, 1, 4, 9), "strict"): "b863dc60d7e209a8a2398a083716cea10ed0812e500a47bf6c6e986d49001dea",
+    ("r5-2222", (1, 1, 4, 9), "goal"): "a8dc558a9f4ea5d4e7d9ab563b83cfafc523a181a68b90320097cde6d9c9c681",
+    ("r21-all0", (2, 2) + (4,) * 18, "strict"): "b3ff7bc9b3bad536b67947b968380506c5f68b9c5d66e8785aae5959277c1d02",
+    ("r21-all0", (2, 2) + (4,) * 18, "goal"): "32d02a9a400efb1fd08075b04d038f1a9bfdbe3b43c28173cafc45945d785ad0",
+    ("r21-all2", (1, 1) + (4,) * 18, "strict"): "2608dfb0ae32dcf5a49912ed080fb63719fcff8dc788fea252ca0a9ffe17800a",
+    ("r21-all2", (1, 1) + (4,) * 18, "goal"): "5e74c2e885af528ba460976456d193598c311909c2ae1aa1a2933cddf76b4b19",
+}
 
 
-def named_build_digest():
-    h = hashlib.sha256()
+def named_build_digests():
+    digests = {}
     for case_id, params in NAMED_CASE_PARAMS:
         for mode in (Mode.STRICT, Mode.GOAL):
             o = build(case_id, params, mode)
             basis = None if o.basis is None else tuple(v.coords for v in o.basis)
             grams = [None if m is None else m.rows for m in (o.realized_gram, o.gram_delta)]
-            h.update(repr((o.status.value, basis, *grams, o.targets, o.detail)).encode())
-    return h.hexdigest()
+            record = repr((o.status.value, basis, *grams, o.targets, o.detail)).encode()
+            digests[case_id.value, params, mode.value] = hashlib.sha256(record).hexdigest()
+    return digests
 
 
 def test_golden_named_builds():
-    assert named_build_digest() == NAMED_BUILD_DIGEST
+    digests = named_build_digests()
+    moved = [key for key, digest in NAMED_BUILD_DIGESTS.items() if digests.get(key) != digest]
+    assert not moved and digests.keys() == NAMED_BUILD_DIGESTS.keys(), moved
 
 
 def random_params(rng, case_id):
@@ -189,36 +221,22 @@ class TestCandidatePerturbations:
 class TestRealizePerturbations:
     def test_unit_solution_found(self):
         slots = case_slots(CaseId.R4_002, (2, 2, 4))
-        outcome = realize_perturbations(slots, reference_gram(CaseId.R4_002, (2, 2, 4)))
+        outcome = realize_perturbations(slots)
         assert outcome.status == RealizationStatus.REALIZED_STRICT
         assert outcome.basis[3] == 2 * A1 + i3_unit(3)
         assert outcome.gram_delta.is_zero()
 
     def test_nothing_to_perturb(self):
         slots = case_slots(CaseId.R4_000, (2, 2, 4))
-        outcome = realize_perturbations(slots, reference_gram(CaseId.R4_000, (2, 2, 4)))
+        outcome = realize_perturbations(slots)
         assert outcome.status == RealizationStatus.REALIZED_STRICT
 
     def test_two_perturbed_a2_slots_obstructed_at_bound_one(self):
         # The optimum misses by 4 whether the A2 box has half-width 1 or 3.
         slots = case_slots(CaseId.R5_0022, (2, 2, 4, 4))
-        target = reference_gram(CaseId.R5_0022, (2, 2, 4, 4))
-        outcome = realize_perturbations(slots, target)
+        outcome = realize_perturbations(slots)
         assert outcome.status == RealizationStatus.NOT_REALIZABLE
         assert not outcome.gram_delta.is_zero()
-
-    def test_target_defaults_to_the_ideal_gram(self):
-        slots = generic_slots((12, 12, 26, 26))
-        assert realize_perturbations(slots) == realize_perturbations(slots, ideal_gram(slots))
-
-    def test_nonsymmetric_target_rejected(self):
-        # Only the upper triangle enters the deviation, so a target that
-        # differs below the diagonal would otherwise be reported realized.
-        slots = generic_slots((12, 12, 24))
-        rows = ideal_gram(slots).to_lists()
-        rows[3][0] = 7
-        with pytest.raises(ValueError, match="symmetric"):
-            realize_perturbations(slots, IntMatrix(rows))
 
 
 def exhaustive_first_optimum(slots, target):
@@ -272,6 +290,45 @@ def random_strict_targets(rng, n):
     return targets
 
 
+class TestUnmetEntries:
+    def test_matches_every_candidate_tuple(self):
+        # Move one or two entries of an ideal Gram, h2 row and diagonal
+        # included.  An entry is named exactly when no candidate tuple's
+        # Gram meets it, and each named entry adds at least 1 to every miss.
+        rng = random.Random(11)
+        moved_and_met = 0
+        for _ in range(40):
+            slots = generic_slots(random_strict_targets(rng, rng.randint(3, 6)))
+            rows = ideal_gram(slots).to_lists()
+            moved = set()
+            for _ in range(rng.randint(1, 2)):
+                i = rng.randrange(len(rows))
+                i, j = sorted((i, i if rng.random() < 0.5 else rng.randrange(len(rows))))
+                rows[i][j] = rows[j][i] = rows[i][j] + rng.choice((-1, 1)) * rng.randint(1, 3)
+                moved.add((i, j))
+            target = IntMatrix(rows)
+            entries = set(itertools.combinations_with_replacement(range(len(rows)), 2))
+            met = set()
+            for choice in itertools.product(*(candidate_perturbations(s) or (None,) for s in slots)):
+                basis = [H_SQUARED] + [
+                    s.bare_generator() if p is None else s.bare_generator() + p
+                    for s, p in zip(slots, choice)
+                ]
+                gram = gram_of(basis)
+                met |= {(i, j) for i, j in entries if gram[i][j] == target[i][j]}
+            unmet = constructions._unmet_entries(slots, target)
+            assert unmet == sorted(entries - met), rows
+            assert exhaustive_first_optimum(slots, target)[0] >= len(unmet)
+            moved_and_met += len(moved - set(unmet))
+        assert moved_and_met > 0
+        # Two candidates of a residue-2 U slot pair to 2n, one with itself to
+        # 2n + 1, so a diagonal target of 2n is met by no candidate tuple.
+        slots = generic_slots((14, 14))
+        rows = ideal_gram(slots).to_lists()
+        rows[1][1] -= 1
+        assert constructions._unmet_entries(slots, IntMatrix(rows)) == [(1, 1)]
+
+
 class TestExactStrictSearch:
     @pytest.mark.parametrize("search_bound", [1, 3])
     def test_matches_exhaustive_search(self, search_bound, monkeypatch):
@@ -282,7 +339,7 @@ class TestExactStrictSearch:
             slots = generic_slots(targets)
             target = ideal_gram(slots)
             miss, basis = exhaustive_first_optimum(slots, target)
-            outcome = realize_perturbations(slots, target)
+            outcome = realize_perturbations(slots)
             assert outcome.basis == basis, targets
             assert upper_miss(outcome.gram_delta) == miss, targets
             if miss:
@@ -291,22 +348,6 @@ class TestExactStrictSearch:
             else:
                 assert outcome.status == RealizationStatus.REALIZED_STRICT
                 assert outcome.detail == ""
-
-    def test_bounded_search_matches_exhaustive_search(self):
-        # Off-ideal targets take the branch and bound; below its node cap it
-        # must return the same first optimum.
-        rng = random.Random(77)
-        for _ in range(40):
-            slots = generic_slots(random_strict_targets(rng, rng.randint(3, 6)))
-            rows = ideal_gram(slots).to_lists()
-            i, j = sorted(rng.sample(range(1, len(rows)), 2))
-            rows[i][j] = rows[j][i] = rows[i][j] + rng.choice((-1, 1))
-            target = IntMatrix(rows)
-            miss, basis = exhaustive_first_optimum(slots, target)
-            outcome = realize_perturbations(slots, target)
-            assert outcome.basis == basis
-            assert upper_miss(outcome.gram_delta) == miss
-            assert "truncated" not in outcome.detail
 
     @pytest.mark.parametrize(
         "head,top,optimum",
@@ -396,13 +437,40 @@ class TestBuildStrict:
         outcome = build(CaseId.R21_ALL2, params, Mode.STRICT)
         assert outcome.status == RealizationStatus.NOT_REALIZABLE
         assert not outcome.gram_delta.is_zero()
-        # The transcribed Gram is not ideal, so the capped branch and bound
-        # runs; its miss is the best found, not a proven optimum.
-        miss = upper_miss(outcome.gram_delta)
-        assert outcome.detail == (
-            f"search truncated at {constructions.SEARCH_NODE_CAP} nodes; "
-            f"best found misses target by {miss}"
-        )
+        assert outcome.gram_delta == outcome.realized_gram - reference_gram(CaseId.R21_ALL2, params)
+        # The verdict is computed: entries of the transcribed Gram that no
+        # pair of candidate generators meets.
+        assert outcome.detail == "26 target entries are met by no candidate pair, first (1, 3) = 0"
+
+    def test_every_rank21_all_two_tuple_gets_a_computed_verdict(self):
+        rng = random.Random(21)
+        tuples = [
+            (rng.randint(1, 7), rng.randint(1, 7)) + tuple(rng.randint(2, 12) ** 2 for _ in range(18))
+            for _ in range(50)
+        ]
+        tuples += [(1, 1) + (m * m,) * 18 for m in range(2, 12)]
+        definite = 0
+        for params in tuples:
+            # A positive definite transcribed Gram is not ruled out by its
+            # signature, so the verdict has to come from the unmet entries.
+            definite += is_positive_definite(reference_gram(CaseId.R21_ALL2, params))
+            outcome = build(CaseId.R21_ALL2, params, Mode.STRICT)
+            assert outcome.status == RealizationStatus.NOT_REALIZABLE, params
+            assert re.fullmatch(
+                r"[1-9]\d* target entries are met by no candidate pair, first \(\d+, \d+\) = -?\d+",
+                outcome.detail,
+            ), (params, outcome.detail)
+            assert "truncated" not in outcome.detail and "optimal" not in outcome.detail
+        assert 0 < definite < len(tuples)
+
+    def test_reference_met_entry_by_entry_gets_no_verdict(self, monkeypatch):
+        # Pairs that each meet their entry do not prove that one assignment
+        # meets them all, so build raises rather than report a verdict.
+        params = (1, 1) + (4,) * 18
+        realized = build(CaseId.R21_ALL2, params, Mode.STRICT).realized_gram
+        monkeypatch.setattr(constructions, "_r21_all2_gram", lambda params: realized)
+        with pytest.raises(RuntimeError, match="no verdict"):
+            build(CaseId.R21_ALL2, params, Mode.STRICT)
 
 
 class TestBuildGoal:
