@@ -15,8 +15,12 @@ Every conjecture-shaped d = 6 * 4^k * s^2 + 2 (k >= 1, s >= 2) is
 K3-admissible.  Write d = 2(3x^2 + 1) with x = 2^k s.  As x is even,
 3x^2 + 1 is odd, so 4 ∤ d, and it is 1 (mod 3), so 9 ∤ d.  An odd prime p
 dividing 3x^2 + 1 has (3x)^2 = -3 (mod p), so -3 is a square mod p and
-p = 1 (mod 3).  ``conjecture_sweep`` therefore never finds a counterexample;
-it still computes every verdict, and the lemma serves as its test oracle.
+p = 1 (mod 3).  ``conjecture_sweep`` therefore never finds a counterexample.
+It does not rely on the lemma: it factors every row with a sieve over the
+family d = 2(12t^2 + 1), dividing each odd prime p != 3 out of the rows t
+with 12t^2 = -1 (mod p), and decides each verdict from that factorization
+with the same predicate as ``has_associated_k3``.  The lemma serves only as
+a test oracle.
 
 The lattice-level certification a witness must pass has four checks:
 contains h2, positive definite, saturated in the ambient lattice, and no
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 from .lattice import NotPositiveDefinite, minimum
 from .linalg import IntMatrix
@@ -141,6 +146,16 @@ def satisfies_double_star(d: int) -> int | None:
     return None
 
 
+def _k3_allows(p: int, e: int) -> bool:
+    """Whether p^e, exactly dividing d, permits an associated K3.
+
+    2 and 3 may divide d only once; no other prime p = 2 (mod 3) may divide
+    it.  d is K3-admissible iff every prime power of its factorization is
+    allowed.
+    """
+    return e == 1 if p in (2, 3) else p % 3 != 2
+
+
 def has_associated_k3(d: int) -> bool:
     """Whether a divisor of discriminant d has an associated polarized K3.
 
@@ -149,9 +164,7 @@ def has_associated_k3(d: int) -> bool:
     """
     if d < 1:
         raise ValueError("discriminant must be positive")
-    if d % 4 == 0 or d % 9 == 0:
-        return False
-    return all(p == 2 or p % 3 != 2 for p, _ in factorize(d))
+    return all(_k3_allows(p, e) for p, e in factorize(d))
 
 
 def conjecture_shape(d: int) -> tuple[int, int] | None:
@@ -174,24 +187,93 @@ def conjecture_shape(d: int) -> tuple[int, int] | None:
     return best
 
 
+def _primes_upto(n: int) -> list[int]:
+    """The primes p <= n (sieve of Eratosthenes)."""
+    if n < 2:
+        return []
+    flags = bytearray([1]) * (n + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return list(compress(range(n + 1), flags))
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of the square a modulo the odd prime p (Tonelli-Shanks)."""
+    a %= p
+    if a == 0:
+        return 0
+    q, m = p - 1, 0
+    while q % 2 == 0:
+        q, m = q // 2, m + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, u = 0, t
+        while u != 1:
+            u, i = u * u % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _sieve_family(count: int) -> tuple[list[int], bytearray]:
+    """Factor d_t = 2 n_t, n_t = 12 t^2 + 1, for t = 2 .. count + 1 at once.
+
+    Returns, per row, the residual of n_t after every prime up to
+    isqrt(n_last) is divided out, which is 1 or a prime, and a flag that
+    stays 1 while ``_k3_allows`` accepts every prime power divided out of
+    d_t.  n_t is odd and 1 (mod 3), so 2 divides d_t exactly once and 3
+    never.  An odd prime p != 3 divides n_t iff t^2 = -1/12 (mod p): Euler's
+    criterion decides whether that has roots, Tonelli-Shanks finds them, and
+    p is divided out of the rows in both root classes.
+    """
+    rest = [12 * t * t + 1 for t in range(2, count + 2)]
+    ok = bytearray([_k3_allows(2, 1)]) * count
+    for p in _primes_upto(math.isqrt(12 * (count + 1) ** 2 + 1))[2:]:  # p > 3
+        a = -pow(12, -1, p) % p
+        if pow(a, (p - 1) // 2, p) != 1:
+            continue
+        r = _sqrt_mod(a, p)
+        for root in (r, p - r):
+            for i in range((root - 2) % p, count, p):
+                q, e = rest[i] // p, 1
+                while q % p == 0:
+                    q, e = q // p, e + 1
+                rest[i] = q
+                if not _k3_allows(p, e):
+                    ok[i] = 0
+    return rest, ok
+
+
 def conjecture_sweep(limit: int) -> list[tuple[int, int, int, bool]]:
     """All conjecture-shaped d <= limit with their K3-admissibility verdicts.
 
     The shaped values are exactly d = 24 t^2 + 2 with t >= 2, because
-    6 * 4^k * s^2 + 2 = 24 (2^(k-1) s)^2 + 2, so one ascending loop over t
-    visits each once; (k, s) is the decomposition ``conjecture_shape``
-    returns.  Rows are (d, k, s, admissible) in ascending d order.  Limits
-    below the smallest shaped value (98) give an empty list.
+    6 * 4^k * s^2 + 2 = 6 x^2 + 2 = 24 t^2 + 2 for x = 2^k s = 2t.
+    (k, s) is the decomposition ``conjecture_shape`` returns: k is the 2-adic
+    valuation of x, one less when x is a power of two (then s = 2).  Every
+    row is factored by ``_sieve_family``, so the verdict is computed, not
+    read off the lemma in the module docstring.  Rows are (d, k, s,
+    admissible) in ascending d order.  Limits below the smallest shaped
+    value (98) give an empty list.
     """
     if limit < 1:
         raise ValueError("sweep limit must be positive")
+    count = max(math.isqrt(max(limit - 2, 0) // 24) - 1, 0)
+    rest, ok = _sieve_family(count)
     rows = []
-    t = 2
-    while 24 * t * t + 2 <= limit:
-        d = 24 * t * t + 2
-        k, s = conjecture_shape(d)
-        rows.append((d, k, s, has_associated_k3(d)))
-        t += 1
+    for i in range(count):
+        t = i + 2
+        k = (t & -t).bit_length()
+        s = 2 * t >> k
+        if s == 1:
+            k, s = k - 1, 2
+        admissible = bool(ok[i]) and (rest[i] == 1 or _k3_allows(rest[i], 1))
+        rows.append((24 * t * t + 2, k, s, admissible))
     return rows
 
 
@@ -221,13 +303,14 @@ def discriminant_report(d: int) -> DiscriminantReport:
     if d < 1:
         raise ValueError("discriminant must be positive")
     witness = satisfies_double_star(d)
+    factors = tuple(factorize(d))
     return DiscriminantReport(
         d=d,
         star=satisfies_star(d),
         double_star=witness is not None,
         double_star_witness=witness,
-        k3_admissible=has_associated_k3(d),
-        factorization=tuple(factorize(d)),
+        k3_admissible=all(_k3_allows(p, e) for p, e in factors),
+        factorization=factors,
     )
 
 

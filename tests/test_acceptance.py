@@ -1,13 +1,10 @@
 """Acceptance suite: one test and one printed PASS/FAIL line per criterion.
 
 Every expected value here is exact integer arithmetic; there are no
-tolerances.  Two criteria (1 and 7) assert that witnesses built from scaled
-generators are saturated in the ambient lattice.  They are implemented
-exactly as stated and fail honestly: a generator of the form m*b with m >= 2
-and no perturbation leaves a coordinate column of content m, so the Smith
-invariants cannot all be 1 (see the per-test comments and README).  All other
-checks of those witnesses (discriminants, positive definiteness, minimum
-norm, labelling saturation inside the witness) succeed and are asserted.
+tolerances.  Criteria 1 and 7 assert, besides discriminants, positive
+definiteness, minimum norm and labelling saturation, that every witness is
+saturated in the ambient lattice.  The glued GOAL builder makes its
+witnesses saturated by construction, so both pass.
 """
 
 import random
@@ -20,7 +17,7 @@ from hassett.constructions import (
     build,
     build_generic,
 )
-from hassett.criteria import conjecture_sweep, factorize
+from hassett.criteria import conjecture_sweep, factorize, has_associated_k3
 from hassett.lattice import E8_GRAM, short_vectors
 from hassett.linalg import IntMatrix, determinant, inertia, is_positive_definite
 from hassett.lattice import AMBIENT_GRAM
@@ -76,10 +73,7 @@ def test_criterion_1_corollary20():
         "labellings saturated in witness": all(
             l.saturated_in_m for l in witness.labellings
         ),
-        # Scaled residue-0 slots (d = 294 gives 7*t, d = 2166 gives 19*t)
-        # produce coordinate columns of content 7 and 19, so the 23 x 21
-        # matrix has Smith invariants 7 and 19 and the witness is not
-        # saturated in the ambient lattice.  Asserted as stated; fails.
+        # The 23 x 21 coordinate matrix has all Smith invariants 1.
         "saturated in ambient lattice": witness.criterion.saturated,
         "witness verdict PASS": witness.verdict == "PASS",
     }
@@ -218,6 +212,9 @@ def test_criterion_6_conjecture_sweep():
     checks = {
         "sweep nonempty": len(rows) > 0,
         "no counterexample up to 10^6": not counterexamples,
+        "every row matches has_associated_k3": all(
+            ok == has_associated_k3(d) for d, _, _, ok in rows
+        ),
     }
     _report(6, "conjecture sweep", checks, started)
 
@@ -246,9 +243,8 @@ def test_criterion_7_generic_intersections():
         )
     checks = {
         "all labelling discriminants exact": discs_exact,
-        # Any (**) target of residue 0, any odd-scale A2 slot, and any use of
-        # both A2 slots (every tuple of length >= 4) makes ambient saturation
-        # impossible for slot-built witnesses, so this fails as implemented.
+        # Saturation in the ambient lattice included: the glued witnesses
+        # are saturated by construction.
         "all 950 seeded witnesses PASS": not failures,
     }
     _report(7, "generic intersections", checks, started)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -147,6 +148,18 @@ class TestSweepConjecture:
         code, out, _ = run(capsys, "sweep-conjecture", "--limit", "300", "--csv", str(path))
         assert code == 0 and out == ""
         assert path.read_text() == "d,k,s,admissible\n98,1,2,true\n218,1,3,true\n"
+
+    def test_csv_at_ten_to_the_ten(self, capsys, tmp_path):
+        path = tmp_path / "rows.csv"
+        code, out, err = run(
+            capsys, "sweep-conjecture", "--limit", "10000000000", "--csv", str(path)
+        )
+        count = math.isqrt((10**10 - 2) // 24) - 1
+        assert code == 0 and out == "" and count == 20411
+        assert err == f"wrote {count} rows to {path}\n"
+        lines = path.read_text().splitlines()
+        assert len(lines) == count + 1
+        assert lines[-1] == "9999593858,3,5103,true"  # x = 2t = 40824 = 2^3 * 5103
 
 
 class TestVerifyFile:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import hassett.criteria as criteria
@@ -47,8 +49,6 @@ class TestDoubleStar:
                 assert satisfies_star(d)
 
     def test_no_false_positives_on_a_range(self):
-        import math
-
         for d in range(1, 5000):
             m = satisfies_double_star(d)
             brute = None
@@ -72,6 +72,15 @@ class TestAssociatedK3:
             for p, e in factorize(d):
                 product *= p**e
             assert product == d
+
+    def test_agrees_with_direct_definition(self):
+        def odd_primes(n):
+            odd = range(3, n + 1, 2)
+            return [q for q in odd if n % q == 0 and all(q % f for f in range(3, q, 2))]
+
+        for d in range(1, 3000):
+            direct = d % 4 != 0 and d % 9 != 0 and all(q % 3 != 2 for q in odd_primes(d))
+            assert has_associated_k3(d) == direct
 
     def test_large_prime_cofactor(self):
         # 2 * 3 * 999999999989 with a prime beyond the trial-division bound.
@@ -135,6 +144,70 @@ class TestConjectureSweep:
         with pytest.raises(ValueError):
             conjecture_sweep(0)
 
+    def test_limits_around_the_first_rows(self):
+        first, second = (98, 1, 2, True), (218, 1, 3, True)
+        expected = {1: [], 97: [], 98: [first], 99: [first], 218: [first, second]}
+        for limit, rows in expected.items():
+            assert conjecture_sweep(limit) == rows
+
+    def test_rows_match_row_by_row_oracle_to_a_million(self):
+        rows = conjecture_sweep(10**6)
+        assert len(rows) == math.isqrt((10**6 - 2) // 24) - 1
+        for d, k, s, ok in rows:
+            assert (d, k, s, ok) == (d, *conjecture_shape(d), has_associated_k3(d))
+
+    def test_sieve_matches_factorize_on_sampled_rows(self):
+        # At 10^10 the sieve bound (70709) exceeds the row count, so many
+        # primes meet at most one row per root class.
+        limit = 10**10
+        count = math.isqrt((limit - 2) // 24) - 1
+        rows = conjecture_sweep(limit)
+        assert len(rows) == count == 20411
+        # The module docstring's lemma: every shaped d is admissible.
+        assert all(ok for _, _, _, ok in rows)
+        rest, flags = criteria._sieve_family(count)
+        bound = math.isqrt(12 * (count + 1) ** 2 + 1)
+        residuals = set()
+        for i in range(0, count, count // 300):
+            t = i + 2
+            d = 24 * t * t + 2
+            factors = factorize(d)
+            assert rows[i][0] == d
+            assert rows[i][3] == all(criteria._k3_allows(p, e) for p, e in factors)
+            assert rest[i] == math.prod(p**e for p, e in factors if p > bound)
+            assert flags[i] == 1
+            residuals.add(rest[i] == 1)
+        assert residuals == {True, False}
+
+    def test_sweep_factors_no_row_one_by_one(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        monkeypatch.setattr(criteria, "factorize", refuse)
+        assert len(conjecture_sweep(10**8)) == 2040
+
+
+class TestSieveKernels:
+    def test_primes_upto_matches_trial_division(self):
+        def is_prime(n):
+            return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+        for n in (0, 1, 2, 3, 4, 25, 2000):
+            assert criteria._primes_upto(n) == [q for q in range(n + 1) if is_prime(q)]
+
+    def test_sqrt_mod_matches_brute_force_below_2000(self):
+        for p in criteria._primes_upto(1999)[1:]:
+            roots = {}
+            for x in range(p):
+                roots.setdefault(x * x % p, set()).add(x)
+            for a in range(p):
+                if a in roots:
+                    assert criteria._sqrt_mod(a, p) in roots[a]
+            # The residue the sweep sieves by: t^2 = -1/12 (mod p).
+            if p != 3:
+                a = -pow(12, -1, p) % p
+                assert (a in roots) == (pow(a, (p - 1) // 2, p) == 1) == (p % 3 == 1)
+
 
 class TestDiscriminantReport:
     def test_report_26(self):
@@ -142,6 +215,21 @@ class TestDiscriminantReport:
         assert r.star and r.double_star and r.double_star_witness == 2
         assert r.k3_admissible
         assert r.factorization == ((2, 1), (13, 1))
+
+    def test_factors_once(self, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(criteria, "factorize", counted)
+        for d in (14, 26, 2 * 999_999_999_989):
+            calls.clear()
+            r = discriminant_report(d)
+            assert calls == [d]
+            assert r.factorization == tuple(factorize(d))
+            assert r.k3_admissible == has_associated_k3(d)
 
     def test_double_star_witness_consistency(self):
         for d in range(1, 3000):
