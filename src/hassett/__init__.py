@@ -21,6 +21,7 @@ from .linalg import (
     quadratic_form,
     rational_inverse,
     smith_normal_form,
+    span_membership,
 )
 from .lattice import (
     A1,

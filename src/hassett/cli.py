@@ -11,6 +11,7 @@ Contract shared by every subcommand:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -175,6 +176,7 @@ def cmd_verify_file(args) -> int:
     return 0 if report.verdict == "PASS" else 1
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hassett",

@@ -344,24 +344,22 @@ class CriterionReport:
         )
 
 
-def criterion_report(
-    gram: IntMatrix, invariants: tuple[int, ...], has_h: bool
-) -> CriterionReport:
+def criterion_report(gram: IntMatrix, saturated: bool, has_h: bool) -> CriterionReport:
     """Run the four lattice checks on a witness of k basis vectors.
 
-    ``gram`` is its k x k Gram matrix, ``invariants`` the Smith diagonal of
-    its 23 x k coordinate matrix (saturated iff there are k entries and all
-    are 1), and ``has_h`` whether h2 is an integer combination of the basis.
-    An indefinite Gram is reported (positive_definite False, minimum
-    omitted), never raised.  The elimination inside ``minimum`` decides
-    definiteness, so the Gram is eliminated once.
+    ``gram`` is its k x k Gram matrix, ``saturated`` whether the basis is
+    independent with a torsion-free ambient quotient, and ``has_h`` whether
+    h2 is an integer combination of the basis; ``verifier.verify_witness``
+    decides both in one ``linalg.span_membership`` echelon.  An indefinite
+    Gram is reported (positive_definite False, minimum omitted), never
+    raised.  The elimination inside ``minimum`` decides definiteness, so the
+    Gram is eliminated once.
     """
     try:
         min_norm: int | None = minimum(gram)
     except NotPositiveDefinite:
         min_norm = None
     pd = min_norm is not None
-    saturated = len(invariants) == gram.nrows and all(x == 1 for x in invariants)
     return CriterionReport(
         contains_h_squared=has_h,
         positive_definite=pd,

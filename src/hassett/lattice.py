@@ -16,8 +16,11 @@ Every integer triple with zero coordinate sum and norm 2 is one of the six
 roots of this plane; the chosen pair realizes the Gram [[2,1],[1,2]].
 
 Saturation (the quotient of the ambient lattice by a sublattice being
-torsion-free) is detected through Smith invariants of the 23 x k coordinate
-matrix.  Short vectors and the minimum come from one exact enumeration,
+torsion-free) is read off one column echelon of the k x 23 coordinate rows,
+``linalg.span_membership``: the sublattice is saturated iff the rows are
+independent and every pivot is +-1.  ``gram_of`` applies the ambient form
+once per vector, blockwise, and takes dot products.  Short vectors and the
+minimum come from one exact enumeration,
 ``_enumerate``: Fincke-Pohst on the integer LDL elimination ``linalg._ldl``
 (which also rejects indefinite forms), each level visited centre-first
 (Schnorr-Euchner order), one vector per +- pair.  ``short_vectors`` runs it
@@ -29,9 +32,10 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
-from .linalg import IntMatrix, _ldl, invariant_factors
+from .linalg import IntMatrix, _ldl, span_membership
 
 RANK = 23
 
@@ -163,15 +167,27 @@ def norm(v: AmbientVector) -> int:
     return inner_product(v, v)
 
 
+def _form_image(c: tuple[int, ...]) -> list[int]:
+    """Coordinates of AMBIENT_GRAM c: E8 by its edge list, U by a swap, I3 as is."""
+    out = [2 * x for x in c[:16]] + [c[17], c[16], c[19], c[18], c[20], c[21], c[22]]
+    for base in (0, 8):
+        for a, b in E8_EDGES:
+            out[base + a - 1] -= c[base + b - 1]
+            out[base + b - 1] -= c[base + a - 1]
+    return out
+
+
 def gram_of(basis: Sequence[AmbientVector]) -> IntMatrix:
     """Symmetric matrix of pairwise inner products of the given vectors."""
     if not basis:
         raise ValueError("gram_of needs at least one vector")
-    k = len(basis)
+    coords = [v.coords for v in basis]
+    k = len(coords)
     g = [[0] * k for _ in range(k)]
     for i in range(k):
+        image, row = _form_image(coords[i]), g[i]
         for j in range(i, k):
-            g[i][j] = g[j][i] = inner_product(basis[i], basis[j])
+            row[j] = g[j][i] = sum(map(mul, coords[j], image))
     return IntMatrix(g)
 
 
@@ -181,14 +197,13 @@ def coordinate_matrix(basis: Sequence[AmbientVector]) -> IntMatrix:
 
 
 def is_saturated(basis: Sequence[AmbientVector]) -> bool:
-    """Whether the ambient quotient by the span of ``basis`` is torsion-free.
+    """Whether ``basis`` is independent with a torsion-free ambient quotient.
 
-    Equivalent to the 23 x k coordinate matrix having k Smith invariants,
-    all 1, i.e. the span equals the intersection of its rational span with
-    the ambient lattice.
+    That is, the span equals the intersection of its rational span with the
+    ambient lattice; ``linalg.span_membership`` decides it from the pivots
+    of one column echelon of the coordinate rows.
     """
-    factors = invariant_factors(coordinate_matrix(basis))
-    return len(factors) == len(basis) and all(f == 1 for f in factors)
+    return span_membership([v.coords for v in basis], (0,) * RANK)[1]
 
 
 class NotPositiveDefinite(ValueError):

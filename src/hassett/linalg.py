@@ -8,13 +8,18 @@ determinants, exact inverses (Cayley-Hamilton) and signatures (Descartes'
 rule of signs, exact for the real-rooted characteristic polynomial of a
 symmetric matrix) all read off it.  ``_ldl`` is the one fraction-free
 symmetric elimination: it decides positive definiteness and feeds the
-short-vector enumeration of ``lattice``.  The Smith normal form uses
-elementary unimodular operations with a smallest-pivot strategy.
+short-vector enumeration of ``lattice``.  ``span_membership`` is the
+one-pass column echelon the verifier runs on coordinate rows: it decides
+independence, saturation and membership of one target together, without a
+Smith form, and its cost stays low on hostile coordinates.
 
-Smith normal form diagonal entries are nonnegative and satisfy the
-divisibility chain ``d1 | d2 | ...``, so results are reproducible byte for
-byte.  ``integer_solver`` is the one integer linear solver: it factors a
-matrix once and solves ``a x = b`` for any number of right-hand sides.
+The Smith normal form uses elementary unimodular operations with a
+smallest-pivot strategy.  Its diagonal entries are nonnegative and satisfy
+the divisibility chain ``d1 | d2 | ...``, so results are reproducible byte
+for byte; the GOAL glue of ``constructions`` reads its transform.
+``integer_solver`` factors a matrix once by the Smith form and solves
+``a x = b`` for any number of right-hand sides; it is the independent
+oracle that ``span_membership`` is tested against.
 """
 
 from __future__ import annotations
@@ -322,6 +327,117 @@ def integer_solver(
         return x
 
     return solve, invariants
+
+
+def span_membership(
+    rows: Sequence[Sequence[int]], target: Sequence[int]
+) -> tuple[bool, bool, tuple[int, ...] | None]:
+    """Echelon the lattice M spanned by ``rows``: (independent, saturated, x).
+
+    ``independent`` says the k rows are linearly independent, ``saturated``
+    that they are and Z^n / M is torsion-free, and ``x`` is one integer
+    vector with ``sum_i x_i rows[i] = target``, or None when ``target`` is
+    not in M.
+
+    Unimodular column operations bring the rows, with ``target`` carried
+    along, to a lower triangular column echelon L = rows C (Hermite style;
+    Cohen, A Course in Computational Algebraic Number Theory, 2.4).  Row by
+    row, the entries beyond the pivots found so far run Euclid's algorithm
+    across the columns: the smallest one is swapped into the pivot column
+    and the others are reduced by the nearest multiple of it, which keeps
+    the entries small, until one pivot is left.  C is unimodular, so M is
+    saturated iff every pivot is +-1 (|det| of the triangle is the index of
+    M in its saturation).  A row that leaves no pivot is dependent; row
+    operations fold it into the pivot rows (``_fold``), so the triangle
+    still spans M.  ``target`` is in M iff its image vanishes beyond the
+    pivots and back-substitution on the triangle divides exactly.  A
+    solution that fails the defining equation raises ``ArithmeticError``.
+    """
+    goal = [int(e) for e in target]
+    n = len(goal)
+    a = [[int(e) for e in row] for row in rows]
+    if any(len(row) != n for row in a):
+        raise ValueError("rows and target must have the same length")
+    t = list(goal)
+    k = len(a)
+    # trans[i]: row i as a combination of the input rows; None while it is row i itself.
+    trans: list[list[int] | None] = [None] * k
+    live: list[int] = []  # live[j] is the row whose pivot sits in column j
+    for i, row in enumerate(a):
+        p = len(live)
+        cols = [c for c in range(p, n) if row[c]]
+        if not cols:
+            _fold(a, trans, live, i)
+            continue
+        rest = a[i:]
+        rest.append(t)
+        while cols:
+            c = min(cols, key=lambda c: abs(row[c]))
+            if c != p:
+                for r in rest:
+                    r[p], r[c] = r[c], r[p]
+            pivot = row[p]
+            cols = []
+            for c in range(p + 1, n):
+                if row[c]:
+                    q = (2 * row[c] + pivot) // (2 * pivot)  # nearest integer to row[c] / pivot
+                    if q:
+                        for r in rest:
+                            if r[p]:
+                                r[c] -= q * r[p]
+                    if row[c]:
+                        cols.append(c)
+            if cols:
+                cols.append(p)
+        live.append(i)
+
+    p = len(live)
+    independent = p == k
+    saturated = independent and all(abs(a[i][j]) == 1 for j, i in enumerate(live))
+    if any(t[p:]):
+        return independent, saturated, None
+    y = [0] * p
+    for c in range(p - 1, -1, -1):
+        s = t[c] - sum(y[j] * a[live[j]][c] for j in range(c + 1, p) if y[j])
+        y[c], r = divmod(s, a[live[c]][c])
+        if r:
+            return independent, saturated, None
+    x = [0] * k
+    for yj, i in zip(y, live):
+        if trans[i] is None:
+            x[i] += yj
+        else:
+            x = [xe + yj * te for xe, te in zip(x, trans[i])]
+    combo = [0] * n
+    for xe, row in zip(x, rows):
+        if xe:
+            combo = [ce + xe * e for ce, e in zip(combo, row)]
+    if combo != goal:
+        raise ArithmeticError("echelon solution does not satisfy x rows = target")
+    return independent, saturated, tuple(x)
+
+
+def _fold(a: list[list[int]], trans: list, live: list[int], i: int) -> None:
+    """Fold row i, zero from column len(live) on, into the pivot rows.
+
+    From the last pivot column j down, Euclid's algorithm by row operations
+    on (pivot row, row i) leaves their gcd in the pivot row and 0 in row i.
+    Both rows are zero beyond column j, so the pivot rows stay triangular,
+    span the same lattice, and row i ends zero.  ``trans`` follows the same
+    operations.
+    """
+    k = len(a)
+    for m in (i, *live):
+        if trans[m] is None:
+            trans[m] = [int(j == m) for j in range(k)]
+    for j in range(len(live) - 1, -1, -1):
+        m = live[j]
+        while a[i][j]:
+            q = a[m][j] // a[i][j]
+            a[m] = [f - q * e for f, e in zip(a[m], a[i])]
+            trans[m] = [f - q * e for f, e in zip(trans[m], trans[i])]
+            a[m], a[i] = a[i], a[m]
+            trans[m], trans[i] = trans[i], trans[m]
 
 
 def inertia(g: IntMatrix) -> tuple[int, int, int]:

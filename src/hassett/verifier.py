@@ -25,13 +25,13 @@ from .criteria import (
     criterion_report,
     discriminant_report,
 )
-from .lattice import AmbientVector, H_SQUARED, coordinate_matrix, gram_of, inner_product
+from .lattice import AmbientVector, H_SQUARED, gram_of, inner_product
 from .linalg import (
     IntMatrix,
-    integer_solver,
     is_positive_definite,
     quadratic_form,
     rational_inverse,
+    span_membership,
 )
 from .constructions import CaseId, Mode, build_generic, reference_gram, squares_value
 from ._version import __version__
@@ -176,14 +176,14 @@ def verify_witness(
     if len(targets) != len(basis) - 1:
         reasons.append("TARGET_COUNT_MISMATCH")
 
-    solve, invariants = integer_solver(coordinate_matrix(basis))
-    independent = sum(1 for x in invariants if x != 0) == len(basis)
+    independent, saturated, h_in_m = span_membership(
+        [v.coords for v in basis], H_SQUARED.coords
+    )
     if not independent:
         reasons.append("DEPENDENT_BASIS")
 
     gram = gram_of(basis)
-    h_in_m = solve(H_SQUARED.coords)
-    criterion = criterion_report(gram, invariants, h_in_m is not None)
+    criterion = criterion_report(gram, saturated, h_in_m is not None)
     min_norm = criterion.minimum_norm
     if not criterion.contains_h_squared:
         reasons.append("MISSING_H_SQUARED")

@@ -1,8 +1,11 @@
 import json
 import math
+import random
+import time
 
 import pytest
 
+import hassett.cli as cli
 from hassett.cli import main
 from hassett.verifier import Certificate
 
@@ -190,8 +193,54 @@ class TestVerifyFile:
         code, _, err = run(capsys, "verify-file", str(tmp_path / "nope.json"))
         assert code == 2 and "cannot read" in err
 
+    def test_large_random_coordinates_fail_promptly(self, capsys, tmp_path):
+        # 21 rows of seeded 256-bit coordinates.  The Smith form the verifier
+        # used to run on them took about 30 times as long as this whole call.
+        _, out, _ = run(capsys, "corollary20", "--json")
+        doc = json.loads(out)["certificate"]
+        rng = random.Random(256)
+        doc["basis"] = [
+            [rng.getrandbits(256) - 2**255 for _ in range(23)] for _ in range(21)
+        ]
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out2, _ = run(capsys, "verify-file", str(path), "--json")
+        assert time.perf_counter() - start < 60
+        report = json.loads(out2)
+        assert code == 1 and report["verdict"] == "FAIL"
+        assert "FIRST_BASIS_NOT_H_SQUARED" in report["failureReasons"]
+
 
 class TestUsage:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_cached_parser_matches_a_fresh_one(self, capsys, monkeypatch):
+        # Usage errors, --version and valid calls right after invalid ones
+        # print and exit the same with the one cached parser as with a new
+        # parser per call.
+        sequence = [
+            ["frobnicate"],
+            ["check-d", "26"],
+            ["--version"],
+            ["check-d", "twenty-six"],
+            ["check-d", "26", "--json"],
+            ["sweep-conjecture"],
+            ["sweep-conjecture", "--limit", "300"],
+            ["intersect", "8", "8", "--mode", "bogus"],
+            ["intersect", "8", "8"],
+            ["check-d", "--help"],
+            [],
+            ["check-d", "14"],
+        ]
+        cached = [run(capsys, *argv) for argv in sequence]
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [run(capsys, *argv) for argv in sequence]
+        assert cached == fresh
+        assert [code for code, _, _ in cached] == [2, 0, 0, 2, 0, 2, 0, 2, 0, 0, 2, 0]
+        assert cached[2][1].startswith("hassett ")
+
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
 

@@ -249,7 +249,8 @@ class TestDiscriminantReport:
 def certify(basis):
     """The four checks on an explicit basis, as ``verify_witness`` runs them."""
     solve, invariants = integer_solver(coordinate_matrix(basis))
-    return criterion_report(gram_of(basis), invariants, solve(H_SQUARED.coords) is not None)
+    saturated = len(invariants) == len(basis) and all(x == 1 for x in invariants)
+    return criterion_report(gram_of(basis), saturated, solve(H_SQUARED.coords) is not None)
 
 
 class TestCertifyNonempty:
@@ -304,7 +305,7 @@ class TestCertifyNonempty:
         for basis, pd, least in ((definite, True, 3), ((H_SQUARED, e_vec(1, 1)), False, None)):
             gram = gram_of(basis)
             calls.update(_ldl=0, is_positive_definite=0)
-            report = criterion_report(gram, (1,) * len(basis), True)
+            report = criterion_report(gram, True, True)
             assert (report.positive_definite, report.minimum_norm) == (pd, least)
             assert calls == {"_ldl": 1, "is_positive_definite": 0}
 

@@ -18,6 +18,7 @@ from hassett.linalg import (
     quadratic_form,
     rational_inverse,
     smith_normal_form,
+    span_membership,
 )
 
 A2_GRAM = IntMatrix([[2, 1], [1, 2]])
@@ -243,6 +244,127 @@ class TestIntegerSolver:
                 assert y is None or a.mul_vector(y) == c
                 outcomes.add(expected)
         assert outcomes == {True, False}
+
+
+def _combination(x, rows):
+    return tuple(sum(c * row[j] for c, row in zip(x, rows)) for j in range(len(rows[0])))
+
+
+def _seeded_rows(rng: random.Random, kind: str) -> list[list[int]]:
+    """k rows of length n: wide (k < n), tall (k > n), square or rank deficient."""
+    k, n = rng.randint(1, 6), rng.randint(1, 6)
+    if kind == "wide":
+        n = k + rng.randint(1, 3)
+    elif kind == "tall":
+        k = n + rng.randint(1, 3)
+    elif kind == "square":
+        n = k
+    if kind == "deficient":
+        k, n = k + 1, n + 1
+        inner = rng.randint(1, min(k, n) - 1)
+        left = IntMatrix([[rng.randint(-3, 3) for _ in range(inner)] for _ in range(k)])
+        right = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(inner)])
+        rows = (left @ right).to_lists()
+    else:
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+    if rng.random() < 0.5:
+        # Scale one column so that some invariants exceed 1.
+        scale, j = rng.randint(2, 4), rng.randrange(n)
+        for row in rows:
+            row[j] *= scale
+    return rows
+
+
+def _scrambled_corollary():
+    """The corollary basis after 1000 moves v_i += c v_j on v_1..v_20, h2 kept first."""
+    from hassett.verifier import _corollary_basis
+
+    rows = [list(v.coords) for v in _corollary_basis()]
+    rng = random.Random(11)
+    for _ in range(1000):
+        i = rng.randint(1, 20)
+        j = rng.choice([m for m in range(21) if m != i])
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+class TestSpanMembership:
+    def test_dependent_rows_fold_into_the_span(self):
+        # 2 and 3 span Z: dropping the dependent row would lose (1, 0).
+        rows = [(2, 0), (3, 0)]
+        independent, saturated, x = span_membership(rows, (1, 0))
+        assert (independent, saturated) == (False, False)
+        assert x is not None and _combination(x, rows) == (1, 0)
+        assert span_membership(rows, (0, 1))[2] is None
+        assert span_membership(rows, (-7, 0))[2] is not None
+
+    def test_small_cases(self):
+        assert span_membership([(1, 2, 3)], (2, 4, 6)) == (True, True, (2,))
+        assert span_membership([(2, 4, 6)], (1, 2, 3)) == (True, False, None)
+        assert span_membership([(1, 0), (0, 0)], (3, 0))[:2] == (False, False)
+        assert span_membership([], (0, 0)) == (True, True, ())
+        with pytest.raises(ValueError):
+            span_membership([(1, 2)], (1, 2, 3))
+
+    def test_against_integer_solver_and_sympy(self):
+        from sympy import ZZ, Matrix
+        from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+        rng = random.Random(1313)
+        outcomes = set()
+        for trial in range(240):
+            rows = _seeded_rows(rng, ("wide", "tall", "square", "deficient")[trial % 4])
+            k, n = len(rows), len(rows[0])
+            factors = [int(f) for f in sympy_factors(Matrix(rows), domain=ZZ) if f != 0]
+            a = IntMatrix.from_columns(rows)
+            solve, invariants = integer_solver(a)
+            rank = sum(1 for d in invariants if d)
+            assert len(factors) == rank
+
+            inside = _combination([rng.randint(-5, 5) for _ in range(k)], rows)
+            i = rng.randrange(n)
+            off = tuple(e + (j == i) for j, e in enumerate(inside))
+            for target in (inside, off, tuple(rng.randint(-6, 6) for _ in range(n))):
+                independent, saturated, x = span_membership(rows, target)
+                assert independent == (rank == k), rows
+                assert saturated == (rank == k and all(f == 1 for f in factors)), rows
+                expected = _in_image_oracle(a, target)
+                assert (solve(target) is not None) == expected
+                assert (x is not None) == expected, (rows, target)
+                assert x is None or _combination(x, rows) == target
+                outcomes.add((independent, saturated, expected))
+        # Every reachable verdict combination was exercised.
+        verdicts = ((True, True), (True, False), (False, False))
+        assert outcomes == {(i, s, e) for i, s in verdicts for e in (True, False)}
+
+    def test_agrees_with_integer_solver_on_many_seeds(self):
+        rng = random.Random(2024)
+        for trial in range(2000):
+            rows = _seeded_rows(rng, ("wide", "tall", "square", "deficient")[trial % 4])
+            k, n = len(rows), len(rows[0])
+            solve, invariants = integer_solver(IntMatrix.from_columns(rows))
+            nonzero = [d for d in invariants if d]
+            inside = _combination([rng.randint(-5, 5) for _ in range(k)], rows)
+            for target in (inside, tuple(rng.randint(-6, 6) for _ in range(n))):
+                independent, saturated, x = span_membership(rows, target)
+                assert independent == (len(nonzero) == k)
+                assert saturated == (independent and all(d == 1 for d in nonzero))
+                assert (x is None) == (solve(target) is None), (rows, target)
+            assert span_membership(rows, inside)[2] is not None
+
+    def test_scrambled_corollary_basis(self):
+        rows = _scrambled_corollary()
+        assert max(abs(e) for row in rows for e in row).bit_length() > 64
+        h2 = tuple(rows[0])
+        independent, saturated, x = span_membership(rows, h2)
+        # h2 is the first of 21 independent rows, so x is the first unit vector.
+        assert (independent, saturated, x) == (True, True, (1,) + (0,) * 20)
+        solve, invariants = integer_solver(IntMatrix.from_columns(rows))
+        assert invariants == (1,) * 21 and solve(h2) == x
+        # Doubling one row leaves an index-2 sublattice that no longer holds the old row.
+        doubled = rows[:5] + [[2 * e for e in rows[5]]] + rows[6:]
+        assert span_membership(doubled, tuple(rows[5])) == (True, False, None)
 
 
 class TestRationalInverse:

@@ -18,6 +18,7 @@ from hassett.lattice import (
 from hassett.linalg import IntMatrix, invariant_factors, quadratic_form
 from hassett.verifier import (
     COROLLARY_DISCRIMINANTS,
+    _corollary_basis,
     _labelling_saturated,
     Certificate,
     CertificateError,
@@ -206,6 +207,21 @@ class TestCorollary20:
         assert witness.criterion.saturated
         assert witness.verdict == "PASS"
         assert witness.failure_reasons == ()
+
+    def test_verification_runs_no_smith_form(self, monkeypatch):
+        import hassett.constructions as constructions
+        import hassett.linalg as linalg
+
+        basis = _corollary_basis()
+        expected = verify_witness(basis, COROLLARY_DISCRIMINANTS)
+
+        def refuse(m):
+            raise AssertionError("verify_witness ran a Smith normal form")
+
+        monkeypatch.setattr(linalg, "smith_normal_form", refuse)
+        monkeypatch.setattr(constructions, "smith_normal_form", refuse)
+        report = verify_witness(basis, COROLLARY_DISCRIMINANTS)
+        assert report == expected and report.verdict == "PASS"
 
     def test_minimum_is_exactly_three(self):
         witness, _ = verify_corollary20()
