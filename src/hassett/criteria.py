@@ -16,11 +16,15 @@ K3-admissible.  Write d = 2(3x^2 + 1) with x = 2^k s.  As x is even,
 3x^2 + 1 is odd, so 4 ∤ d, and it is 1 (mod 3), so 9 ∤ d.  An odd prime p
 dividing 3x^2 + 1 has (3x)^2 = -3 (mod p), so -3 is a square mod p and
 p = 1 (mod 3).  ``conjecture_sweep`` therefore never finds a counterexample.
-It does not rely on the lemma: it factors every row with a sieve over the
-family d = 2(12t^2 + 1), dividing each odd prime p != 3 out of the rows t
-with 12t^2 = -1 (mod p), and decides each verdict from that factorization
-with the same predicate as ``has_associated_k3``.  The lemma serves only as
-a test oracle.
+It factors every row with a sieve over the family d = 2(12t^2 + 1).  An odd
+prime p divides 12t^2 + 1 iff (6t)^2 = -3 (mod p).  For a cube root of unity
+w != 1, (2w + 1)^2 = 4(w^2 + w + 1) - 3 = -3, so the roots are
+t = +-(2w + 1)/6 with 6^-1 = (5p + 1)/6 mod p, and they exist iff
+p = 1 (mod 3) (Ireland-Rosen, *A Classical Introduction to Modern Number
+Theory*, 9.1).  The sieve divides each such p out of its two root classes
+and decides each verdict from the resulting factorization with the same
+predicate as ``has_associated_k3``; the lemma's conclusion serves only as a
+test oracle.
 
 The lattice-level certification a witness must pass has four checks:
 contains h2, positive definite, saturated in the ambient lattice, and no
@@ -199,25 +203,17 @@ def _primes_upto(n: int) -> list[int]:
     return list(compress(range(n + 1), flags))
 
 
-def _sqrt_mod(a: int, p: int) -> int:
-    """A square root of the square a modulo the odd prime p (Tonelli-Shanks)."""
-    a %= p
-    if a == 0:
-        return 0
-    q, m = p - 1, 0
-    while q % 2 == 0:
-        q, m = q // 2, m + 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, u = 0, t
-        while u != 1:
-            u, i = u * u % p, i + 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
+def _family_root(p: int) -> int:
+    """One root r of 12 t^2 = -1 (mod p) for a prime p = 1 (mod 3); p - r is the other.
+
+    For a cube root of unity w != 1, (2w + 1)^2 = 4(w^2 + w + 1) - 3 = -3,
+    so t = (2w + 1)/6 has (6t)^2 = -3.  Such a w is a^((p - 1)/3) for the
+    first a >= 2 that is not a cube, and 6^-1 = (5p + 1)/6 as p = 1 (mod 6).
+    """
+    a, w = 2, 1
+    while w == 1:
+        w, a = pow(a, (p - 1) // 3, p), a + 1
+    return (2 * w + 1) * ((5 * p + 1) // 6) % p
 
 
 def _sieve_family(count: int) -> tuple[list[int], bytearray]:
@@ -227,24 +223,27 @@ def _sieve_family(count: int) -> tuple[list[int], bytearray]:
     isqrt(n_last) is divided out, which is 1 or a prime, and a flag that
     stays 1 while ``_k3_allows`` accepts every prime power divided out of
     d_t.  n_t is odd and 1 (mod 3), so 2 divides d_t exactly once and 3
-    never.  An odd prime p != 3 divides n_t iff t^2 = -1/12 (mod p): Euler's
-    criterion decides whether that has roots, Tonelli-Shanks finds them, and
-    p is divided out of the rows in both root classes.
+    never.  Only primes p = 1 (mod 3) divide an n_t (see the module
+    docstring); each is divided out of the rows in its two root classes
+    t = +-(2w + 1)/6 from ``_family_root``.  A row in a class that p does not
+    divide raises ArithmeticError.
     """
     rest = [12 * t * t + 1 for t in range(2, count + 2)]
     ok = bytearray([_k3_allows(2, 1)]) * count
-    for p in _primes_upto(math.isqrt(12 * (count + 1) ** 2 + 1))[2:]:  # p > 3
-        a = -pow(12, -1, p) % p
-        if pow(a, (p - 1) // 2, p) != 1:
+    for p in _primes_upto(math.isqrt(12 * (count + 1) ** 2 + 1)):
+        if p % 3 != 1:
             continue
-        r = _sqrt_mod(a, p)
+        r, allowed = _family_root(p), _k3_allows(p, 1)
         for root in (r, p - r):
             for i in range((root - 2) % p, count, p):
-                q, e = rest[i] // p, 1
+                q, m = divmod(rest[i], p)
+                if m:
+                    raise ArithmeticError(f"{p} does not divide 12*{i + 2}^2 + 1")
+                e = 1
                 while q % p == 0:
                     q, e = q // p, e + 1
                 rest[i] = q
-                if not _k3_allows(p, e):
+                if not (allowed if e == 1 else _k3_allows(p, e)):
                     ok[i] = 0
     return rest, ok
 

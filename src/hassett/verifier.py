@@ -197,7 +197,7 @@ def verify_witness(
     labellings = []
     for i, v in enumerate(basis[1 : len(targets) + 1]):
         hv = inner_product(H_SQUARED, v)
-        realized = 3 * inner_product(v, v) - hv * hv
+        realized = 3 * gram[i + 1][i + 1] - hv * hv
         sat_in_m = False
         if independent and h_in_m is not None:
             # Independent basis: v = basis[i + 1] has coordinates e_{i+1} in M.

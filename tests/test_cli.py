@@ -164,6 +164,14 @@ class TestSweepConjecture:
         assert len(lines) == count + 1
         assert lines[-1] == "9999593858,3,5103,true"  # x = 2t = 40824 = 2^3 * 5103
 
+    def test_rows_at_the_cli_cap(self, capsys):
+        code, out, err = run(capsys, "sweep-conjecture", "--limit", "1000000000000")
+        lines = out.splitlines()
+        assert code == 0 and err == ""
+        assert len(lines) == 204123 + 1
+        assert lines[1] == "98,1,2,true"
+        assert lines[-1] == "999998577026,3,51031,true"
+
 
 class TestVerifyFile:
     def test_round_trip(self, capsys, tmp_path):

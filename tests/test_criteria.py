@@ -195,18 +195,23 @@ class TestSieveKernels:
         for n in (0, 1, 2, 3, 4, 25, 2000):
             assert criteria._primes_upto(n) == [q for q in range(n + 1) if is_prime(q)]
 
-    def test_sqrt_mod_matches_brute_force_below_2000(self):
-        for p in criteria._primes_upto(1999)[1:]:
-            roots = {}
-            for x in range(p):
-                roots.setdefault(x * x % p, set()).add(x)
-            for a in range(p):
-                if a in roots:
-                    assert criteria._sqrt_mod(a, p) in roots[a]
-            # The residue the sweep sieves by: t^2 = -1/12 (mod p).
-            if p != 3:
-                a = -pow(12, -1, p) % p
-                assert (a in roots) == (pow(a, (p - 1) // 2, p) == 1) == (p % 3 == 1)
+    def test_family_root_matches_brute_force_below_2000(self):
+        for p in criteria._primes_upto(1999)[2:]:  # p >= 5
+            squares = {x * x % p for x in range(p)}
+            roots = {t for t in range(p) if (12 * t * t + 1) % p == 0}
+            # -1/12 is a square mod p iff p = 1 (mod 3).
+            assert (-pow(12, -1, p) % p in squares) == (p % 3 == 1)
+            if p % 3 == 1:
+                r = criteria._family_root(p)
+                assert {r, p - r} == roots
+            else:
+                assert roots == set()
+
+    def test_wrong_root_raises_instead_of_spinning(self, monkeypatch):
+        right = criteria._family_root
+        monkeypatch.setattr(criteria, "_family_root", lambda p: right(p) + 1)
+        with pytest.raises(ArithmeticError):
+            criteria._sieve_family(100)
 
 
 class TestDiscriminantReport:
