@@ -86,7 +86,7 @@ from .lattice import (
     short_vectors,
     t_vec,
 )
-from .linalg import IntMatrix, smith_normal_form
+from .linalg import IntMatrix, _smith_in_place
 
 # Half-width of the box in which A2 slots look for perturbations.
 A2_SEARCH_BOUND = 3
@@ -556,9 +556,16 @@ def build_generic(targets: Sequence[int], mode: Mode = Mode.GOAL) -> Realization
 # criterion 7 and the corollary list need at most 12 draws.
 GOAL_ATTEMPTS = 64
 
-_F1 = e_vec(1, 2)
-_F2 = e_vec(2, 2)
+# Coordinate indices of the isotropic f1 = e_vec(1, 2) and f2 = e_vec(2, 2).
+_F1, _F2 = e_vec(1, 2).coords.index(1), e_vec(2, 2).coords.index(1)
 _E8_NODES = tuple((copy, i) for copy in (1, 2) for i in range(1, 9))
+# Closed neighbourhood of every E8 node: the node and its diagram neighbours.
+_E8_CLOSED = {
+    (copy, i): frozenset(
+        [(copy, i)] + [(copy, j) for j in range(1, 9) if (min(i, j), max(i, j)) in E8_EDGES]
+    )
+    for copy, i in _E8_NODES
+}
 
 
 def _quotient_coords(v: AmbientVector) -> tuple[int, ...]:
@@ -573,13 +580,35 @@ def _quotient_coords(v: AmbientVector) -> tuple[int, ...]:
 
 
 def _four_squares(n: int, rng: random.Random) -> tuple[int, int, int, int]:
-    """A random integer quadruple whose squares sum to ``n`` (Lagrange: one exists)."""
+    """A random integer quadruple whose squares sum to ``n`` (Lagrange: one exists).
+
+    a, b and c are uniform on [-r, r], r = isqrt(n): each is drawn as
+    ``getrandbits(k)``, for k the bit length of the width 2r + 1, redrawn
+    while it is not below the width.  That is exactly the stream
+    ``randint(-r, r)`` consumes in CPython 3.11, so the draws, and the
+    witnesses, are the ones ``randint`` gives.  Drawing from ``getrandbits``
+    keeps them on the documented Mersenne Twister bit stream rather than on
+    the private path behind ``randrange``, and skips that call chain, which
+    costs more than the draw itself.
+    """
     r = math.isqrt(n)
+    width = 2 * r + 1
+    k = width.bit_length()
+    bits = rng.getrandbits
+
+    def draw() -> int:
+        x = bits(k)
+        while x >= width:
+            x = bits(k)
+        return x - r
+
     while True:
-        a, b, c = (rng.randint(-r, r) for _ in range(3))
+        a, b, c = draw(), draw(), draw()
         rest = n - a * a - b * b - c * c
-        if rest >= 0 and math.isqrt(rest) ** 2 == rest:
-            return a, b, c, rng.choice((1, -1)) * math.isqrt(rest)
+        if rest >= 0:
+            d = math.isqrt(rest)
+            if d * d == rest:
+                return a, b, c, rng.choice((1, -1)) * d
 
 
 @lru_cache(maxsize=None)
@@ -596,10 +625,6 @@ def _i3_parts(kind: str, residue: int) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-def _adjacent(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return a[0] == b[0] and (min(a[1], b[1]), max(a[1], b[1])) in E8_EDGES
-
-
 def _draw_y(slot: SlotSpec, rng: random.Random) -> AmbientVector:
     """A vector y of E8+E8+I3 with y.y = 2m^2 + r and h2.y = r.
 
@@ -612,15 +637,20 @@ def _draw_y(slot: SlotSpec, rng: random.Random) -> AmbientVector:
     budget = 4 * m - 2 + r
     x = rng.choice([p for p in _i3_parts(slot.kind, r) if budget - sum(c * c for c in p) >= 2])
     half = (budget - sum(c * c for c in x)) // 2
-    blocked = [(i // 8 + 1, i % 8 + 1) for i in range(16) if base.coords[i]]
+    # A node is taken unless it is blocked (the base or a node already taken)
+    # or adjacent to a blocked node, that is, unless it is in ``closed``.
+    closed: set[tuple[int, int]] = set()
+    for i in range(16):
+        if base.coords[i]:
+            closed |= _E8_CLOSED[(i // 8 + 1, i % 8 + 1)]
     nodes: list[tuple[int, int]] = []
     for node in rng.sample(_E8_NODES, len(_E8_NODES)):
-        if node in blocked or any(_adjacent(node, b) for b in blocked):
+        if node in closed:
             continue
         nodes.append(node)
-        blocked.append(node)
         if len(nodes) == 4:
             break
+        closed |= _E8_CLOSED[node]
     coords = [(m - 1) * c for c in base.coords]
     coords[20:23] = [c + p for c, p in zip(coords[20:23], x)]
     for c, (copy, i) in zip(_four_squares(half, rng), nodes):
@@ -644,7 +674,9 @@ def _glue(ys: Sequence[AmbientVector]) -> list[tuple[int, int]] | None:
     glue = [(0, 0)] * k
     if k == 0:
         return glue
-    _, d, v = smith_normal_form(IntMatrix.from_columns([_quotient_coords(y) for y in ys]))
+    # The 18 x k coordinate matrix becomes D in place; U is never formed.
+    d = [list(row) for row in zip(*(_quotient_coords(y) for y in ys))]
+    v = _smith_in_place(d)
     invariants = [d[i][i] for i in range(k)]
     if 0 in invariants:
         return None
@@ -678,6 +710,11 @@ def _glue(ys: Sequence[AmbientVector]) -> list[tuple[int, int]] | None:
     return None
 
 
+def _first_generator(slot: SlotSpec) -> AmbientVector:
+    """Generator of ``slot`` with its first candidate perturbation (bare at residue 0)."""
+    return _generator(slot, (candidate_perturbations(slot) or (None,))[0])
+
+
 def _glued_search(slots: Sequence[SlotSpec]) -> RealizationOutcome:
     """GOAL witness: v1, v2 from the U slots, v_j = y_j + s_j f1 + u_j f2.
 
@@ -686,10 +723,7 @@ def _glued_search(slots: Sequence[SlotSpec]) -> RealizationOutcome:
     """
     slots = tuple(slots)
     targets = tuple(s.target_d for s in slots)
-    canonical = (H_SQUARED,) + tuple(
-        _generator(s, (candidate_perturbations(s) or (None,))[0]) for s in slots
-    )
-    head = canonical[:3]
+    head = (H_SQUARED,) + tuple(_first_generator(s) for s in slots[:2])
     rng = random.Random(",".join(map(str, targets)))
     attempts = GOAL_ATTEMPTS if len(slots) > 2 else 1
     for _ in range(attempts):
@@ -697,7 +731,13 @@ def _glued_search(slots: Sequence[SlotSpec]) -> RealizationOutcome:
         glue = _glue(ys)
         if glue is None:
             continue
-        basis = head + tuple(y + s * _F1 + u * _F2 for y, (s, u) in zip(ys, glue))
+        glued = []
+        for y, (s, u) in zip(ys, glue):
+            coords = list(y.coords)
+            coords[_F1] += s
+            coords[_F2] += u
+            glued.append(AmbientVector(tuple(coords)))
+        basis = head + tuple(glued)
         gram = gram_of(basis)
         # Minimum at least 3: no nonzero vector of norm 1 or 2.  The
         # elimination inside short_vectors also decides definiteness.
@@ -713,6 +753,8 @@ def _glued_search(slots: Sequence[SlotSpec]) -> RealizationOutcome:
                 gram_delta=None,
                 targets=targets,
             )
+    # Only an exhausted search reports the basis of first candidates.
+    canonical = head + tuple(_first_generator(s) for s in slots[2:])
     return RealizationOutcome(
         status=RealizationStatus.NOT_REALIZABLE,
         basis=canonical,

@@ -14,17 +14,24 @@ independence, saturation and membership of one target together, without a
 Smith form, and its cost stays low on hostile coordinates.
 
 The Smith normal form uses elementary unimodular operations with a
-smallest-pivot strategy.  Its diagonal entries are nonnegative and satisfy
-the divisibility chain ``d1 | d2 | ...``, so results are reproducible byte
-for byte; the GOAL glue of ``constructions`` reads its transform.
-``integer_solver`` factors a matrix once by the Smith form and solves
-``a x = b`` for any number of right-hand sides; it is the independent
-oracle that ``span_membership`` is tested against.
+smallest-pivot strategy (Cohen, A Course in Computational Algebraic Number
+Theory, 2.4.14), all in one kernel, ``_smith_in_place``.  Its diagonal
+entries are nonnegative and satisfy the divisibility chain ``d1 | d2 | ...``,
+so results are reproducible byte for byte.  A unit pivot ends the pivot scan,
+since no entry is smaller, and needs no divisibility sweep.
+``smith_normal_form`` returns the row transform U, the diagonal D and the
+column transform V, for ``integer_solver`` and ``invariant_factors``; the
+GOAL glue of ``constructions`` calls the kernel without a row companion and
+reads D and V, so U is never formed.  ``integer_solver`` factors a matrix
+once by the Smith form and solves ``a x = b`` for any number of right-hand
+sides; it is the independent oracle that ``span_membership`` is tested
+against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 
@@ -184,68 +191,69 @@ def determinant(m: IntMatrix) -> int:
     return c[0] if m.nrows % 2 == 0 else -c[0]
 
 
-def _swap_rows(a: list[list[int]], u: list[list[int]], i: int, j: int) -> None:
-    a[i], a[j] = a[j], a[i]
-    u[i], u[j] = u[j], u[i]
+def _smith_in_place(a: list[list[int]], u: list[list[int]] | None = None) -> list[list[int]]:
+    """Bring the rows ``a`` to Smith form in place and return the column transform V.
 
-
-def _swap_cols(a: list[list[int]], v: list[list[int]], i: int, j: int) -> None:
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-    for row in v:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(a: list[list[int]], u: list[list[int]], dst: int, src: int, q: int) -> None:
-    # row_dst += q * row_src
-    a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-    u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-
-def _add_col(a: list[list[int]], v: list[list[int]], dst: int, src: int, q: int) -> None:
-    for row in a:
-        row[dst] += q * row[src]
-    for row in v:
-        row[dst] += q * row[src]
-
-
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return unimodular ``U``, diagonal ``D``, unimodular ``V`` with ``U m V = D``.
-
-    Nonzero diagonal entries are positive and form a divisibility chain.
+    Every row operation on ``a`` is repeated on ``u`` when it is given, so an
+    identity ``u`` ends as the row transform U with U a0 V = a.  The row
+    operations never read ``u``, so ``a`` and V are the same either way.
     """
-    nrows, ncols = m.nrows, m.ncols
-    a = m.to_lists()
-    u = IntMatrix.identity(nrows).to_lists()
-    v = IntMatrix.identity(ncols).to_lists()
+    nrows, ncols = len(a), len(a[0])
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    rows = [a] if u is None else [a, u]
+
+    def add_row(dst: int, src: int, q: int) -> None:
+        # row_dst += q * row_src
+        for x in rows:
+            x[dst] = [e + q * f for e, f in zip(x[dst], x[src])]
+
+    def swap_rows(i: int, j: int) -> None:
+        for x in rows:
+            x[i], x[j] = x[j], x[i]
+
+    def add_col(dst: int, src: int, q: int) -> None:
+        for row in chain(a, v):
+            row[dst] += q * row[src]
+
+    def swap_cols(i: int, j: int) -> None:
+        for row in chain(a, v):
+            row[i], row[j] = row[j], row[i]
 
     t = 0
     while t < min(nrows, ncols):
-        # Smallest absolute nonzero entry of the trailing block becomes the pivot.
-        pivot = None
+        # The first entry, row-major, of least nonzero absolute value in the
+        # trailing block becomes the pivot; nothing beats a unit, so the scan
+        # ends at the first one.
+        pivot, least = None, 0
         for i in range(t, nrows):
+            row = a[i]
             for j in range(t, ncols):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+                x = abs(row[j])
+                if x and (pivot is None or x < least):
+                    pivot, least = (i, j), x
+                    if x == 1:
+                        break
+            if least == 1:
+                break
         if pivot is None:
             break
         if pivot[0] != t:
-            _swap_rows(a, u, t, pivot[0])
+            swap_rows(t, pivot[0])
         if pivot[1] != t:
-            _swap_cols(a, v, t, pivot[1])
+            swap_cols(t, pivot[1])
 
         while True:
             if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-                u[t] = [-x for x in u[t]]
+                for x in rows:
+                    x[t] = [-e for e in x[t]]
             restart = False
             for i in range(nrows):
                 if i == t or a[i][t] == 0:
                     continue
                 q = a[i][t] // a[t][t]
-                _add_row(a, u, i, t, -q)
+                add_row(i, t, -q)
                 if a[i][t] != 0:
-                    _swap_rows(a, u, i, t)
+                    swap_rows(i, t)
                     restart = True
                     break
             if restart:
@@ -254,27 +262,34 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 if j == t or a[t][j] == 0:
                     continue
                 q = a[t][j] // a[t][t]
-                _add_col(a, v, j, t, -q)
+                add_col(j, t, -q)
                 if a[t][j] != 0:
-                    _swap_cols(a, v, j, t)
+                    swap_cols(j, t)
                     restart = True
                     break
             if restart:
                 continue
-            # Pivot must divide the rest of the trailing block for the chain.
-            offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            # Pivot must divide the rest of the trailing block for the chain;
+            # a unit divides everything.
+            d = a[t][t]
+            offender = None if d == 1 else next(
+                (i for i in range(t + 1, nrows) if any(x % d for x in a[i][t + 1 :])), None
+            )
             if offender is None:
                 break
-            _add_row(a, u, t, offender, 1)
+            add_row(t, offender, 1)
         t += 1
+    return v
 
+
+def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Return unimodular ``U``, diagonal ``D``, unimodular ``V`` with ``U m V = D``.
+
+    Nonzero diagonal entries are positive and form a divisibility chain.
+    """
+    a = m.to_lists()
+    u = IntMatrix.identity(m.nrows).to_lists()
+    v = _smith_in_place(a, u)
     return IntMatrix(u), IntMatrix(a), IntMatrix(v)
 
 

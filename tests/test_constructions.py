@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 import re
 import subprocess
@@ -700,6 +701,62 @@ def test_glued_draw_eliminates_each_gram_once(monkeypatch):
     assert outcome.status == RealizationStatus.NOT_REALIZABLE
     assert calls["_ldl"] == calls["gram_of"] - 1 > 0
     assert calls["is_positive_definite"] == 0
+
+
+def _four_squares_by_randint(n, rng):
+    # The quadruple draw through randint, as the witnesses were first drawn.
+    r = math.isqrt(n)
+    while True:
+        a, b, c = (rng.randint(-r, r) for _ in range(3))
+        rest = n - a * a - b * b - c * c
+        if rest >= 0 and math.isqrt(rest) ** 2 == rest:
+            return a, b, c, rng.choice((1, -1)) * math.isqrt(rest)
+
+
+def test_four_squares_consumes_the_randint_stream():
+    # Same quadruple and same generator state afterwards, so every later
+    # draw of a GOAL search, and every witness, is unchanged.
+    pairs = random.Random(5)
+    for trial in range(2400):
+        n = trial + 1 if trial < 400 else pairs.randint(1, 10**4)
+        seed = pairs.getrandbits(32)
+        mine, ref = random.Random(seed), random.Random(seed)
+        quad = constructions._four_squares(n, mine)
+        assert quad == _four_squares_by_randint(n, ref), (n, seed)
+        assert sum(x * x for x in quad) == n
+        assert mine.getstate() == ref.getstate(), (n, seed)
+
+
+def test_fallback_basis_is_built_only_when_the_search_is_exhausted(monkeypatch):
+    calls = []
+    inner = constructions._generator
+
+    def counting(slot, perturbation):
+        calls.append(slot)
+        return inner(slot, perturbation)
+
+    monkeypatch.setattr(constructions, "_generator", counting)
+    targets = (14, 38) + tuple(6 * m * m + m % 2 * 2 for m in range(2, 20))
+    outcome = build_generic(targets, Mode.GOAL)
+    assert outcome.status == RealizationStatus.REALIZED_GOAL
+    # Only v1 and v2 come from the slot generators.
+    assert calls == list(generic_slots(targets)[:2])
+
+    calls.clear()
+    params = (2, 2) + (4,) * 18
+    outcome = build(CaseId.R21_ALL0, params, Mode.GOAL)
+    assert outcome.status == RealizationStatus.NOT_REALIZABLE
+    assert "search exhausted" in outcome.detail
+    slots = case_slots(CaseId.R21_ALL0, params)
+    assert len(calls) == len(slots)
+    canonical = (H_SQUARED,) + tuple(
+        s.bare_generator() + (candidate_perturbations(s) or (None,))[0]
+        if s.residue
+        else s.bare_generator()
+        for s in slots
+    )
+    assert outcome.basis == canonical
+    assert outcome.realized_gram == gram_of(canonical)
 
 
 class TestIdentities:

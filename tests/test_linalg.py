@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hassett.lattice import AMBIENT_GRAM, E8_GRAM, U_GRAM
 from hassett.linalg import (
     IntMatrix,
+    _smith_in_place,
     determinant,
     inertia,
     integer_rank,
@@ -105,6 +106,146 @@ class TestSmithNormalForm:
             for f in invariant_factors(m):
                 product *= f
             assert product == abs(det)
+
+
+# Reference Smith form, kept verbatim: U always carried along, a full pivot
+# scan, a divisibility sweep after every pivot.  The kernel must make the
+# same operations, so U, D and V must come out equal.
+def _ref_swap_rows(a, u, i, j):
+    a[i], a[j] = a[j], a[i]
+    u[i], u[j] = u[j], u[i]
+
+
+def _ref_swap_cols(a, v, i, j):
+    for row in a:
+        row[i], row[j] = row[j], row[i]
+    for row in v:
+        row[i], row[j] = row[j], row[i]
+
+
+def _ref_add_row(a, u, dst, src, q):
+    # row_dst += q * row_src
+    a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+    u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+
+def _ref_add_col(a, v, dst, src, q):
+    for row in a:
+        row[dst] += q * row[src]
+    for row in v:
+        row[dst] += q * row[src]
+
+
+def _reference_smith_normal_form(m):
+    nrows, ncols = m.nrows, m.ncols
+    a = m.to_lists()
+    u = IntMatrix.identity(nrows).to_lists()
+    v = IntMatrix.identity(ncols).to_lists()
+
+    t = 0
+    while t < min(nrows, ncols):
+        # Smallest absolute nonzero entry of the trailing block becomes the pivot.
+        pivot = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        if pivot[0] != t:
+            _ref_swap_rows(a, u, t, pivot[0])
+        if pivot[1] != t:
+            _ref_swap_cols(a, v, t, pivot[1])
+
+        while True:
+            if a[t][t] < 0:
+                a[t] = [-x for x in a[t]]
+                u[t] = [-x for x in u[t]]
+            restart = False
+            for i in range(nrows):
+                if i == t or a[i][t] == 0:
+                    continue
+                q = a[i][t] // a[t][t]
+                _ref_add_row(a, u, i, t, -q)
+                if a[i][t] != 0:
+                    _ref_swap_rows(a, u, i, t)
+                    restart = True
+                    break
+            if restart:
+                continue
+            for j in range(ncols):
+                if j == t or a[t][j] == 0:
+                    continue
+                q = a[t][j] // a[t][t]
+                _ref_add_col(a, v, j, t, -q)
+                if a[t][j] != 0:
+                    _ref_swap_cols(a, v, j, t)
+                    restart = True
+                    break
+            if restart:
+                continue
+            # Pivot must divide the rest of the trailing block for the chain.
+            offender = None
+            for i in range(t + 1, nrows):
+                for j in range(t + 1, ncols):
+                    if a[i][j] % a[t][t] != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            _ref_add_row(a, u, t, offender, 1)
+        t += 1
+
+    return IntMatrix(u), IntMatrix(a), IntMatrix(v)
+
+
+def _smith_pinning_matrices():
+    """Seeded matrices of three kinds: (kind, IntMatrix)."""
+    from hassett.constructions import _draw_y, _quotient_coords, generic_slots
+
+    rng = random.Random(2024)
+    for r in range(1, 9):
+        for c in range(1, 9):
+            for _ in range(4):
+                yield "small", IntMatrix(
+                    [[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)]
+                )
+    # Real GOAL draws: the 18 x k quotient coordinates _glue eliminates.
+    for trial in range(10):
+        targets = [rng.choice((14, 20, 26, 38, 42, 98)) for _ in range(2)]
+        targets += [6 * m * m + rng.choice((0, 2)) for m in rng.choices(range(2, 35), k=18)]
+        slots = generic_slots(targets)
+        draws = random.Random(trial)
+        for k in range(1, 19):
+            ys = [_draw_y(s, draws) for s in slots[2 : 2 + k]]
+            yield "draw", IntMatrix.from_columns([_quotient_coords(y) for y in ys])
+    # Scaled columns: pivots above 1, so the divisibility sweep has work.
+    for _ in range(150):
+        r, c = rng.randint(2, 8), rng.randint(2, 8)
+        scales = [rng.choice((1, 2, 3, 4, 6, 9)) for _ in range(c)]
+        yield "scaled", IntMatrix(
+            [[rng.randint(-3, 3) * s for s in scales] for _ in range(r)]
+        )
+
+
+class TestSmithKernelTransforms:
+    def test_transforms_match_the_reference(self):
+        kinds = {"small": 0, "draw": 0, "scaled": 0}
+        sweeps = 0
+        for kind, m in _smith_pinning_matrices():
+            kinds[kind] += 1
+            expected = _reference_smith_normal_form(m)
+            assert smith_normal_form(m) == expected, (kind, m)
+            a = m.to_lists()
+            v = _smith_in_place(a)
+            assert (IntMatrix(a), IntMatrix(v)) == expected[1:], (kind, m)
+            diag = [a[i][i] for i in range(min(m.nrows, m.ncols))]
+            sweeps += any(x > 1 for x in diag[:-1] if x)
+        assert kinds == {"small": 256, "draw": 180, "scaled": 150}
+        # Some non-unit pivot had trailing entries to sweep.
+        assert sweeps > 50
 
 
 class TestInertia:
