@@ -5,7 +5,7 @@ saturated sublattices of the middle cohomology lattice of a cubic fourfold
 (E8 + E8 + U + U + I3) that contain the square of the hyperplane class.  Such
 witnesses prove that prescribed Hassett (Noether-Lefschetz) divisors of the
 moduli space of smooth cubic fourfolds intersect.  All arithmetic is exact:
-arbitrary-precision integers and rationals, no floating point.
+arbitrary-precision integers, no rationals and no floating point.
 """
 
 from types import ModuleType as _ModuleType
@@ -13,13 +13,8 @@ from types import ModuleType as _ModuleType
 from ._version import __version__
 from .linalg import (
     IntMatrix,
-    determinant,
-    inertia,
-    integer_solver,
-    invariant_factors,
     is_positive_definite,
     quadratic_form,
-    rational_inverse,
     smith_normal_form,
     span_membership,
 )
@@ -79,7 +74,6 @@ from .verifier import (
     WitnessReport,
     certificate_for,
     check_identity,
-    oracle_short_vectors,
     verify_corollary20,
     verify_witness,
 )

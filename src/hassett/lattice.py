@@ -191,11 +191,7 @@ def gram_of(basis: Sequence[AmbientVector]) -> IntMatrix:
     return IntMatrix(g)
 
 
-def coordinate_matrix(basis: Sequence[AmbientVector]) -> IntMatrix:
-    """23 x k matrix whose columns are the coordinates of the given vectors."""
-    return IntMatrix.from_columns([v.coords for v in basis])
-
-
+# No product code calls this; perfbench/tracing.py binds it by name.
 def is_saturated(basis: Sequence[AmbientVector]) -> bool:
     """Whether ``basis`` is independent with a torsion-free ambient quotient.
 

@@ -1,38 +1,29 @@
-"""Exact integer and rational matrix kernel.
+"""Exact integer matrix kernel.
 
-Everything in this module runs on arbitrary-precision Python integers;
-``fractions.Fraction`` appears only in the entries ``rational_inverse``
-returns.  There is no floating point anywhere.  Three computations carry
-the module.  ``_charpoly`` is the integer Faddeev-LeVerrier recurrence:
-determinants, exact inverses (Cayley-Hamilton) and signatures (Descartes'
-rule of signs, exact for the real-rooted characteristic polynomial of a
-symmetric matrix) all read off it.  ``_ldl`` is the one fraction-free
-symmetric elimination: it decides positive definiteness and feeds the
-short-vector enumeration of ``lattice``.  ``span_membership`` is the
-one-pass column echelon the verifier runs on coordinate rows: it decides
-independence, saturation and membership of one target together, without a
-Smith form, and its cost stays low on hostile coordinates.
+Everything in this module runs on arbitrary-precision Python integers; there
+are no rationals and no floating point.  Three computations carry the
+module, one per concept.  ``_ldl`` is the one fraction-free symmetric
+elimination: it decides positive definiteness and feeds the short-vector
+enumeration of ``lattice``.  ``span_membership`` is the one-pass column
+echelon the verifier runs on coordinate rows: it decides independence,
+saturation and membership of one target together, without a Smith form, and
+its cost stays low on hostile coordinates.  ``_smith_in_place`` is the one
+Smith normal form kernel.
 
-The Smith normal form uses elementary unimodular operations with a
-smallest-pivot strategy (Cohen, A Course in Computational Algebraic Number
-Theory, 2.4.14), all in one kernel, ``_smith_in_place``.  Its diagonal
-entries are nonnegative and satisfy the divisibility chain ``d1 | d2 | ...``,
-so results are reproducible byte for byte.  A unit pivot ends the pivot scan,
-since no entry is smaller, and needs no divisibility sweep.
-``smith_normal_form`` returns the row transform U, the diagonal D and the
-column transform V, for ``integer_solver`` and ``invariant_factors``; the
-GOAL glue of ``constructions`` calls the kernel without a row companion and
-reads D and V, so U is never formed.  ``integer_solver`` factors a matrix
-once by the Smith form and solves ``a x = b`` for any number of right-hand
-sides; it is the independent oracle that ``span_membership`` is tested
-against.
+The Smith form uses elementary unimodular operations with a smallest-pivot
+strategy (Cohen, A Course in Computational Algebraic Number Theory, 2.4.14).
+Its diagonal entries are nonnegative and satisfy the divisibility chain
+``d1 | d2 | ...``, so results are reproducible byte for byte.  A unit pivot
+ends the pivot scan, since no entry is smaller, and needs no divisibility
+sweep.  The GOAL glue of ``constructions`` calls the kernel without a row
+companion and reads D and V, so U is never formed there;
+``smith_normal_form`` passes an identity U and returns (U, D, V).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 class IntMatrix:
@@ -59,10 +50,6 @@ class IntMatrix:
         return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls([[0] * ncols for _ in range(nrows)])
-
-    @classmethod
     def block_diagonal(cls, blocks: Sequence["IntMatrix"]) -> "IntMatrix":
         size = sum(b.nrows for b in blocks)
         out = [[0] * size for _ in range(size)]
@@ -75,13 +62,6 @@ class IntMatrix:
                     out[offset + i][offset + j] = b[i][j]
             offset += b.nrows
         return cls(out)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]]) -> "IntMatrix":
-        if not columns:
-            raise ValueError("need at least one column")
-        nrows = len(columns[0])
-        return cls([[col[i] for col in columns] for i in range(nrows)])
 
     @property
     def nrows(self) -> int:
@@ -137,9 +117,6 @@ class IntMatrix:
             ]
         )
 
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in row] for row in self._rows])
-
     def is_zero(self) -> bool:
         return all(all(a == 0 for a in row) for row in self._rows)
 
@@ -155,40 +132,6 @@ class IntMatrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(a) for a in row) for row in self._rows)
         return f"IntMatrix[{body}]"
-
-
-def _require_symmetric(g: IntMatrix, op: str) -> None:
-    if not g.is_symmetric():
-        raise ValueError(f"{op} requires a symmetric matrix")
-
-
-def _charpoly(m: IntMatrix) -> tuple[list[int], list[list[int]]]:
-    """Faddeev-LeVerrier: coefficients c_0..c_n of det(xI - m), and M_n.
-
-    M_0 = 0, M_k = m M_{k-1} + c_{n-k+1} I and c_{n-k} = -tr(m M_k) / k.
-    The coefficients are integers, so every division is exact, and
-    m M_n = -c_0 I by Cayley-Hamilton.
-    """
-    if not m.is_square:
-        raise ValueError("the characteristic polynomial requires a square matrix")
-    n = m.nrows
-    a = m.rows
-    c = [0] * n + [1]
-    mk = [[0] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        cols = tuple(zip(*mk))
-        mk = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-        for i in range(n):
-            mk[i][i] += c[n - k + 1]
-        trace = sum(x * mk[j][i] for i, row in enumerate(a) for j, x in enumerate(row))
-        c[n - k] = -trace // k
-    return c, mk
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant: (-1)^n c_0 of the characteristic polynomial."""
-    c, _ = _charpoly(m)
-    return c[0] if m.nrows % 2 == 0 else -c[0]
 
 
 def _smith_in_place(a: list[list[int]], u: list[list[int]] | None = None) -> list[list[int]]:
@@ -282,6 +225,7 @@ def _smith_in_place(a: list[list[int]], u: list[list[int]] | None = None) -> lis
     return v
 
 
+# No product code calls this; perfbench/tracing.py binds it by name.
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return unimodular ``U``, diagonal ``D``, unimodular ``V`` with ``U m V = D``.
 
@@ -293,55 +237,12 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return IntMatrix(u), IntMatrix(a), IntMatrix(v)
 
 
-def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
-    """Nonzero Smith normal form diagonal entries, in chain order."""
-    _, d, _ = smith_normal_form(m)
-    out = []
-    for i in range(min(d.nrows, d.ncols)):
-        if d[i][i] != 0:
-            out.append(d[i][i])
-    return tuple(out)
-
-
+# No product code calls this; perfbench/tracing.py binds it by name.
 def integer_rank(m: IntMatrix) -> int:
     """Rank over the rationals: the number of nonzero Smith invariants."""
-    return len(invariant_factors(m))
-
-
-def integer_solver(
-    a: IntMatrix,
-) -> tuple[Callable[[Sequence[int]], tuple[int, ...] | None], tuple[int, ...]]:
-    """Factor ``a`` once; return ``(solve, invariants)``.
-
-    ``invariants`` is the Smith diagonal of ``a`` (``min(nrows, ncols)``
-    entries, zeros included).  ``solve(b)`` is one integer ``x`` with
-    ``a x = b``, or ``None`` when ``b`` is not in the image of ``a`` over the
-    integers.  A solution that fails ``a x = b`` is a fault of the Smith form
-    and raises ``ArithmeticError``.
-    """
-    u, d, v = smith_normal_form(a)
-    nrows, ncols = a.nrows, a.ncols
-    invariants = tuple(d[i][i] for i in range(min(nrows, ncols)))
-
-    def solve(b: Sequence[int]) -> tuple[int, ...] | None:
-        b = tuple(int(e) for e in b)
-        c = u.mul_vector(b)
-        z = [0] * ncols
-        for i in range(nrows):
-            di = invariants[i] if i < len(invariants) else 0
-            if di == 0:
-                if c[i] != 0:
-                    return None
-            else:
-                if c[i] % di != 0:
-                    return None
-                z[i] = c[i] // di
-        x = v.mul_vector(z)
-        if a.mul_vector(x) != b:
-            raise ArithmeticError("Smith form solution does not satisfy a x = b")
-        return x
-
-    return solve, invariants
+    a = m.to_lists()
+    _smith_in_place(a)
+    return sum(1 for i in range(min(m.nrows, m.ncols)) if a[i][i])
 
 
 def span_membership(
@@ -455,23 +356,6 @@ def _fold(a: list[list[int]], trans: list, live: list[int], i: int) -> None:
             trans[m], trans[i] = trans[i], trans[m]
 
 
-def inertia(g: IntMatrix) -> tuple[int, int, int]:
-    """Signs of the eigenvalues of a symmetric matrix: (positive, negative, zero).
-
-    The characteristic polynomial of a symmetric matrix has only real roots,
-    so Descartes' rule of signs is exact: the positive count is the number of
-    sign changes among its nonzero coefficients, and the zero count is the
-    index of its lowest nonzero coefficient.  These are Sylvester inertia,
-    not a numerical estimate.
-    """
-    _require_symmetric(g, "inertia")
-    c, _ = _charpoly(g)
-    nzero = next(i for i, x in enumerate(c) if x != 0)
-    signs = [x > 0 for x in c if x != 0]
-    nplus = sum(s != t for s, t in zip(signs, signs[1:]))
-    return nplus, g.nrows - nplus - nzero, nzero
-
-
 def _ldl(g: IntMatrix) -> tuple[list[int], list[list[int]]] | None:
     """Symmetric Bareiss elimination of ``g``: (pivots, rows), or None.
 
@@ -482,7 +366,8 @@ def _ldl(g: IntMatrix) -> tuple[list[int], list[list[int]]] | None:
     is the Schur complement scaled by p_{i-1}, zero left of the diagonal.
     Every intermediate is an integer.
     """
-    _require_symmetric(g, "the LDL elimination")
+    if not g.is_symmetric():
+        raise ValueError("the LDL elimination requires a symmetric matrix")
     n = g.nrows
     a = g.to_lists()
     piv: list[int] = []
@@ -502,17 +387,10 @@ def _ldl(g: IntMatrix) -> tuple[list[int], list[list[int]]] | None:
     return piv, a
 
 
+# No product code calls this; perfbench/tracing.py binds it by name.
 def is_positive_definite(g: IntMatrix) -> bool:
     """Exact Sylvester test: every leading principal minor is positive."""
     return _ldl(g) is not None
-
-
-def rational_inverse(g: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse -M_n / c_0 of a nonsingular matrix (``_charpoly``), in lowest terms."""
-    c, adj = _charpoly(g)
-    if c[0] == 0:
-        raise ValueError("singular matrix has no inverse")
-    return tuple(tuple(Fraction(-x, c[0]) for x in row) for row in adj)
 
 
 def quadratic_form(g: IntMatrix, x: Sequence[int]) -> int:

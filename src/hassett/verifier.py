@@ -6,9 +6,10 @@ lattice minimum, and per-labelling discriminants and saturation.  It never
 trusts the builder that produced the basis, so certificates can be checked
 by third parties from the serialized coordinates alone.
 
-``oracle_short_vectors`` is a deliberately naive exhaustive box enumeration
-used to cross-check the Fincke-Pohst enumeration of ``lattice`` on small
-ranks.
+``Certificate.from_json`` reads untrusted text and raises
+``CertificateError`` on anything it cannot read as a certificate of at least
+one target, including JSON that the parser itself refuses (an integer past
+the digit limit, nesting past the recursion limit).
 """
 
 from __future__ import annotations
@@ -26,13 +27,7 @@ from .criteria import (
     discriminant_report,
 )
 from .lattice import AmbientVector, H_SQUARED, gram_of, inner_product
-from .linalg import (
-    IntMatrix,
-    is_positive_definite,
-    quadratic_form,
-    rational_inverse,
-    span_membership,
-)
+from .linalg import IntMatrix, quadratic_form, span_membership
 from .constructions import CaseId, Mode, build_generic, reference_gram, squares_value
 from ._version import __version__
 
@@ -48,44 +43,6 @@ COROLLARY_DISCRIMINANTS = (
 
 class CertificateError(ValueError):
     """Raised when certificate JSON cannot be parsed against the schema."""
-
-
-def oracle_short_vectors(g: IntMatrix, c: int) -> list[tuple[int, ...]]:
-    """Exhaustive box enumeration of nonzero x with x^T g x <= c.
-
-    Per-coordinate bounds come from the exact rational inverse:
-    x_i^2 <= c * (g^-1)_ii.  Output canonicalization matches
-    ``lattice.short_vectors`` (one representative per +- pair, positive first
-    nonzero coordinate, lexicographic order).
-    """
-    if c < 0:
-        raise ValueError("oracle_short_vectors needs a nonnegative bound")
-    if not is_positive_definite(g):
-        raise ValueError("oracle_short_vectors requires a positive definite Gram matrix")
-    n = g.nrows
-    inv = rational_inverse(g)
-    bounds = []
-    for i in range(n):
-        q = c * inv[i][i]
-        bounds.append(math.isqrt(q.numerator // q.denominator))
-    found = []
-
-    def walk(i: int, x: list[int]) -> None:
-        if i == n:
-            if any(x) and quadratic_form(g, x) <= c:
-                found.append(tuple(x))
-            return
-        for xi in range(-bounds[i], bounds[i] + 1):
-            x.append(xi)
-            walk(i + 1, x)
-            x.pop()
-
-    walk(0, [])
-    canon = set()
-    for x in found:
-        first = next(v for v in x if v != 0)
-        canon.add(x if first > 0 else tuple(-v for v in x))
-    return sorted(canon)
 
 
 @dataclass(frozen=True)
@@ -250,6 +207,10 @@ class Certificate:
             raise CertificateError(
                 f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from None
+        except (ValueError, RecursionError) as exc:
+            # An integer past the int-string digit limit, or nesting past the
+            # recursion limit, is malformed input like any other.
+            raise CertificateError(f"unreadable JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise CertificateError("certificate must be a JSON object")
         for field in ("ambient", "basis", "targets", "report", "toolVersion"):
@@ -272,6 +233,8 @@ class Certificate:
             isinstance(t, int) and not isinstance(t, bool) for t in targets
         ):
             raise CertificateError("field 'targets' must be a list of integers")
+        if not targets:
+            raise CertificateError("field 'targets' is empty: the certificate names no divisor")
         try:
             report = WitnessReport.from_dict(doc["report"])
         except (KeyError, TypeError, ValueError) as exc:

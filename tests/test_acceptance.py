@@ -7,6 +7,7 @@ saturated in the ambient lattice.  The glued GOAL builder makes its
 witnesses saturated by construction, so both pass.
 """
 
+import math
 import random
 import time
 
@@ -19,17 +20,17 @@ from hassett.constructions import (
 )
 from hassett.criteria import conjecture_sweep, factorize, has_associated_k3
 from hassett.lattice import E8_GRAM, short_vectors
-from hassett.linalg import IntMatrix, determinant, inertia, is_positive_definite
+from hassett.linalg import IntMatrix, is_positive_definite
 from hassett.lattice import AMBIENT_GRAM
 from hassett.verifier import (
     Certificate,
     certificate_for,
     check_identity,
     corollary20_certificate,
-    oracle_short_vectors,
     verify_corollary20,
     verify_witness,
 )
+from oracles import determinant, inertia, oracle_short_vectors, rational_inverse
 
 A2_GRAM = IntMatrix([[2, 1], [1, 2]])
 
@@ -138,9 +139,6 @@ def test_criterion_3_enumeration_oracle():
         c = rng.randint(0, 10)
         # Keep the oracle's exhaustive box below ~2*10^5 points; heavier
         # instances are resampled (the comparison property is unaffected).
-        from hassett.linalg import rational_inverse
-        import math
-
         inv = rational_inverse(g)
         box = 1
         for i in range(n):

@@ -219,6 +219,42 @@ class TestVerifyFile:
         assert code == 1 and report["verdict"] == "FAIL"
         assert "FIRST_BASIS_NOT_H_SQUARED" in report["failureReasons"]
 
+    @staticmethod
+    def _one_error_line(code, out, err):
+        return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_coordinate_past_the_int_digit_limit_exits_2(self, capsys, tmp_path):
+        # CPython refuses to parse an integer of more than 4300 digits.
+        _, out, _ = run(capsys, "intersect", "12", "12", "26", "--json")
+        doc = json.loads(out)
+        doc["basis"][1][0] = "HUGE"
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc).replace('"HUGE"', "7" * 5000))
+        assert self._one_error_line(*run(capsys, "verify-file", str(path)))
+
+    def test_deep_nesting_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        path.write_text("[" * 100000)
+        assert self._one_error_line(*run(capsys, "verify-file", str(path)))
+
+    def test_certificate_without_targets_exits_2(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "intersect", "12", "12", "26", "--json")
+        doc = json.loads(out)
+        doc["basis"], doc["targets"] = doc["basis"][:1], []
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code, out2, err = run(capsys, "verify-file", str(path))
+        assert self._one_error_line(code, out2, err) and "targets" in err
+
+    def test_certificate_with_one_target_is_still_verified(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "intersect", "12", "12", "26", "--json")
+        doc = json.loads(out)
+        doc["basis"], doc["targets"] = doc["basis"][:2], doc["targets"][:1]
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code, out2, err = run(capsys, "verify-file", str(path))
+        assert code == 0 and "PASS" in out2 and err == ""
+
 
 class TestUsage:
     def test_parser_is_built_once(self):

@@ -15,9 +15,9 @@ from hassett.criteria import (
     satisfies_double_star,
     satisfies_star,
 )
-from hassett.lattice import A1, H_SQUARED, coordinate_matrix, e_vec, gram_of, i3_unit
-from hassett.linalg import integer_solver
+from hassett.lattice import A1, H_SQUARED, e_vec, gram_of, i3_unit
 from hassett.verifier import COROLLARY_DISCRIMINANTS
+from oracles import from_columns, integer_solver
 
 
 class TestStar:
@@ -253,7 +253,7 @@ class TestDiscriminantReport:
 
 def certify(basis):
     """The four checks on an explicit basis, as ``verify_witness`` runs them."""
-    solve, invariants = integer_solver(coordinate_matrix(basis))
+    solve, invariants = integer_solver(from_columns([v.coords for v in basis]))
     saturated = len(invariants) == len(basis) and all(x == 1 for x in invariants)
     return criterion_report(gram_of(basis), saturated, solve(H_SQUARED.coords) is not None)
 

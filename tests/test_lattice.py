@@ -15,7 +15,6 @@ from hassett.lattice import (
     H_SQUARED,
     RANK,
     _ldl,
-    coordinate_matrix,
     e_vec,
     gram_of,
     i3_unit,
@@ -26,16 +25,15 @@ from hassett.lattice import (
     short_vectors,
     t_vec,
 )
-from hassett.linalg import (
-    IntMatrix,
+from hassett.linalg import IntMatrix, is_positive_definite, quadratic_form
+from oracles import (
     determinant,
+    from_columns,
     inertia,
     invariant_factors,
-    is_positive_definite,
-    quadratic_form,
+    oracle_short_vectors,
     rational_inverse,
 )
-from hassett.verifier import oracle_short_vectors
 
 A2_GRAM = IntMatrix([[2, 1], [1, 2]])
 
@@ -138,7 +136,7 @@ class TestSaturation:
         # The column 2*a1 gives Smith invariants (1,1,1,2): the vector a1 lies
         # in the rational span and the ambient lattice but not in the span.
         basis = rank4_000_basis()
-        assert invariant_factors(coordinate_matrix(basis)) == (1, 1, 1, 2)
+        assert invariant_factors(from_columns([v.coords for v in basis])) == (1, 1, 1, 2)
         assert not is_saturated(basis)
 
     def test_unit_perturbation_restores_saturation(self):

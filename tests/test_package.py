@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -5,6 +6,46 @@ import types
 from pathlib import Path
 
 import hassett
+
+# The public API, reviewed in one place.  The test-only reference code
+# (determinant, inertia, integer_solver, invariant_factors, rational_inverse,
+# oracle_short_vectors) lives in tests/oracles.py and is not exported.
+PUBLIC_API = (
+    "A1", "A2", "AMBIENT_GRAM", "AmbientVector", "COROLLARY_DISCRIMINANTS",
+    "CaseId", "Certificate", "CertificateError", "CriterionReport",
+    "DiscriminantReport", "E8_GRAM", "H_SQUARED", "IntMatrix", "LabellingCheck",
+    "Mode", "RealizationOutcome", "RealizationStatus", "SLOT_POOL", "SlotSpec",
+    "U_GRAM", "WitnessReport", "build", "build_generic",
+    "candidate_perturbations", "case_slots", "certificate_for", "check_identity",
+    "conjecture_shape", "conjecture_sweep", "criterion_report",
+    "discriminant_report", "e_vec", "factorize", "generic_slots", "gram_of",
+    "has_associated_k3", "i3_unit", "i3_vector", "ideal_gram", "inner_product",
+    "is_positive_definite", "is_saturated", "minimum", "norm", "quadratic_form",
+    "realize_perturbations", "reference_gram", "satisfies_double_star",
+    "satisfies_star", "short_vectors", "smith_normal_form", "span_membership",
+    "squares_value", "t_vec", "verify_corollary20", "verify_witness",
+)
+
+
+def test_public_api_is_pinned():
+    assert tuple(hassett.__all__) == PUBLIC_API
+
+
+def test_package_imports_neither_rationals_nor_test_oracles():
+    src = Path(hassett.__file__).resolve().parent
+    modules = sorted(src.glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(alias.name for alias in node.names)]
+            else:
+                continue
+            for name in names:
+                root = name.split(".")[0]
+                assert root not in ("fractions", "oracles"), (path.name, name)
 
 
 def test_all_exports_functions_classes_and_constants_only():

@@ -15,7 +15,7 @@ from hassett.lattice import (
     short_vectors,
     t_vec,
 )
-from hassett.linalg import IntMatrix, invariant_factors, quadratic_form
+from hassett.linalg import IntMatrix, quadratic_form
 from hassett.verifier import (
     COROLLARY_DISCRIMINANTS,
     _corollary_basis,
@@ -25,10 +25,10 @@ from hassett.verifier import (
     certificate_for,
     check_identity,
     corollary20_certificate,
-    oracle_short_vectors,
     verify_corollary20,
     verify_witness,
 )
+from oracles import from_columns, invariant_factors, oracle_short_vectors
 
 A2_GRAM = IntMatrix([[2, 1], [1, 2]])
 
@@ -140,7 +140,7 @@ class TestLabellingSaturation:
                 h = [content * x for x in h]
                 h[j] = rng.randint(-3, 3)
             unit = [int(i == j) for i in range(k)]
-            f = invariant_factors(IntMatrix.from_columns([h, unit]))
+            f = invariant_factors(from_columns([h, unit]))
             expected = len(f) == 2 and all(x == 1 for x in f)
             assert _labelling_saturated(tuple(h), j) == expected, (h, j, f)
 
