@@ -162,7 +162,7 @@ def cmd_verify_file(args) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail_usage(f"cannot read certificate: {exc}")
     try:
         cert = Certificate.from_json(text)

@@ -9,7 +9,8 @@ Two arithmetic conditions recur throughout the toolkit:
   ``m**2`` with ``m >= 2``, so (**) is implemented as a perfect-square test.
 
 A divisor admits an associated polarized K3 surface when ``4 ∤ d``,
-``9 ∤ d``, and no odd prime ``p = 2 (mod 3)`` divides d.
+``9 ∤ d``, and no odd prime ``p = 2 (mod 3)`` divides d.  ``factorize``
+decides this by trial division alone, complete for d <= 10**12.
 
 Every conjecture-shaped d = 6 * 4^k * s^2 + 2 (k >= 1, s >= 2) is
 K3-admissible.  Write d = 2(3x^2 + 1) with x = 2^k s.  As x is even,
@@ -44,68 +45,13 @@ from .linalg import IntMatrix
 _TRIAL_LIMIT = 10**6
 
 
-def _is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24 (fixed witness set)."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_brent(n: int) -> int:
-    """One nontrivial factor of an odd composite n (deterministic schedule)."""
-    if n % 2 == 0:
-        return 2
-    for seed in range(1, 100):
-        y, c, m = seed, seed, 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"failed to factor {n}")
-
-
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization as (prime, exponent) pairs in increasing order.
 
-    Trial division up to a fixed bound, then Miller-Rabin plus Pollard-Brent
-    for any remaining cofactor, so inputs far beyond the CLI's 10**12 cap
-    still factor.
+    Trial division by 2, 3 and every 6k +- 1 up to ``_TRIAL_LIMIT``, stopped
+    once f^2 exceeds what is left: the remainder is then 1 or a proven prime,
+    so every n <= 10**12 factors completely.  Otherwise ``ValueError`` names
+    the cofactor left; no factor is returned that has not been proved prime.
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
@@ -121,16 +67,10 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 out[p] = out.get(p, 0) + 1
                 n //= p
         f += 6
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        g = _pollard_brent(m)
-        stack.extend((g, m // g))
+    if f * f <= n:
+        raise ValueError(f"cofactor {n} has no prime factor below {f} and is not proved prime")
+    if n > 1:
+        out[n] = 1
     return sorted(out.items())
 
 
@@ -164,7 +104,8 @@ def has_associated_k3(d: int) -> bool:
     """Whether a divisor of discriminant d has an associated polarized K3.
 
     True iff 4 does not divide d, 9 does not divide d, and no odd prime
-    p = 2 (mod 3) divides d.
+    p = 2 (mod 3) divides d.  Decided for every d <= 10**12; ``factorize``
+    raises ``ValueError`` on a d it cannot finish.
     """
     if d < 1:
         raise ValueError("discriminant must be positive")

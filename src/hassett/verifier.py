@@ -9,7 +9,7 @@ by third parties from the serialized coordinates alone.
 ``Certificate.from_json`` reads untrusted text and raises
 ``CertificateError`` on anything it cannot read as a certificate of at least
 one target, including JSON that the parser itself refuses (an integer past
-the digit limit, nesting past the recursion limit).
+the digit limit, NaN or Infinity, nesting past the recursion limit).
 """
 
 from __future__ import annotations
@@ -179,6 +179,14 @@ def verify_witness(
     )
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value (RFC 8259)")
+
+
+# Built once: json.loads with a keyword argument builds a decoder per call.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Self-contained, re-verifiable record of one witness check."""
@@ -202,14 +210,14 @@ class Certificate:
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
         try:
-            doc = json.loads(text)
+            doc = _DECODER.decode(text)
         except json.JSONDecodeError as exc:
             raise CertificateError(
                 f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from None
         except (ValueError, RecursionError) as exc:
-            # An integer past the int-string digit limit, or nesting past the
-            # recursion limit, is malformed input like any other.
+            # An integer past the digit limit, NaN or Infinity, or nesting
+            # past the recursion limit, is malformed input like any other.
             raise CertificateError(f"unreadable JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise CertificateError("certificate must be a JSON object")

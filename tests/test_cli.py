@@ -232,6 +232,24 @@ class TestVerifyFile:
         path.write_text(json.dumps(doc).replace('"HUGE"', "7" * 5000))
         assert self._one_error_line(*run(capsys, "verify-file", str(path)))
 
+    def test_file_that_is_not_utf8_exits_2(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "intersect", "12", "12", "26", "--json")
+        path = tmp_path / "cert.json"
+        path.write_bytes(b"\xff\xfe" + out.encode())
+        code, out2, err = run(capsys, "verify-file", str(path))
+        assert self._one_error_line(code, out2, err) and "cannot read" in err
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_number_constants_exit_2(self, capsys, tmp_path, constant):
+        # Python's json module accepts these by default; RFC 8259 does not.
+        _, out, _ = run(capsys, "corollary20", "--json")
+        doc = json.loads(out)["certificate"]
+        doc["report"]["criterion"]["minimumNorm"] = "CONSTANT"
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc).replace('"CONSTANT"', constant))
+        code, out2, err = run(capsys, "verify-file", str(path))
+        assert self._one_error_line(code, out2, err) and constant.lstrip("-") in err
+
     def test_deep_nesting_exits_2(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
         path.write_text("[" * 100000)

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hassett.criteria as criteria
 import hassett.lattice as lattice
@@ -83,9 +85,36 @@ class TestAssociatedK3:
             assert has_associated_k3(d) == direct
 
     def test_large_prime_cofactor(self):
-        # 2 * 3 * 999999999989 with a prime beyond the trial-division bound.
+        # 2 * 3 * 999999999989: the cofactor is proved prime by trial division,
+        # since its square root lies below the trial-division bound.
         d = 2 * 3 * 999_999_999_989
         assert factorize(d) == [(2, 1), (3, 1), (999_999_999_989, 1)]
+
+    @given(st.integers(1, 10**12))
+    @example(999_979 * 999_983)  # the two largest primes below 10**6
+    @example(999_983**2)
+    @example(999_999_999_989)  # the largest prime below 10**12
+    @example(10**12)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sympy_factorint_up_to_ten_to_the_twelve(self, n):
+        from sympy import factorint
+
+        assert factorize(n) == sorted(factorint(n).items())
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            1_000_003 * 1_000_033,
+            # psi_12 = 1287836182261 * 2575672364521, the least strong
+            # pseudoprime to the twelve prime bases 2..37 (Sorenson-Webster).
+            3_317_044_064_679_887_385_961_981,
+        ],
+    )
+    def test_cofactor_trial_division_cannot_finish_raises(self, n):
+        with pytest.raises(ValueError, match=str(n)):
+            factorize(n)
+        with pytest.raises(ValueError):
+            has_associated_k3(n)
 
 
 class TestConjectureShape:

@@ -31,21 +31,57 @@ def test_public_api_is_pinned():
     assert tuple(hassett.__all__) == PUBLIC_API
 
 
-def test_package_imports_neither_rationals_nor_test_oracles():
+# The exact integer arithmetic may use these names from ``math`` and no other.
+MATH_ALLOWED = ("isqrt", "gcd", "prod")
+
+
+def _float_use(node: ast.AST) -> str | None:
+    """What makes node floating point, or None when it is exact."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+        return f"float literal {node.value!r}"
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+        return "true division"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+        return "float()"
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "math"
+        and node.attr not in MATH_ALLOWED
+    ):
+        return f"math.{node.attr}"
+    return None
+
+
+def test_package_uses_neither_rationals_floats_nor_test_oracles():
     src = Path(hassett.__file__).resolve().parent
     modules = sorted(src.glob("*.py"))
     assert modules
     for path in modules:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            assert _float_use(node) is None, (path.name, node.lineno, _float_use(node))
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 names = [node.module or "", *(alias.name for alias in node.names)]
+                if node.module == "math":
+                    assert all(a.name in MATH_ALLOWED for a in node.names), (path.name, names)
             else:
                 continue
             for name in names:
                 root = name.split(".")[0]
                 assert root not in ("fractions", "oracles"), (path.name, name)
+
+
+def test_float_scan_flags_each_kind():
+    def flagged(snippet):
+        return any(_float_use(node) for node in ast.walk(ast.parse(snippet)))
+
+    floating = ("x = 0.5", "x = 2j", "x = a / b", "x /= 2", "x = float(y)", "x = math.sqrt(y)")
+    for snippet in floating:
+        assert flagged(snippet), snippet
+    for snippet in ("x = a // b", "x //= 2", "x = int(y)", "x = math.isqrt(y)"):
+        assert not flagged(snippet), snippet
 
 
 def test_all_exports_functions_classes_and_constants_only():
