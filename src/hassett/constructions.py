@@ -54,10 +54,11 @@ where Y = span(h2, y_j) and lambda(h2) = 0, lambda(y_j) = (s_j, u_j).  Hence
 M is saturated if and only if the torsion T of P/Y has at most two
 generators and lambda maps T injectively into (Q/Z)^2.  One Smith normal form
 of the coordinates of the y_j modulo h2 gives T and the glue (s_j, u_j).
-Positive definiteness and the minimum are still checked, and a witness is
-only reported REALIZED_GOAL when both hold.  The y_j are drawn from a
-generator seeded by the target list, so the output is the same in every
-process.
+Each draw is accepted by ``criteria.criterion_report``, the four-check
+predicate the verifier runs, so a witness is only reported REALIZED_GOAL
+when it is positive definite with minimum at least 3.  The y_j are drawn
+from a generator seeded by the target list, so the output is the same in
+every process.
 """
 
 from __future__ import annotations
@@ -70,20 +71,18 @@ from functools import lru_cache
 from enum import Enum
 from typing import Sequence
 
-from .criteria import satisfies_double_star, satisfies_star
+from .criteria import criterion_report, satisfies_double_star, satisfies_star
 from .lattice import (
     A1,
     A2,
-    E8_EDGES,
+    E8_GRAM,
     AmbientVector,
     H_SQUARED,
-    NotPositiveDefinite,
     e_vec,
     gram_of,
     i3_unit,
     i3_vector,
     inner_product,
-    short_vectors,
     t_vec,
 )
 from .linalg import IntMatrix, _smith_in_place
@@ -559,11 +558,9 @@ GOAL_ATTEMPTS = 64
 # Coordinate indices of the isotropic f1 = e_vec(1, 2) and f2 = e_vec(2, 2).
 _F1, _F2 = e_vec(1, 2).coords.index(1), e_vec(2, 2).coords.index(1)
 _E8_NODES = tuple((copy, i) for copy in (1, 2) for i in range(1, 9))
-# Closed neighbourhood of every E8 node: the node and its diagram neighbours.
+# Closed neighbourhood of every E8 node: the nonzero entries of its E8_GRAM row.
 _E8_CLOSED = {
-    (copy, i): frozenset(
-        [(copy, i)] + [(copy, j) for j in range(1, 9) if (min(i, j), max(i, j)) in E8_EDGES]
-    )
+    (copy, i): frozenset((copy, j) for j in range(1, 9) if E8_GRAM[i - 1][j - 1])
     for copy, i in _E8_NODES
 }
 
@@ -718,8 +715,9 @@ def _first_generator(slot: SlotSpec) -> AmbientVector:
 def _glued_search(slots: Sequence[SlotSpec]) -> RealizationOutcome:
     """GOAL witness: v1, v2 from the U slots, v_j = y_j + s_j f1 + u_j f2.
 
-    Only positive definiteness and the minimum are left to check; saturation
-    and the discriminants hold by construction (see the module docstring).
+    A draw is accepted by ``criterion_report``, the predicate the verifier
+    runs.  Saturation, h2 and the discriminants hold by construction (see the
+    module docstring), so it decides definiteness and the minimum.
     """
     slots = tuple(slots)
     targets = tuple(s.target_d for s in slots)
@@ -739,13 +737,7 @@ def _glued_search(slots: Sequence[SlotSpec]) -> RealizationOutcome:
             glued.append(AmbientVector(tuple(coords)))
         basis = head + tuple(glued)
         gram = gram_of(basis)
-        # Minimum at least 3: no nonzero vector of norm 1 or 2.  The
-        # elimination inside short_vectors also decides definiteness.
-        try:
-            passed = not short_vectors(gram, 2)
-        except NotPositiveDefinite:
-            passed = False
-        if passed:
+        if criterion_report(gram, True, True).passed:
             return RealizationOutcome(
                 status=RealizationStatus.REALIZED_GOAL,
                 basis=basis,

@@ -10,7 +10,7 @@ Two arithmetic conditions recur throughout the toolkit:
 
 A divisor admits an associated polarized K3 surface when ``4 ∤ d``,
 ``9 ∤ d``, and no odd prime ``p = 2 (mod 3)`` divides d.  ``factorize``
-decides this by trial division alone, complete for d <= 10**12.
+decides this by trial division alone, complete for d <= ``MAX_D`` = 10**12.
 
 Every conjecture-shaped d = 6 * 4^k * s^2 + 2 (k >= 1, s >= 2) is
 K3-admissible.  Write d = 2(3x^2 + 1) with x = 2^k s.  As x is even,
@@ -30,7 +30,7 @@ test oracle.
 The lattice-level certification a witness must pass has four checks:
 contains h2, positive definite, saturated in the ambient lattice, and no
 nonzero vector of norm below 3.  ``criterion_report`` is the one place that
-runs them and decides the verdict.
+runs them and decides the verdict, for the verifier and the GOAL builder alike.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from itertools import compress
 from .lattice import NotPositiveDefinite, minimum
 from .linalg import IntMatrix
 
-_TRIAL_LIMIT = 10**6
+MAX_D = 10**12  # the largest discriminant and sweep limit; factorize is complete up to it
+_TRIAL_LIMIT = math.isqrt(MAX_D)
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -50,7 +51,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
     Trial division by 2, 3 and every 6k +- 1 up to ``_TRIAL_LIMIT``, stopped
     once f^2 exceeds what is left: the remainder is then 1 or a proven prime,
-    so every n <= 10**12 factors completely.  Otherwise ``ValueError`` names
+    so every n <= MAX_D factors completely.  Otherwise ``ValueError`` names
     the cofactor left; no factor is returned that has not been proved prime.
     """
     if n < 1:
@@ -104,7 +105,7 @@ def has_associated_k3(d: int) -> bool:
     """Whether a divisor of discriminant d has an associated polarized K3.
 
     True iff 4 does not divide d, 9 does not divide d, and no odd prime
-    p = 2 (mod 3) divides d.  Decided for every d <= 10**12; ``factorize``
+    p = 2 (mod 3) divides d.  Decided for every d <= MAX_D; ``factorize``
     raises ``ValueError`` on a d it cannot finish.
     """
     if d < 1:

@@ -18,14 +18,15 @@ roots of this plane; the chosen pair realizes the Gram [[2,1],[1,2]].
 Saturation (the quotient of the ambient lattice by a sublattice being
 torsion-free) is read off one column echelon of the k x 23 coordinate rows,
 ``linalg.span_membership``: the sublattice is saturated iff the rows are
-independent and every pivot is +-1.  ``gram_of`` applies the ambient form
-once per vector, blockwise, and takes dot products.  Short vectors and the
-minimum come from one exact enumeration,
-``_enumerate``: Fincke-Pohst on the integer LDL elimination ``linalg._ldl``
-(which also rejects indefinite forms), each level visited centre-first
-(Schnorr-Euchner order), one vector per +- pair.  ``short_vectors`` runs it
-with a fixed bound; ``minimum`` starts from the least diagonal entry and
-lowers the bound with every vector it finds.
+independent and every pivot is +-1.  ``inner_product`` and ``gram_of`` share
+one form image, ``_form_image``: E8 is defined once, by ``E8_GRAM``, whose
+diagram edges it walks, skipping an all-zero E8 block, and each pairing is
+then a dot product.  Short vectors and the minimum come from one exact
+enumeration, ``_enumerate``: Fincke-Pohst on the integer LDL elimination
+``linalg._ldl`` (which also rejects indefinite forms), each level visited
+centre-first (Schnorr-Euchner order), one vector per +- pair.
+``short_vectors`` runs it with a fixed bound; ``minimum`` starts from the
+least diagonal entry and lowers the bound with every vector it finds.
 No floating point is used anywhere.
 """
 
@@ -58,8 +59,10 @@ I3_GRAM = IntMatrix.identity(3)
 
 AMBIENT_GRAM = IntMatrix.block_diagonal([E8_GRAM, E8_GRAM, U_GRAM, U_GRAM, I3_GRAM])
 
-# Edges of the E8 diagram in 1-based node labels, read off E8_GRAM.
-E8_EDGES = frozenset({(1, 2), (2, 3), (3, 4), (3, 5), (5, 6), (6, 7), (7, 8)})
+# Edges of the E8 diagram in 1-based node labels: the nonzero entries above E8_GRAM's diagonal.
+E8_EDGES = frozenset((i + 1, j + 1) for i in range(8) for j in range(i + 1, 8) if E8_GRAM[i][j])
+# Per E8 block: its first coordinate and its edges (E8_GRAM entries -1) as coordinate pairs.
+_E8_BLOCK_EDGES = tuple((lo, tuple((lo + a - 1, lo + b - 1) for a, b in E8_EDGES)) for lo in (0, 8))
 
 _BLOCK_OFFSETS = {"E8_1": 0, "E8_2": 8, "U1": 16, "U2": 18, "I3": 20}
 
@@ -146,35 +149,24 @@ A1 = i3_vector(1, -1, 0)
 A2 = i3_vector(0, -1, 1)
 
 
+def _form_image(c: tuple[int, ...]) -> list[int]:
+    """Coordinates of AMBIENT_GRAM c: E8 by its edges (skipped if all 0), U by a swap, I3 as is."""
+    out = [2 * x for x in c[:16]]
+    for lo, edges in _E8_BLOCK_EDGES:
+        if any(c[lo : lo + 8]):
+            for i, j in edges:
+                out[i] -= c[j]
+                out[j] -= c[i]
+    return out + [c[17], c[16], c[19], c[18], c[20], c[21], c[22]]
+
+
 def inner_product(u: AmbientVector, v: AmbientVector) -> int:
-    """Bilinear form of the ambient lattice, evaluated blockwise."""
-    uc, vc = u.coords, v.coords
-    total = 0
-    for base in (0, 8):
-        ub, vb = uc[base : base + 8], vc[base : base + 8]
-        if any(ub) and any(vb):
-            for i in range(8):
-                row = E8_GRAM[i]
-                if ub[i]:
-                    total += ub[i] * sum(row[j] * vb[j] for j in range(8) if vb[j])
-    total += uc[16] * vc[17] + uc[17] * vc[16]
-    total += uc[18] * vc[19] + uc[19] * vc[18]
-    total += uc[20] * vc[20] + uc[21] * vc[21] + uc[22] * vc[22]
-    return total
+    """Bilinear form of the ambient lattice: u . v = (AMBIENT_GRAM u) . v."""
+    return sum(map(mul, _form_image(u.coords), v.coords))
 
 
 def norm(v: AmbientVector) -> int:
     return inner_product(v, v)
-
-
-def _form_image(c: tuple[int, ...]) -> list[int]:
-    """Coordinates of AMBIENT_GRAM c: E8 by its edge list, U by a swap, I3 as is."""
-    out = [2 * x for x in c[:16]] + [c[17], c[16], c[19], c[18], c[20], c[21], c[22]]
-    for base in (0, 8):
-        for a, b in E8_EDGES:
-            out[base + a - 1] -= c[base + b - 1]
-            out[base + b - 1] -= c[base + a - 1]
-    return out
 
 
 def gram_of(basis: Sequence[AmbientVector]) -> IntMatrix:

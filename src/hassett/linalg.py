@@ -82,9 +82,6 @@ class IntMatrix:
     def __getitem__(self, i: int) -> tuple[int, ...]:
         return self._rows[i]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self._rows))
-
     def is_symmetric(self) -> bool:
         if not self.is_square:
             return False
@@ -92,14 +89,6 @@ class IntMatrix:
             self._rows[i][j] == self._rows[j][i]
             for i in range(self.nrows)
             for j in range(i + 1, self.ncols)
-        )
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch in matrix product")
-        cols = other.transpose().rows
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self._rows]
         )
 
     def mul_vector(self, vec: Sequence[int]) -> tuple[int, ...]:

@@ -9,7 +9,7 @@ by third parties from the serialized coordinates alone.
 ``Certificate.from_json`` reads untrusted text and raises
 ``CertificateError`` on anything it cannot read as a certificate of at least
 one target, including JSON that the parser itself refuses (an integer past
-the digit limit, NaN or Infinity, nesting past the recursion limit).
+the digit limit, a float, NaN or Infinity, nesting past the recursion limit).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .criteria import (
     criterion_report,
     discriminant_report,
 )
-from .lattice import AmbientVector, H_SQUARED, gram_of, inner_product
+from .lattice import RANK, AmbientVector, H_SQUARED, gram_of, inner_product
 from .linalg import IntMatrix, quadratic_form, span_membership
 from .constructions import CaseId, Mode, build_generic, reference_gram, squares_value
 from ._version import __version__
@@ -179,12 +179,13 @@ def verify_witness(
     )
 
 
-def _reject_constant(name: str):
-    raise ValueError(f"{name} is not a JSON value (RFC 8259)")
+def _reject_non_integer(text: str):
+    # NaN and Infinity are not JSON (RFC 8259); no certificate field is a float.
+    raise ValueError(f"{text} is not an integer, the only number a certificate holds")
 
 
 # Built once: json.loads with a keyword argument builds a decoder per call.
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_DECODER = json.JSONDecoder(parse_constant=_reject_non_integer, parse_float=_reject_non_integer)
 
 
 @dataclass(frozen=True)
@@ -216,8 +217,8 @@ class Certificate:
                 f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from None
         except (ValueError, RecursionError) as exc:
-            # An integer past the digit limit, NaN or Infinity, or nesting
-            # past the recursion limit, is malformed input like any other.
+            # An integer past the digit limit, a float, NaN or Infinity, or
+            # nesting past the recursion limit, is malformed input like any other.
             raise CertificateError(f"unreadable JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise CertificateError("certificate must be a JSON object")
@@ -231,10 +232,10 @@ class Certificate:
             raise CertificateError("field 'basis' must be a nonempty list of rows")
         rows = []
         for idx, row in enumerate(basis):
-            if not isinstance(row, list) or len(row) != 23:
-                raise CertificateError(f"basis row {idx} must hold 23 integers")
+            if not isinstance(row, list) or len(row) != RANK:
+                raise CertificateError(f"basis row {idx} must hold {RANK} integers")
             if not all(isinstance(x, int) and not isinstance(x, bool) for x in row):
-                raise CertificateError(f"basis row {idx} must hold 23 integers")
+                raise CertificateError(f"basis row {idx} must hold {RANK} integers")
             rows.append(tuple(row))
         targets = doc["targets"]
         if not isinstance(targets, list) or not all(

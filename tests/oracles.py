@@ -29,6 +29,14 @@ def from_columns(columns: Sequence[Sequence[int]]) -> IntMatrix:
     return IntMatrix(zip(*columns))
 
 
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The matrix product a b."""
+    if a.ncols != b.nrows:
+        raise ValueError("dimension mismatch in matrix product")
+    cols = tuple(zip(*b.rows))
+    return IntMatrix([[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.rows])
+
+
 def _charpoly(m: IntMatrix) -> tuple[list[int], list[list[int]]]:
     """Faddeev-LeVerrier: coefficients c_0..c_n of det(xI - m), and M_n.
 

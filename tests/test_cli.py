@@ -1,9 +1,15 @@
+import contextlib
+import copy
+import functools
+import io
 import json
 import math
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hassett.cli as cli
 from hassett.cli import main
@@ -250,6 +256,18 @@ class TestVerifyFile:
         code, out2, err = run(capsys, "verify-file", str(path))
         assert self._one_error_line(code, out2, err) and constant.lstrip("-") in err
 
+    @pytest.mark.parametrize("number", ["1e400", "1.5"])
+    def test_float_fields_exit_2(self, capsys, tmp_path, number):
+        # No certificate field holds a float: 1e400 used to overflow int()
+        # in the report reader, and 1.5 used to be read as 1.
+        _, out, _ = run(capsys, "intersect", "12", "12", "26", "--json")
+        doc = json.loads(out)
+        doc["report"]["criterion"]["minimumNorm"] = "FLOAT"
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc).replace('"FLOAT"', number))
+        code, out2, err = run(capsys, "verify-file", str(path))
+        assert self._one_error_line(code, out2, err) and number in err
+
     def test_deep_nesting_exits_2(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
         path.write_text("[" * 100000)
@@ -272,6 +290,106 @@ class TestVerifyFile:
         path.write_text(json.dumps(doc))
         code, out2, err = run(capsys, "verify-file", str(path))
         assert code == 0 and "PASS" in out2 and err == ""
+
+
+class _Obj(list):
+    """A JSON object as its list of (key, value) pairs, so that a key can repeat."""
+
+
+class _Raw(str):
+    """Number text written as is; Python has no float for 1e400."""
+
+
+def _to_tree(node):
+    if isinstance(node, dict):
+        return _Obj((k, _to_tree(v)) for k, v in node.items())
+    if isinstance(node, list):
+        return [_to_tree(v) for v in node]
+    return node
+
+
+def _dumps(node) -> str:
+    if isinstance(node, _Raw):
+        return str(node)
+    if isinstance(node, _Obj):
+        return "{" + ",".join(f"{json.dumps(k)}:{_dumps(v)}" for k, v in node) + "}"
+    if isinstance(node, list):
+        return "[" + ",".join(map(_dumps, node)) + "]"
+    return json.dumps(node)
+
+
+def _slots(node) -> tuple[list, list]:
+    """(container, index) of every object field and of every array entry in ``node``."""
+    fields, entries, stack = [], [], [node]
+    while stack:
+        c = stack.pop()
+        if isinstance(c, _Obj):
+            fields += [(c, i) for i in range(len(c))]
+            stack += [v for _, v in c]
+        elif isinstance(c, list):
+            entries += [(c, i) for i in range(len(c))]
+            stack += c
+    return fields, entries
+
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-1000, 1000), st.text(max_size=4))
+# What a mutation puts in place of a field or an array entry.
+_REPLACEMENTS = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-1000, 1000),
+    "float": st.sampled_from(["1e400", "1.5"]).map(_Raw),
+    "string": st.text(max_size=4),
+    "list": st.lists(_SCALARS, max_size=3),
+    "dict": st.dictionaries(st.text(max_size=3), _SCALARS, max_size=3).map(_to_tree),
+}
+
+
+@functools.lru_cache(maxsize=1)
+def _honest_certificate() -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["intersect", "12", "12", "26", "--json"]) == 0
+    return out.getvalue()
+
+
+class TestVerifyFileMutations:
+    # Structural mutations of an honest certificate: an object field or an
+    # array entry (a row, a coordinate, a target) dropped, duplicated (a
+    # repeated key, a repeated row) or replaced by null, a bool, an int, a
+    # float, a string, an array or an object, and the document wrapped in
+    # shallow or deep nesting.  Every integer stays within +-1000, so no
+    # verification is costly.
+    @given(st.data())
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    def test_every_mutation_ends_in_a_report_or_one_error_line(self, tmp_path_factory, data):
+        tree = _to_tree(json.loads(_honest_certificate()))
+        kinds = ["drop", "duplicate", *_REPLACEMENTS]
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            pool = data.draw(st.sampled_from([p for p in _slots(tree) if p]), label="pool")
+            c, i = data.draw(st.sampled_from(pool), label="slot")
+            kind = data.draw(st.sampled_from(kinds), label="kind")
+            if kind == "drop":
+                del c[i]
+            elif kind == "duplicate":
+                c.insert(i, copy.deepcopy(c[i]))
+            else:
+                value = data.draw(_REPLACEMENTS[kind], label=kind)
+                c[i] = (c[i][0], value) if isinstance(c, _Obj) else value
+        text = _dumps(tree)
+        depth = data.draw(st.sampled_from([0, 0, 1, 3, 100000]), label="nesting")
+        text = "[" * depth + text + "]" * depth
+        path = tmp_path_factory.getbasetemp() / "mutated-certificate.json"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify-file", str(path), "--json"])
+        out, err = out.getvalue(), err.getvalue()
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        else:
+            report = json.loads(out)
+            assert code == (0 if report["verdict"] == "PASS" else 1) and err == ""
 
 
 class TestUsage:

@@ -36,6 +36,7 @@ from hassett.lattice import (
     i3_unit,
     inner_product,
 )
+from hassett.criteria import CriterionReport
 from hassett.linalg import IntMatrix, is_positive_definite, quadratic_form
 from hassett.verifier import verify_witness
 from oracles import from_columns, invariant_factors
@@ -645,7 +646,8 @@ class TestGenericBuilds:
 
     def test_exhausted_search_is_not_reported_realized(self, monkeypatch):
         # Every attempt fails the minimum check, so no witness may be claimed.
-        monkeypatch.setattr(constructions, "short_vectors", lambda g, c: [(1,)])
+        failing = CriterionReport(True, True, True, 1, False)
+        monkeypatch.setattr(constructions, "criterion_report", lambda g, s, h: failing)
         outcome = build_generic((12, 12, 26), Mode.GOAL)
         assert outcome.status == RealizationStatus.NOT_REALIZABLE
         assert "exhausted" in outcome.detail and "impossible" in outcome.detail
@@ -682,7 +684,7 @@ class TestGenericBuilds:
 
 
 def test_glued_draw_eliminates_each_gram_once(monkeypatch):
-    # short_vectors' elimination also decides definiteness, so every glued
+    # criterion_report's minimum also decides definiteness, so every glued
     # draw runs one _ldl on its Gram and no is_positive_definite.  At these
     # parameters all 64 draws fail, most of them as indefinite Grams, and the
     # last gram_of call is the canonical basis of the NOT_REALIZABLE outcome.

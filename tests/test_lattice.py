@@ -11,6 +11,7 @@ from hassett.lattice import (
     A2,
     AMBIENT_GRAM,
     AmbientVector,
+    E8_EDGES,
     E8_GRAM,
     H_SQUARED,
     RANK,
@@ -51,6 +52,21 @@ def random_vector(rng, bound=3):
     return AmbientVector(tuple(rng.randint(-bound, bound) for _ in range(RANK)))
 
 
+def full_form(u, v):
+    """u . v summed over all 23 x 23 entries of AMBIENT_GRAM."""
+    return sum(
+        u.coords[i] * AMBIENT_GRAM[i][j] * v.coords[j] for i in range(RANK) for j in range(RANK)
+    )
+
+
+def zero_e8_blocks(v, bases):
+    """``v`` with the E8 blocks that start at the offsets ``bases`` set to 0."""
+    coords = list(v.coords)
+    for base in bases:
+        coords[base : base + 8] = [0] * 8
+    return AmbientVector(tuple(coords))
+
+
 class TestAmbient:
     def test_ambient_is_unimodular_of_signature_21_2(self):
         assert determinant(AMBIENT_GRAM) == 1
@@ -76,6 +92,9 @@ class TestAmbient:
         assert inner_product(t_vec(1, 3), t_vec(2, 3)) == 0
         assert inner_product(t_vec(1, 1), t_vec(1, 2)) == -1
 
+    def test_e8_edges_are_read_off_the_gram(self):
+        assert E8_EDGES == {(1, 2), (2, 3), (3, 4), (3, 5), (5, 6), (6, 7), (7, 8)}
+
     def test_inner_product_agrees_with_full_gram(self):
         rng = random.Random(7)
         for _ in range(50):
@@ -86,6 +105,17 @@ class TestAmbient:
                 for j in range(RANK)
             )
             assert inner_product(u, v) == expected
+        # The form image skips an E8 block that is all 0, and gram_of shares
+        # it: vectors with one, the other, both or neither E8 block zero.
+        vectors = [H_SQUARED] + [
+            zero_e8_blocks(random_vector(rng), bases)
+            for bases in ((), (0,), (8,), (0, 8))
+            for _ in range(4)
+        ]
+        gram = gram_of(vectors)
+        for i, u in enumerate(vectors):
+            for j, v in enumerate(vectors):
+                assert inner_product(u, v) == gram[i][j] == full_form(u, v)
 
     def test_bilinearity_and_symmetry(self):
         rng = random.Random(11)

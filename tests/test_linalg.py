@@ -22,6 +22,7 @@ from oracles import (
     inertia,
     integer_solver,
     invariant_factors,
+    matmul,
     rational_inverse,
 )
 
@@ -87,7 +88,7 @@ class TestSmithNormalForm:
     @settings(max_examples=200, deadline=None)
     def test_decomposition_properties(self, m):
         u, d, v = smith_normal_form(m)
-        assert u @ m @ v == d
+        assert matmul(matmul(u, m), v) == d
         assert determinant(u) in (1, -1)
         assert determinant(v) in (1, -1)
         diag = [d[i][i] for i in range(min(d.nrows, d.ncols))]
@@ -360,7 +361,7 @@ class TestIntegerSolver:
                 inner = rng.randint(1, min(nrows, ncols) - 1)
                 left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(nrows)]
                 right = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(inner)]
-                a = IntMatrix(left) @ IntMatrix(right)
+                a = matmul(IntMatrix(left), IntMatrix(right))
             else:
                 a = IntMatrix([[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)])
             if rng.random() < 0.5:
@@ -408,7 +409,7 @@ def _seeded_rows(rng: random.Random, kind: str) -> list[list[int]]:
         inner = rng.randint(1, min(k, n) - 1)
         left = IntMatrix([[rng.randint(-3, 3) for _ in range(inner)] for _ in range(k)])
         right = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(inner)])
-        rows = (left @ right).to_lists()
+        rows = matmul(left, right).to_lists()
     else:
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
     if rng.random() < 0.5:
