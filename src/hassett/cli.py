@@ -38,20 +38,19 @@ def _flag(value: bool) -> str:
     return "yes" if value else "no"
 
 
-def _render_discriminant(report, out) -> None:
+def _render_discriminant(report) -> None:
     factors = " * ".join(
         f"{p}^{e}" if e > 1 else str(p) for p, e in report.factorization
     ) or "1"
     witness = report.double_star_witness
-    print(f"d = {report.d}", file=out)
-    print(f"  star (*):        {_flag(report.star)}", file=out)
+    print(f"d = {report.d}")
+    print(f"  star (*):        {_flag(report.star)}")
     print(
         f"  double star (**): {_flag(report.double_star)}"
-        + (f" (m = {witness})" if witness is not None else ""),
-        file=out,
+        + (f" (m = {witness})" if witness is not None else "")
     )
-    print(f"  associated K3:   {_flag(report.k3_admissible)}", file=out)
-    print(f"  factorization:   {factors}", file=out)
+    print(f"  associated K3:   {_flag(report.k3_admissible)}")
+    print(f"  factorization:   {factors}")
 
 
 def _render_report(report) -> None:
@@ -70,7 +69,7 @@ def cmd_check_d(args) -> int:
     if args.json:
         print(json.dumps(report.to_dict(), separators=(",", ":")))
     else:
-        _render_discriminant(report, sys.stdout)
+        _render_discriminant(report)
     return 0 if report.star else 1
 
 
@@ -83,14 +82,9 @@ def cmd_intersect(args) -> int:
         generic_slots(targets)
     except ValueError as exc:
         return _fail_usage(str(exc))
-    mode = Mode.STRICT if args.mode == "strict" else Mode.GOAL
+    mode = Mode(args.mode)
     outcome = build_generic(targets, mode)
-    reference = (
-        outcome.realized_gram - outcome.gram_delta
-        if outcome.gram_delta is not None
-        else None
-    )
-    report = verify_witness(outcome.basis, targets, reference=reference)
+    report = verify_witness(outcome.basis, targets, reference=outcome.reference)
     cert = certificate_for(outcome.basis, tuple(targets), report)
     if args.json:
         print(cert.to_json())

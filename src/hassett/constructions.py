@@ -188,20 +188,20 @@ class SlotSpec:
         return self.scale * _SCALED_BASES[self.kind]
 
 
-def _generator(slot: SlotSpec, perturbation: AmbientVector | None) -> AmbientVector:
-    """Generator of ``slot`` with one of its candidate perturbations (None: bare)."""
-    g = slot.bare_generator()
-    return g if perturbation is None else g + perturbation
-
-
 @dataclass(frozen=True)
 class RealizationOutcome:
+    """A built witness and the ``reference`` Gram (ideal or named) it was judged against."""
+
     status: RealizationStatus
-    basis: tuple[AmbientVector, ...] | None
-    realized_gram: IntMatrix | None
-    gram_delta: IntMatrix | None
+    basis: tuple[AmbientVector, ...]
+    realized_gram: IntMatrix
     targets: tuple[int, ...]
     detail: str = ""
+    reference: IntMatrix | None = None  # None: a GOAL target list, judged by no Gram
+
+    @property
+    def gram_delta(self) -> IntMatrix | None:
+        return None if self.reference is None else self.realized_gram - self.reference
 
 
 def case_slots(case_id: CaseId, params: Sequence[int]) -> tuple[SlotSpec, ...]:
@@ -358,14 +358,22 @@ def candidate_perturbations(slot: SlotSpec) -> tuple[AmbientVector, ...]:
     return tuple(i3_vector(*p) for p in ordered)
 
 
+def _generators(slot: SlotSpec) -> tuple[AmbientVector, ...]:
+    """Candidate generators of ``slot``: bare plus each candidate perturbation, or bare alone."""
+    g = slot.bare_generator()
+    return tuple(g + p for p in candidate_perturbations(slot)) or (g,)
+
+
 def _exact_assignment(
     slots: Sequence[SlotSpec],
-    cands: Sequence[Sequence[AmbientVector | None]],
+    gens: Sequence[Sequence[AmbientVector]],
     target: IntMatrix,
 ) -> tuple[int, list[int]]:
     """Least deviation from the ideal Gram ``target`` and its first optimal assignment.
 
-    Against the ideal target every candidate meets its own h2 and diagonal
+    ``gens[i]`` lists the candidate generators of slot i (``_generators``),
+    and the assignment holds one index into each list.  Against the ideal
+    target every candidate meets its own h2 and diagonal
     entries, and only I3 parts can deviate.  A residue-2 U or E8 slot has no
     I3 part but the unit vector it takes; with c_u such slots on unit u and
     one candidate picked for each A2 slot, the miss is
@@ -380,7 +388,6 @@ def _exact_assignment(
     """
     a2 = [i for i, s in enumerate(slots) if s.kind in _A2_KINDS]
     units = sum(s.residue == 2 and s.kind not in _A2_KINDS for s in slots)
-    gens = {i: [_generator(slots[i], p) for p in cands[i]] for i in a2}
     weight = {i: [[abs(inner_product(u, g)) for u in _UNITS_SORTED] for g in gens[i]] for i in a2}
     options = []
     for picks in itertools.product(*(range(len(gens[i])) for i in a2)):
@@ -399,7 +406,7 @@ def _exact_assignment(
     placed = [0, 0, 0]
     assignment = []
     for i, s in enumerate(slots):
-        if i in gens:
+        if i in a2:
             slot = a2.index(i)
             a = min(p[slot] for p, _ in allowed)
             allowed = [(p, c) for p, c in allowed if p[slot] == a]
@@ -425,15 +432,14 @@ def realize_perturbations(slots: Sequence[SlotSpec]) -> RealizationOutcome:
     """
     slots = tuple(slots)
     ideal = ideal_gram(slots)
-    cands = [candidate_perturbations(s) or (None,) for s in slots]
-    miss, picks = _exact_assignment(slots, cands, ideal)
-    basis = (H_SQUARED,) + tuple(_generator(s, c[a]) for s, c, a in zip(slots, cands, picks))
-    realized = gram_of(basis)
+    gens = [_generators(s) for s in slots]
+    miss, picks = _exact_assignment(slots, gens, ideal)
+    basis = (H_SQUARED,) + tuple(g[a] for g, a in zip(gens, picks))
     return RealizationOutcome(
         status=RealizationStatus.NOT_REALIZABLE if miss else RealizationStatus.REALIZED_STRICT,
         basis=basis,
-        realized_gram=realized,
-        gram_delta=realized - ideal,
+        realized_gram=gram_of(basis),
+        reference=ideal,
         targets=tuple(s.target_d for s in slots),
         detail=f"optimal assignment misses target by {miss}" if miss else "",
     )
@@ -448,9 +454,7 @@ def _unmet_entries(slots: Sequence[SlotSpec], target: IntMatrix) -> list[tuple[i
     can give misses each such entry, so one of them proves the target
     unrealizable.
     """
-    gens = [(H_SQUARED,)] + [
-        tuple(_generator(s, p) for p in candidate_perturbations(s) or (None,)) for s in slots
-    ]
+    gens = [(H_SQUARED,)] + [_generators(s) for s in slots]
     return [
         (i, j)
         for i, j in itertools.combinations_with_replacement(range(len(gens)), 2)
@@ -465,8 +469,8 @@ def build(case_id: CaseId, params: Sequence[int], mode: Mode = Mode.GOAL) -> Rea
     """Assemble a named witness in the requested realization mode.
 
     A named case is its target list d_i = 6 n_i + r_i (see ``case_slots``),
-    built as ``build_generic`` builds it, and ``gram_delta`` is taken
-    against the case's reference Gram.  For every case but ``R21_ALL2`` that
+    built as ``build_generic`` builds it, with the case's reference Gram as
+    ``reference``.  For every case but ``R21_ALL2`` that
     is the ideal Gram STRICT already compares with.  STRICT for ``R21_ALL2``
     keeps the basis of the ideal search and reports NOT_REALIZABLE with the
     entries of the transcribed Gram that no pair of candidate generators
@@ -478,9 +482,8 @@ def build(case_id: CaseId, params: Sequence[int], mode: Mode = Mode.GOAL) -> Rea
     # R21_ALL2 is the one case whose reference is not the ideal Gram of its slots.
     transcribed = _r21_all2_gram(params) if case_id == CaseId.R21_ALL2 else None
     if mode == Mode.GOAL:
-        outcome = _glued_search(slots)
         reference = ideal_gram(slots) if transcribed is None else transcribed
-        return replace(outcome, gram_delta=outcome.realized_gram - reference)
+        return replace(_glued_search(slots), reference=reference)
     outcome = realize_perturbations(slots)
     if transcribed is None:
         return outcome
@@ -491,7 +494,7 @@ def build(case_id: CaseId, params: Sequence[int], mode: Mode = Mode.GOAL) -> Rea
     return replace(
         outcome,
         status=RealizationStatus.NOT_REALIZABLE,
-        gram_delta=outcome.realized_gram - transcribed,
+        reference=transcribed,
         detail=(
             f"{len(unmet)} target entries are met by no candidate pair, "
             f"first ({i}, {j}) = {transcribed[i][j]}"
@@ -707,11 +710,6 @@ def _glue(ys: Sequence[AmbientVector]) -> list[tuple[int, int]] | None:
     return None
 
 
-def _first_generator(slot: SlotSpec) -> AmbientVector:
-    """Generator of ``slot`` with its first candidate perturbation (bare at residue 0)."""
-    return _generator(slot, (candidate_perturbations(slot) or (None,))[0])
-
-
 def _glued_search(slots: Sequence[SlotSpec]) -> RealizationOutcome:
     """GOAL witness: v1, v2 from the U slots, v_j = y_j + s_j f1 + u_j f2.
 
@@ -721,7 +719,7 @@ def _glued_search(slots: Sequence[SlotSpec]) -> RealizationOutcome:
     """
     slots = tuple(slots)
     targets = tuple(s.target_d for s in slots)
-    head = (H_SQUARED,) + tuple(_first_generator(s) for s in slots[:2])
+    head = (H_SQUARED,) + tuple(_generators(s)[0] for s in slots[:2])
     rng = random.Random(",".join(map(str, targets)))
     attempts = GOAL_ATTEMPTS if len(slots) > 2 else 1
     for _ in range(attempts):
@@ -742,16 +740,14 @@ def _glued_search(slots: Sequence[SlotSpec]) -> RealizationOutcome:
                 status=RealizationStatus.REALIZED_GOAL,
                 basis=basis,
                 realized_gram=gram,
-                gram_delta=None,
                 targets=targets,
             )
     # Only an exhausted search reports the basis of first candidates.
-    canonical = head + tuple(_first_generator(s) for s in slots[2:])
+    canonical = head + tuple(_generators(s)[0] for s in slots[2:])
     return RealizationOutcome(
         status=RealizationStatus.NOT_REALIZABLE,
         basis=canonical,
         realized_gram=gram_of(canonical),
-        gram_delta=None,
         targets=targets,
         detail=(
             f"search exhausted: none of {attempts} seeded glued witnesses passed "

@@ -108,9 +108,7 @@ def has_associated_k3(d: int) -> bool:
     p = 2 (mod 3) divides d.  Decided for every d <= MAX_D; ``factorize``
     raises ``ValueError`` on a d it cannot finish.
     """
-    if d < 1:
-        raise ValueError("discriminant must be positive")
-    return all(_k3_allows(p, e) for p, e in factorize(d))
+    return discriminant_report(d).k3_admissible
 
 
 def conjecture_shape(d: int) -> tuple[int, int] | None:

@@ -8,8 +8,9 @@ by third parties from the serialized coordinates alone.
 
 ``Certificate.from_json`` reads untrusted text and raises
 ``CertificateError`` on anything it cannot read as a certificate of at least
-one target, including JSON that the parser itself refuses (an integer past
-the digit limit, a float, NaN or Infinity, nesting past the recursion limit).
+one target and at most ``RANK`` = 23 basis rows, including JSON that the parser
+itself refuses (an integer past the digit limit, a float, NaN or Infinity,
+nesting past the recursion limit).
 """
 
 from __future__ import annotations
@@ -195,12 +196,11 @@ class Certificate:
     basis: tuple[tuple[int, ...], ...]
     targets: tuple[int, ...]
     report: WitnessReport
-    ambient: str = AMBIENT_ID
     tool_version: str = __version__
 
     def to_json(self) -> str:
         doc = {
-            "ambient": self.ambient,
+            "ambient": AMBIENT_ID,
             "basis": [list(row) for row in self.basis],
             "targets": list(self.targets),
             "report": self.report.to_dict(),
@@ -230,6 +230,9 @@ class Certificate:
         basis = doc["basis"]
         if not isinstance(basis, list) or not basis:
             raise CertificateError("field 'basis' must be a nonempty list of rows")
+        if len(basis) > RANK:
+            # Such rows are dependent; checking them would cost quadratic time for a sure FAIL.
+            raise CertificateError(f"field 'basis' holds {len(basis)} rows, more than the rank {RANK}")
         rows = []
         for idx, row in enumerate(basis):
             if not isinstance(row, list) or len(row) != RANK:
@@ -252,7 +255,6 @@ class Certificate:
             basis=tuple(rows),
             targets=tuple(targets),
             report=report,
-            ambient=doc["ambient"],
             tool_version=str(doc["toolVersion"]),
         )
 

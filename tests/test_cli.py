@@ -81,6 +81,15 @@ class TestIntersect:
         assert cert.report.gram_matches_reference is True
         assert cert.report.realized_gram.rows[0] == (3, 0, 0, 0)
 
+    def test_strict_mode_reports_reference_miss(self, capsys):
+        # STRICT's best assignment misses the ideal Gram of these slots by 10,
+        # so the reference handed to the verifier is not the realized Gram.
+        code, out, _ = run(capsys, "intersect", "14", "14", "26", "26", "--mode", "strict", "--json")
+        cert = Certificate.from_json(out)
+        assert code == 1
+        assert cert.report.gram_matches_reference is False
+        assert '"gramMatchesReference":false' in out
+
     def test_byte_identical_output(self, capsys):
         _, out1, _ = run(capsys, "intersect", "12", "12", "26", "--json")
         _, out2, _ = run(capsys, "intersect", "12", "12", "26", "--json")
@@ -281,6 +290,29 @@ class TestVerifyFile:
         path.write_text(json.dumps(doc))
         code, out2, err = run(capsys, "verify-file", str(path))
         assert self._one_error_line(code, out2, err) and "targets" in err
+
+    def test_basis_of_more_rows_than_the_rank_exits_2(self, capsys, tmp_path):
+        # More than 23 rows are dependent; 3200 of them once took about 50 s
+        # and 600 MB to reach FAIL.
+        _, out, _ = run(capsys, "intersect", "12", "12", "26", "--json")
+        doc = json.loads(out)
+        rng = random.Random(3200)
+        doc["basis"] += [[rng.randint(-3, 3) for _ in range(23)] for _ in range(3200 - 4)]
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code, out2, err = run(capsys, "verify-file", str(path))
+        assert self._one_error_line(code, out2, err) and "3200 rows" in err
+
+    def test_basis_of_rank_many_rows_is_still_verified(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "intersect", "12", "12", "26", "--json")
+        doc = json.loads(out)
+        rng = random.Random(23)
+        doc["basis"] += [[rng.randint(-3, 3) for _ in range(23)] for _ in range(23 - 4)]
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code, out2, err = run(capsys, "verify-file", str(path), "--json")
+        assert code == 1 and err == ""
+        assert "TARGET_COUNT_MISMATCH" in json.loads(out2)["failureReasons"]
 
     def test_certificate_with_one_target_is_still_verified(self, capsys, tmp_path):
         _, out, _ = run(capsys, "intersect", "12", "12", "26", "--json")

@@ -732,13 +732,13 @@ def test_four_squares_consumes_the_randint_stream():
 
 def test_fallback_basis_is_built_only_when_the_search_is_exhausted(monkeypatch):
     calls = []
-    inner = constructions._generator
+    inner = constructions._generators
 
-    def counting(slot, perturbation):
+    def counting(slot):
         calls.append(slot)
-        return inner(slot, perturbation)
+        return inner(slot)
 
-    monkeypatch.setattr(constructions, "_generator", counting)
+    monkeypatch.setattr(constructions, "_generators", counting)
     targets = (14, 38) + tuple(6 * m * m + m % 2 * 2 for m in range(2, 20))
     outcome = build_generic(targets, Mode.GOAL)
     assert outcome.status == RealizationStatus.REALIZED_GOAL
