@@ -52,8 +52,11 @@ norm and h2-pairing of y_j: the discriminant is 3(2m^2 + r) - r^2, which is
 
 where Y = span(h2, y_j) and lambda(h2) = 0, lambda(y_j) = (s_j, u_j).  Hence
 M is saturated if and only if the torsion T of P/Y has at most two
-generators and lambda maps T injectively into (Q/Z)^2.  One Smith normal form
-of the coordinates of the y_j modulo h2 gives T and the glue (s_j, u_j).
+generators and lambda maps T injectively into (Q/Z)^2.  A column echelon of
+the coordinates of the y_j modulo h2 gives the index of Y, and a Smith form
+of T's presentation on the non-unit pivots (w x 2w, entries mod the index)
+gives T; the glue (s_j, u_j) is the first candidate that lambda makes
+injective, tested exactly (see ``_glue``).
 Each draw is accepted by ``criteria.criterion_report``, the four-check
 predicate the verifier runs, so a witness is only reported REALIZED_GOAL
 when it is positive definite with minimum at least 3.  The y_j are drawn
@@ -85,7 +88,7 @@ from .lattice import (
     inner_product,
     t_vec,
 )
-from .linalg import IntMatrix, _smith_in_place
+from .linalg import IntMatrix, _pivot_row, _smith_in_place
 
 # Half-width of the box in which A2 slots look for perturbations.
 A2_SEARCH_BOUND = 3
@@ -554,8 +557,9 @@ def build_generic(targets: Sequence[int], mode: Mode = Mode.GOAL) -> Realization
 # GOAL witnesses for target lists, saturated by construction.
 
 # Seeded draws of the y_j before GOAL reports the search exhausted.  A draw
-# fails when P/Y needs more than two generators; the 950 lists of acceptance
-# criterion 7 and the corollary list need at most 12 draws.
+# fails when no glue saturates it (P/Y needs more than two generators, or no
+# candidate glue is injective) or its Gram fails a check; the 950 lists of
+# acceptance criterion 7 and the corollary list need at most 12 draws.
 GOAL_ATTEMPTS = 64
 
 # Coordinate indices of the isotropic f1 = e_vec(1, 2) and f2 = e_vec(2, 2).
@@ -635,7 +639,7 @@ def _draw_y(slot: SlotSpec, rng: random.Random) -> AmbientVector:
     base = _SCALED_BASES[slot.kind]
     m, r = slot.scale, slot.residue
     budget = 4 * m - 2 + r
-    x = rng.choice([p for p in _i3_parts(slot.kind, r) if budget - sum(c * c for c in p) >= 2])
+    x = rng.choice(_i3_parts(slot.kind, r))  # x.x <= 3 and budget >= 6, so half >= 1
     half = (budget - sum(c * c for c in x)) // 2
     # A node is taken unless it is blocked (the base or a node already taken)
     # or adjacent to a blocked node, that is, unless it is in ``closed``.
@@ -661,51 +665,79 @@ def _draw_y(slot: SlotSpec, rng: random.Random) -> AmbientVector:
 def _glue(ys: Sequence[AmbientVector]) -> list[tuple[int, int]] | None:
     """Glue (s_j, u_j) making h2, y_j saturated once v_j = y_j + s_j f1 + u_j f2.
 
-    Let P = E8+E8+I3 and Y = span(h2, y_j).  The Smith form U C V = D of the
-    coordinates C of the y_j modulo h2 gives the torsion T of P/Y: Z/d_i for
-    every invariant d_i > 1, generated by a vector g_i with
-    d_i g_i = sum_j V[j][i] y_j (mod h2).  The glue lambda(y_j) = (s_j, u_j)
-    sends g_i to sum_j V[j][i] (s_j, u_j) / d_i in (Q/Z)^2, and the witness
-    is saturated iff that map is injective on T.  Returns None when the y_j
-    are dependent, T needs more than two generators, or no unit glue on one
-    or two generators is injective.
+    Let P = E8+E8+I3 and Y = span(h2, y_j).  ``_pivot_row`` brings the
+    coordinates of the y_j modulo h2 to a k x k lower triangle L = rows C
+    with C unimodular, so the torsion of P/Y is T = Z^k / Z^k L.  Its order
+    is the index D = |prod of the pivots|, so D Z^k lies in Z^k L.  A unit
+    pivot expresses its coordinate through lower ones; substituting them,
+    as residues mod D, presents T on the w coordinates of non-unit pivots.
+    One Smith form of the w x 2w block [relations | D I] (relations as
+    columns) gives T = sum Z/d_i, and column i of block * V is d_i times a
+    generator.  Back-substitution on L writes it as sum_j c_j y_j, so the
+    glue lambda(y_j) = (s_j, u_j) sends the generator to
+    sum_j c_j (s_j, u_j) / d_i in (Q/Z)^2.  The witness is saturated iff
+    that map is injective on T.  The glue is the first injective candidate:
+    (1, 0) on one y_j, then (1, 0) and (0, 1) on an ordered pair; so it
+    depends on the y_j alone.  Returns None when the y_j are dependent or
+    no candidate is injective, as when T needs more than two generators.
     """
     k = len(ys)
     glue = [(0, 0)] * k
-    if k == 0:
+    tri = [list(_quotient_coords(y)) for y in ys]
+    for i in range(k):
+        if not _pivot_row(tri[i:], i):
+            return None
+    delta = abs(math.prod(tri[i][i] for i in range(k)))
+    if delta == 1:
         return glue
-    # The 18 x k coordinate matrix becomes D in place; U is never formed.
-    d = [list(row) for row in zip(*(_quotient_coords(y) for y in ys))]
+    nonunit = {i: r for r, i in enumerate(i for i in range(k) if abs(tri[i][i]) > 1)}
+    w, half = len(nonunit), (delta - 1) // 2  # (x + half) % delta - half lies in (-D/2, D/2]
+    expr: list[list[int]] = []  # expr[i]: e_i in T, on the non-unit coordinates
+    relations = []
+    for i, row in enumerate(tri):
+        comb = [0] * w
+        for j in range(i):
+            if row[j]:
+                comb = [x + row[j] * e for x, e in zip(comb, expr[j])]
+        if i in nonunit:
+            comb[nonunit[i]] += row[i]
+            relations.append([(x + half) % delta - half for x in comb])
+            expr.append([int(r == nonunit[i]) for r in range(w)])
+        else:  # row[i] = +-1 and row[i] e_i + comb = 0 in T
+            expr.append([(half - row[i] * x) % delta - half for x in comb])
+    block = [[*col] + [delta * (r == c) for c in range(w)] for r, col in enumerate(zip(*relations))]
+    d = [row[:] for row in block]
     v = _smith_in_place(d)
-    invariants = [d[i][i] for i in range(k)]
-    if 0 in invariants:
-        return None
-    torsion = [i for i in range(k) if invariants[i] > 1]
-    if not torsion:
-        return glue
+    torsion = [t for t in range(w) if d[t][t] > 1]
     if len(torsion) > 2:
         return None
-    b = torsion[-1]
-    order = invariants[b]
-    if len(torsion) == 1:
+    coeffs = []
+    for t in torsion:
+        gen = [0] * k  # d_t times the generator, on the non-unit coordinates
+        for i, r in nonunit.items():
+            gen[i] = sum(x * vc[t] for x, vc in zip(block[r], v))
+        c = [0] * k
+        for j in range(k - 1, -1, -1):
+            c[j], rem = divmod(gen[j] - sum(c[i] * tri[i][j] for i in range(j + 1, k)), tri[j][j])
+            if rem:
+                raise ArithmeticError("torsion generator is not in the span of the y_j")
+        coeffs.append((d[t][t], [x % d[t][t] for x in c]))
+    db, cb = coeffs[-1]
+    if len(coeffs) == 1:
         # A cyclic T = Z/d embeds iff its generator maps to an element of order d.
         for j in range(k):
-            if math.gcd(v[j][b], order) == 1:
+            if math.gcd(cb[j], db) == 1:
                 glue[j] = (1, 0)
                 return glue
-    a = torsion[0]
+        coeffs.insert(0, (1, [0] * k))  # Z/1 + Z/d
+    da, ca = coeffs[0]
     for i, j in itertools.permutations(range(k), 2):
-        if len(torsion) == 1:
-            image = math.gcd(v[i][b], v[j][b])
-        else:
-            # Z/d_a + Z/d_b maps through the 2 x 2 matrix with rows
-            # (V[i][a], V[j][a]) / d_a and (V[i][b], V[j][b]) / d_b; as d_a
-            # divides d_b, it is injective when the determinant is a unit
-            # modulo d_b.  Testing each generator on its own is not enough.
-            image = v[i][a] * v[j][b] - v[j][a] * v[i][b]
-        if math.gcd(image, order) == 1:
-            glue[i] = (1, 0)
-            glue[j] = (0, 1)
+        # With e = db / da, (alpha, beta) maps to (alpha e ca + beta cb) / db in
+        # (Q/Z)^2 at (i, j).  That is injective on Z/da + Z/db iff the 2 x 2
+        # minors of [e ca | cb | db I] have gcd e; these are the minors over e.
+        minors = (ca[i] * cb[j] - ca[j] * cb[i], db * ca[i], db * ca[j], da * cb[i], da * cb[j])
+        if math.gcd(*minors, da * db) == 1:
+            glue[i], glue[j] = (1, 0), (0, 1)
             return glue
     return None
 

@@ -33,7 +33,7 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import add, index, mul, sub
 from typing import Sequence
 
 from .linalg import IntMatrix, _ldl, span_membership
@@ -86,16 +86,17 @@ class AmbientVector:
             raise ValueError(f"ambient vectors have {RANK} coordinates")
 
     def __add__(self, other: "AmbientVector") -> "AmbientVector":
-        return AmbientVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return _unchecked(tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: "AmbientVector") -> "AmbientVector":
-        return AmbientVector(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return _unchecked(tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self) -> "AmbientVector":
-        return AmbientVector(tuple(-a for a in self.coords))
+        return _unchecked(tuple(-a for a in self.coords))
 
     def __rmul__(self, k: int) -> "AmbientVector":
-        return AmbientVector(tuple(k * a for a in self.coords))
+        k = index(k)
+        return _unchecked(tuple(k * a for a in self.coords))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
@@ -109,9 +110,16 @@ class AmbientVector:
         return "AmbientVector(" + (" + ".join(named) if named else "0") + ")"
 
 
-def _unit(index: int) -> AmbientVector:
+def _unchecked(coords: tuple[int, ...]) -> AmbientVector:
+    # Arithmetic on validated vectors yields 23 ints: skip __post_init__'s int() pass.
+    v = object.__new__(AmbientVector)
+    object.__setattr__(v, "coords", coords)
+    return v
+
+
+def _unit(position: int) -> AmbientVector:
     coords = [0] * RANK
-    coords[index] = 1
+    coords[position] = 1
     return AmbientVector(tuple(coords))
 
 

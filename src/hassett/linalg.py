@@ -7,16 +7,18 @@ elimination: it decides positive definiteness and feeds the short-vector
 enumeration of ``lattice``.  ``span_membership`` is the one-pass column
 echelon the verifier runs on coordinate rows: it decides independence,
 saturation and membership of one target together, without a Smith form, and
-its cost stays low on hostile coordinates.  ``_smith_in_place`` is the one
-Smith normal form kernel.
+its cost stays low on hostile coordinates; its column step ``_pivot_row`` also
+brings the GOAL draws of ``constructions`` to a triangle.  ``_smith_in_place``
+is the one Smith normal form kernel.
 
 The Smith form uses elementary unimodular operations with a smallest-pivot
 strategy (Cohen, A Course in Computational Algebraic Number Theory, 2.4.14).
 Its diagonal entries are nonnegative and satisfy the divisibility chain
 ``d1 | d2 | ...``, so results are reproducible byte for byte.  A unit pivot
 ends the pivot scan, since no entry is smaller, and needs no divisibility
-sweep.  The GOAL glue of ``constructions`` calls the kernel without a row
-companion and reads D and V, so U is never formed there;
+sweep.  The GOAL glue of ``constructions`` calls the kernel once per draw,
+without a row companion, on the w x 2w presentation of the torsion read off
+the triangle (entries reduced modulo the index), and reads D and V;
 ``smith_normal_form`` passes an identity U and returns (U, D, V).
 """
 
@@ -247,10 +249,8 @@ def span_membership(
     Unimodular column operations bring the rows, with ``target`` carried
     along, to a lower triangular column echelon L = rows C (Hermite style;
     Cohen, A Course in Computational Algebraic Number Theory, 2.4).  Row by
-    row, the entries beyond the pivots found so far run Euclid's algorithm
-    across the columns: the smallest one is swapped into the pivot column
-    and the others are reduced by the nearest multiple of it, which keeps
-    the entries small, until one pivot is left.  C is unimodular, so M is
+    row, ``_pivot_row`` runs Euclid's algorithm across the columns beyond the
+    pivots found so far until one pivot is left.  C is unimodular, so M is
     saturated iff every pivot is +-1 (|det| of the triangle is the index of
     M in its saturation).  A row that leaves no pivot is dependent; row
     operations fold it into the pivot rows (``_fold``), so the triangle
@@ -268,33 +268,11 @@ def span_membership(
     # trans[i]: row i as a combination of the input rows; None while it is row i itself.
     trans: list[list[int] | None] = [None] * k
     live: list[int] = []  # live[j] is the row whose pivot sits in column j
-    for i, row in enumerate(a):
-        p = len(live)
-        cols = [c for c in range(p, n) if row[c]]
-        if not cols:
+    for i in range(k):
+        if _pivot_row(a[i:] + [t], len(live)):
+            live.append(i)
+        else:
             _fold(a, trans, live, i)
-            continue
-        rest = a[i:]
-        rest.append(t)
-        while cols:
-            c = min(cols, key=lambda c: abs(row[c]))
-            if c != p:
-                for r in rest:
-                    r[p], r[c] = r[c], r[p]
-            pivot = row[p]
-            cols = []
-            for c in range(p + 1, n):
-                if row[c]:
-                    q = (2 * row[c] + pivot) // (2 * pivot)  # nearest integer to row[c] / pivot
-                    if q:
-                        for r in rest:
-                            if r[p]:
-                                r[c] -= q * r[p]
-                    if row[c]:
-                        cols.append(c)
-            if cols:
-                cols.append(p)
-        live.append(i)
 
     p = len(live)
     independent = p == k
@@ -320,6 +298,45 @@ def span_membership(
     if combo != goal:
         raise ArithmeticError("echelon solution does not satisfy x rows = target")
     return independent, saturated, tuple(x)
+
+
+def _pivot_row(rest: list[list[int]], p: int) -> bool:
+    """Leave one pivot of ``rest[0]`` in column p by column operations on every row of ``rest``.
+
+    The entries of ``rest[0]`` from column p on run Euclid's algorithm
+    across the columns: the smallest is swapped into column p and the others
+    are reduced by the nearest multiple of it, which keeps the entries
+    small, until only column p is nonzero.  Rows outside ``rest`` must be
+    zero from column p on, so these are column operations on the whole
+    matrix.  Returns
+    False, changing nothing, when ``rest[0]`` is zero from column p on.
+    """
+    row = rest[0]
+    n = len(row)
+    cols = [c for c in range(p, n) if row[c]]
+    if not cols:
+        return False
+    while cols:
+        size = [abs(row[c]) for c in cols]
+        c = cols[size.index(min(size))]  # the first smallest
+        if c != p:
+            for r in rest:
+                r[p], r[c] = r[c], r[p]
+        pivot = row[p]
+        # Column p is fixed while the others are reduced by multiples of it.
+        active = [(r, r[p]) for r in rest if r[p]]
+        cols = []
+        for c in range(p + 1, n):
+            if row[c]:
+                q = (2 * row[c] + pivot) // (2 * pivot)  # nearest integer to row[c] / pivot
+                if q:
+                    for r, f in active:
+                        r[c] -= q * f
+                if row[c]:
+                    cols.append(c)
+        if cols:
+            cols.append(p)
+    return True
 
 
 def _fold(a: list[list[int]], trans: list, live: list[int], i: int) -> None:

@@ -129,7 +129,8 @@ def verify_witness(
         raise ValueError("witness basis must be nonempty")
     reasons: list[str] = []
 
-    if basis[0] != H_SQUARED:
+    h_first = basis[0] == H_SQUARED
+    if not h_first:
         reasons.append("FIRST_BASIS_NOT_H_SQUARED")
     if len(targets) != len(basis) - 1:
         reasons.append("TARGET_COUNT_MISMATCH")
@@ -154,7 +155,7 @@ def verify_witness(
 
     labellings = []
     for i, v in enumerate(basis[1 : len(targets) + 1]):
-        hv = inner_product(H_SQUARED, v)
+        hv = gram[0][i + 1] if h_first else inner_product(H_SQUARED, v)
         realized = 3 * gram[i + 1][i + 1] - hv * hv
         sat_in_m = False
         if independent and h_in_m is not None:

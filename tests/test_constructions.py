@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -38,7 +39,7 @@ from hassett.lattice import (
 )
 from hassett.criteria import CriterionReport
 from hassett.linalg import IntMatrix, is_positive_definite, quadratic_form
-from hassett.verifier import verify_witness
+from hassett.verifier import COROLLARY_DISCRIMINANTS, verify_witness
 from oracles import from_columns, invariant_factors
 
 RANK4_CASES = (CaseId.R4_000, CaseId.R4_002, CaseId.R4_022, CaseId.R4_222)
@@ -760,6 +761,126 @@ def test_fallback_basis_is_built_only_when_the_search_is_exhausted(monkeypatch):
     )
     assert outcome.basis == canonical
     assert outcome.realized_gram == gram_of(canonical)
+
+
+def _glue_candidates(k):
+    """Every glue ``_glue`` may return, in its order: none, one glued y_j, ordered pairs."""
+    yield [(0, 0)] * k
+    for j in range(k):
+        glue = [(0, 0)] * k
+        glue[j] = (1, 0)
+        yield glue
+    for i, j in itertools.permutations(range(k), 2):
+        glue = [(0, 0)] * k
+        glue[i], glue[j] = (1, 0), (0, 1)
+        yield glue
+
+
+def _first_saturating_glue(ys):
+    """The first candidate whose glued quotient rows (q_j, s_j, u_j) are saturated in Z^20.
+
+    None for dependent y_j: a glue can make their rows independent, but then
+    some combination of the v_j lies in the isotropic span of f1 and f2.
+    """
+    quotient = [constructions._quotient_coords(y) for y in ys]
+    if not linalg.span_membership(quotient, [0] * 18)[0]:
+        return None
+    for glue in _glue_candidates(len(ys)):
+        if linalg.span_membership([q + g for q, g in zip(quotient, glue)], [0] * 20)[1]:
+            return glue
+    return None
+
+
+def _with_quotient(q):
+    # A vector of E8+E8+I3 whose coordinates modulo h2 are q.
+    return lattice.AmbientVector(tuple(q[:16]) + (0,) * 5 + tuple(q[16:]))
+
+
+def _torsion_kind(ys):
+    """"dependent", or the number of generators of the torsion of P/Y (oracle Smith form)."""
+    invariants = invariant_factors(from_columns([constructions._quotient_coords(y) for y in ys]))
+    if len(invariants) < len(ys):
+        return "dependent"
+    return sum(d > 1 for d in invariants)
+
+
+def _glue_draws():
+    """Seeded GOAL draws of k = 1..18 vectors, the corollary's draws, and dependent lists."""
+    rng = random.Random(2027)
+    for trial in range(4):
+        targets = [rng.choice((14, 20, 26, 38, 42, 98)) for _ in range(2)]
+        targets += [6 * m * m + rng.choice((0, 2)) for m in rng.choices(range(2, 35), k=18)]
+        slots = generic_slots(targets)
+        draws = random.Random(trial)
+        for k in range(1, 19):
+            yield [constructions._draw_y(s, draws) for s in slots[2 : 2 + k]]
+    # The corollary's first draws, made as _glued_search makes them.
+    slots = generic_slots(COROLLARY_DISCRIMINANTS)
+    draws = random.Random(",".join(map(str, COROLLARY_DISCRIMINANTS)))
+    for _ in range(4):
+        ys = [constructions._draw_y(s, draws) for s in slots[2:]]
+        yield ys
+    yield ys[:5] + [ys[1] + ys[3]]
+    yield ys[:2] + [ys[0] - 2 * ys[1]] + ys[2:9]
+
+
+class TestGlue:
+    def test_glue_is_the_first_saturating_candidate(self):
+        kinds = collections.Counter()
+        for ys in _glue_draws():
+            kinds[_torsion_kind(ys)] += 1
+            assert constructions._glue(ys) == _first_saturating_glue(ys), len(ys)
+        assert kinds["dependent"] and kinds[0] and kinds[1] and kinds[2], kinds
+        assert any(isinstance(kind, int) and kind > 2 for kind in kinds), kinds
+
+    def test_glue_is_invariant_under_unimodular_quotient_changes(self):
+        # The glue saturates M or not whatever basis the quotient Z^18 has,
+        # so the first saturating glue cannot depend on it.
+        rng = random.Random(31)
+        glued = 0
+        for ys in _glue_draws():
+            glue = constructions._glue(ys)
+            glued += glue is not None and any(g != (0, 0) for g in glue)
+            for _ in range(2):
+                rows = [list(constructions._quotient_coords(y)) for y in ys]
+                for _ in range(60):
+                    # A random elementary column operation on the 18 coordinates.
+                    i, j = rng.sample(range(18), 2)
+                    q = rng.choice((-2, -1, 1, 2))
+                    for row in rows:
+                        row[i] += q * row[j]
+                for row in rows:
+                    row[0], row[17] = -row[17], row[0]
+                assert constructions._glue([_with_quotient(q) for q in rows]) == glue
+        assert glued > 20
+
+    def test_smith_kernel_runs_once_on_the_small_block(self, monkeypatch):
+        calls = []
+        inner = constructions._smith_in_place
+
+        def recording(a, *rest):
+            calls.append([row[:] for row in a])
+            return inner(a, *rest)
+
+        monkeypatch.setattr(constructions, "_smith_in_place", recording)
+        blocks = 0
+        for ys in _glue_draws():
+            calls.clear()
+            constructions._glue(ys)
+            kind = _torsion_kind(ys)
+            quotient = from_columns([constructions._quotient_coords(y) for y in ys])
+            index = math.prod(invariant_factors(quotient))
+            if kind == "dependent" or index == 1:
+                assert calls == []
+                continue
+            (block,) = calls
+            w = len(block)
+            assert kind <= w and 2**w <= index and all(len(row) == 2 * w for row in block)
+            for r, row in enumerate(block):
+                assert all(-index < 2 * x <= index for x in row[:w]), (row, index)
+                assert row[w:] == [index * (r == c) for c in range(w)]
+            blocks += 1
+        assert blocks > 20
 
 
 class TestIdentities:

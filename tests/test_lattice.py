@@ -117,6 +117,27 @@ class TestAmbient:
             for j, v in enumerate(vectors):
                 assert inner_product(u, v) == gram[i][j] == full_form(u, v)
 
+    def test_arithmetic_matches_the_validated_constructor(self):
+        # +, -, negation and k * v skip __post_init__'s int() pass; their
+        # results must still equal AmbientVector(...) of the same coordinates.
+        rng = random.Random(13)
+        for _ in range(20):
+            u, v = random_vector(rng), random_vector(rng)
+            k = rng.randint(-5, 5)
+            for got, coords in (
+                (u + v, [a + b for a, b in zip(u.coords, v.coords)]),
+                (u - v, [a - b for a, b in zip(u.coords, v.coords)]),
+                (-u, [-a for a in u.coords]),
+                (k * u, [k * a for a in u.coords]),
+            ):
+                assert got == AmbientVector(tuple(coords))
+                assert type(got.coords) is tuple and {type(c) for c in got.coords} == {int}
+        with pytest.raises(TypeError):
+            1.5 * u
+        assert type(AmbientVector((True,) + (0,) * (RANK - 1)).coords[0]) is int
+        with pytest.raises(ValueError):
+            AmbientVector((0,) * (RANK - 1))
+
     def test_bilinearity_and_symmetry(self):
         rng = random.Random(11)
         for _ in range(40):

@@ -113,6 +113,28 @@ class TestVerifyWitness:
         report = verify_witness((H_SQUARED, 2 * A1), (24, 24))
         assert "TARGET_COUNT_MISMATCH" in report.failure_reasons
 
+    def test_h2_pairing_is_read_off_the_gram_row(self, monkeypatch):
+        import hassett.verifier as verifier
+
+        calls = []
+        inner = verifier.inner_product
+
+        def counting(u, v):
+            calls.append(v)
+            return inner(u, v)
+
+        monkeypatch.setattr(verifier, "inner_product", counting)
+        outcome = build_generic((12, 14, 26, 98, 56), Mode.GOAL)
+        report = verify_witness(outcome.basis, outcome.targets)
+        assert calls == [] and report.verdict == "PASS"
+        # Without h2 first, every labelling still pairs h2 with its vector.
+        swapped = (outcome.basis[1], outcome.basis[0]) + outcome.basis[2:]
+        report = verify_witness(swapped, outcome.targets)
+        assert calls == list(swapped[1:])
+        assert "FIRST_BASIS_NOT_H_SQUARED" in report.failure_reasons
+        realized = [3 * inner(v, v) - inner(H_SQUARED, v) ** 2 for v in swapped[1:]]
+        assert [l.realized_d for l in report.labellings] == realized
+
     def test_bit_for_bit_determinism(self):
         outcome = build(CaseId.R4_022, (2, 2, 4), Mode.GOAL)
         r1 = verify_witness(outcome.basis, outcome.targets)
@@ -147,7 +169,7 @@ class TestLabellingSaturation:
 
 # sha256 of the concatenated certificate JSON of ``golden_pool``.  Any change
 # to a verdict, a reason, a labelling or a realized Gram changes it.
-GOLDEN_DIGEST = "b43e078844df01ab1efaa4cef34705416b749836704ec658855de78a5cf90ad8"
+GOLDEN_DIGEST = "83dbff3c3ff80d450dfda90ea847b15933eb60d85fab526315173c8873ce2fc9"
 
 
 def golden_pool():
