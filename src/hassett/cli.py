@@ -19,12 +19,10 @@ from ._version import __version__
 from .constructions import Mode, build_generic, generic_slots
 from .criteria import MAX_D, conjecture_sweep, discriminant_report
 from .verifier import (
-    COROLLARY_DISCRIMINANTS,
     Certificate,
     CertificateError,
-    _corollary_basis,
     certificate_for,
-    verify_corollary20,
+    corollary20_certificate,
     verify_witness,
 )
 
@@ -98,13 +96,14 @@ def cmd_intersect(args) -> int:
 
 
 def cmd_corollary20(args) -> int:
-    witness, reports = verify_corollary20()
+    cert = corollary20_certificate()
+    witness = cert.report
+    reports = [discriminant_report(d) for d in cert.targets]
     all_star = all(r.star for r in reports)
     if args.json:
-        cert = certificate_for(_corollary_basis(), COROLLARY_DISCRIMINANTS, witness)
         doc = {
             "discriminants": [r.to_dict() for r in reports],
-            "certificate": json.loads(cert.to_json()),
+            "certificate": cert.to_dict(),
         }
         print(json.dumps(doc, separators=(",", ":")))
     else:

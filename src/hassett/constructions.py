@@ -55,7 +55,8 @@ M is saturated if and only if the torsion T of P/Y has at most two
 generators and lambda maps T injectively into (Q/Z)^2.  A column echelon of
 the coordinates of the y_j modulo h2 gives the index of Y, and a Smith form
 of T's presentation on the non-unit pivots (w x 2w, entries mod the index)
-gives T; the glue (s_j, u_j) is the first candidate that lambda makes
+gives T.  The glue names the y_j that take f1 and f2, so each (s_j, u_j) is
+(0, 0) but on at most two y_j; it is the first candidate that lambda makes
 injective, tested exactly (see ``_glue``).
 Each draw is accepted by ``criteria.criterion_report``, the four-check
 predicate the verifier runs, so a witness is only reported REALIZED_GOAL
@@ -72,6 +73,7 @@ import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from enum import Enum
+from operator import index
 from typing import Sequence
 
 from .criteria import criterion_report, satisfies_double_star, satisfies_star
@@ -215,10 +217,11 @@ def case_slots(case_id: CaseId, params: Sequence[int]) -> tuple[SlotSpec, ...]:
     targets and is validated the same way.
     """
     tag = case_id.value.split("-")[1]
-    residues = [int(tag[-1])] * 20 if tag.startswith("all") else [int(r) for r in tag]
+    digits = tag[-1] * 20 if tag.startswith("all") else tag
+    residues = [{"0": 0, "2": 2}[c] for c in digits]
     if len(params) != len(residues):
         raise ValueError(f"case {case_id.value} takes {len(residues)} parameters")
-    return generic_slots([6 * int(n) + r for n, r in zip(params, residues)])
+    return generic_slots([6 * index(n) + r for n, r in zip(params, residues)])
 
 
 def _sqrt_entry(ni: int, nj: int) -> int:
@@ -249,7 +252,7 @@ def _r21_all2_gram(params: Sequence[int]) -> IntMatrix:
     Transcribed literally; its perturbation cross terms are not realizable by
     the stated generators (STRICT names the entries no candidate pair meets).
     """
-    n = [0] + [int(x) for x in params]  # 1-based
+    n = [0] + [index(x) for x in params]  # 1-based
     g = [[0] * 21 for _ in range(21)]
     g[0][0] = 3
     for i in range(1, 21):
@@ -511,7 +514,7 @@ def generic_slots(targets: Sequence[int]) -> tuple[SlotSpec, ...]:
     The first two targets take the hyperbolic slots and need condition (*);
     the rest take scaled slots in pool order and need (*) and (**).
     """
-    ds = [int(d) for d in targets]
+    ds = [index(d) for d in targets]
     if not 2 <= len(ds) <= 20:
         raise ValueError("between 2 and 20 target discriminants are supported")
     slots: list[SlotSpec] = []
@@ -562,14 +565,11 @@ def build_generic(targets: Sequence[int], mode: Mode = Mode.GOAL) -> Realization
 # acceptance criterion 7 and the corollary list need at most 12 draws.
 GOAL_ATTEMPTS = 64
 
-# Coordinate indices of the isotropic f1 = e_vec(1, 2) and f2 = e_vec(2, 2).
-_F1, _F2 = e_vec(1, 2).coords.index(1), e_vec(2, 2).coords.index(1)
-_E8_NODES = tuple((copy, i) for copy in (1, 2) for i in range(1, 9))
-# Closed neighbourhood of every E8 node: the nonzero entries of its E8_GRAM row.
-_E8_CLOSED = {
-    (copy, i): frozenset((copy, j) for j in range(1, 9) if E8_GRAM[i - 1][j - 1])
-    for copy, i in _E8_NODES
-}
+# Closed neighbourhood of every E8 node, named by its coordinate 0..15: the
+# nonzero entries of its E8_GRAM row, in the same block.
+_E8_CLOSED = tuple(
+    frozenset(c - c % 8 + j for j in range(8) if E8_GRAM[c % 8][j]) for c in range(16)
+)
 
 
 def _quotient_coords(v: AmbientVector) -> tuple[int, ...]:
@@ -643,12 +643,12 @@ def _draw_y(slot: SlotSpec, rng: random.Random) -> AmbientVector:
     half = (budget - sum(c * c for c in x)) // 2
     # A node is taken unless it is blocked (the base or a node already taken)
     # or adjacent to a blocked node, that is, unless it is in ``closed``.
-    closed: set[tuple[int, int]] = set()
+    closed: set[int] = set()
     for i in range(16):
         if base.coords[i]:
-            closed |= _E8_CLOSED[(i // 8 + 1, i % 8 + 1)]
-    nodes: list[tuple[int, int]] = []
-    for node in rng.sample(_E8_NODES, len(_E8_NODES)):
+            closed |= _E8_CLOSED[i]
+    nodes: list[int] = []
+    for node in rng.sample(range(16), 16):
         if node in closed:
             continue
         nodes.append(node)
@@ -657,13 +657,13 @@ def _draw_y(slot: SlotSpec, rng: random.Random) -> AmbientVector:
         closed |= _E8_CLOSED[node]
     coords = [(m - 1) * c for c in base.coords]
     coords[20:23] = [c + p for c, p in zip(coords[20:23], x)]
-    for c, (copy, i) in zip(_four_squares(half, rng), nodes):
-        coords[8 * (copy - 1) + i - 1] += c
+    for c, node in zip(_four_squares(half, rng), nodes):
+        coords[node] += c
     return AmbientVector(tuple(coords))
 
 
-def _glue(ys: Sequence[AmbientVector]) -> list[tuple[int, int]] | None:
-    """Glue (s_j, u_j) making h2, y_j saturated once v_j = y_j + s_j f1 + u_j f2.
+def _glue(ys: Sequence[AmbientVector]) -> tuple[int, ...] | None:
+    """The y_j that take f1 and f2 so that h2 and the glued v_j span a saturated M.
 
     Let P = E8+E8+I3 and Y = span(h2, y_j).  ``_pivot_row`` brings the
     coordinates of the y_j modulo h2 to a k x k lower triangle L = rows C
@@ -676,20 +676,20 @@ def _glue(ys: Sequence[AmbientVector]) -> list[tuple[int, int]] | None:
     generator.  Back-substitution on L writes it as sum_j c_j y_j, so the
     glue lambda(y_j) = (s_j, u_j) sends the generator to
     sum_j c_j (s_j, u_j) / d_i in (Q/Z)^2.  The witness is saturated iff
-    that map is injective on T.  The glue is the first injective candidate:
-    (1, 0) on one y_j, then (1, 0) and (0, 1) on an ordered pair; so it
-    depends on the y_j alone.  Returns None when the y_j are dependent or
-    no candidate is injective, as when T needs more than two generators.
+    that map is injective on T.  The glue is the first injective candidate,
+    as the indices of the y_j taking f1, then f2: ``()``, then ``(j,)``,
+    then ``(i, j)`` with i < j; so it depends on the y_j alone.  Returns
+    None when the y_j are dependent or no candidate is injective, as when T
+    needs more than two generators.
     """
     k = len(ys)
-    glue = [(0, 0)] * k
     tri = [list(_quotient_coords(y)) for y in ys]
     for i in range(k):
         if not _pivot_row(tri[i:], i):
             return None
     delta = abs(math.prod(tri[i][i] for i in range(k)))
     if delta == 1:
-        return glue
+        return ()
     nonunit = {i: r for r, i in enumerate(i for i in range(k) if abs(tri[i][i]) > 1)}
     w, half = len(nonunit), (delta - 1) // 2  # (x + half) % delta - half lies in (-D/2, D/2]
     expr: list[list[int]] = []  # expr[i]: e_i in T, on the non-unit coordinates
@@ -727,23 +727,22 @@ def _glue(ys: Sequence[AmbientVector]) -> list[tuple[int, int]] | None:
         # A cyclic T = Z/d embeds iff its generator maps to an element of order d.
         for j in range(k):
             if math.gcd(cb[j], db) == 1:
-                glue[j] = (1, 0)
-                return glue
+                return (j,)
         coeffs.insert(0, (1, [0] * k))  # Z/1 + Z/d
     da, ca = coeffs[0]
-    for i, j in itertools.permutations(range(k), 2):
+    for i, j in itertools.combinations(range(k), 2):
         # With e = db / da, (alpha, beta) maps to (alpha e ca + beta cb) / db in
         # (Q/Z)^2 at (i, j).  That is injective on Z/da + Z/db iff the 2 x 2
         # minors of [e ca | cb | db I] have gcd e; these are the minors over e.
+        # Swapping i and j permutes the minors, so the pair (j, i) needs no test.
         minors = (ca[i] * cb[j] - ca[j] * cb[i], db * ca[i], db * ca[j], da * cb[i], da * cb[j])
         if math.gcd(*minors, da * db) == 1:
-            glue[i], glue[j] = (1, 0), (0, 1)
-            return glue
+            return (i, j)
     return None
 
 
 def _glued_search(slots: Sequence[SlotSpec]) -> RealizationOutcome:
-    """GOAL witness: v1, v2 from the U slots, v_j = y_j + s_j f1 + u_j f2.
+    """GOAL witness: v1, v2 from the U slots, v_j = y_j plus f1 or f2 where ``_glue`` names j.
 
     A draw is accepted by ``criterion_report``, the predicate the verifier
     runs.  Saturation, h2 and the discriminants hold by construction (see the
@@ -759,13 +758,9 @@ def _glued_search(slots: Sequence[SlotSpec]) -> RealizationOutcome:
         glue = _glue(ys)
         if glue is None:
             continue
-        glued = []
-        for y, (s, u) in zip(ys, glue):
-            coords = list(y.coords)
-            coords[_F1] += s
-            coords[_F2] += u
-            glued.append(AmbientVector(tuple(coords)))
-        basis = head + tuple(glued)
+        for j, f in zip(glue, (e_vec(1, 2), e_vec(2, 2))):
+            ys[j] = ys[j] + f
+        basis = head + tuple(ys)
         gram = gram_of(basis)
         if criterion_report(gram, True, True).passed:
             return RealizationOutcome(
@@ -805,11 +800,11 @@ def squares_value(
     """
     if case_id in (CaseId.R21_ALL0, CaseId.R21_ALL2):
         raise ValueError(f"no closed identity for case {case_id}")
-    x = [int(v) for v in point]
+    x = [index(v) for v in point]
     expected_dim = 4 if case_id.value.startswith("r4") else 5
     if len(x) != expected_dim:
         raise ValueError("point dimension must match the case rank")
-    n = [int(v) for v in params]
+    n = [index(v) for v in params]
     x1, x2, x3, x4 = x[0], x[1], x[2], x[3]
     if case_id == CaseId.R4_000:
         return 3 * x1**2 + 2 * n[0] * x2**2 + 2 * n[1] * x3**2 + 2 * n[2] * x4**2

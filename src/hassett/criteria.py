@@ -36,8 +36,9 @@ runs them and decides the verdict, for the verifier and the GOAL builder alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
+from operator import index
 
 from .lattice import NotPositiveDefinite, minimum
 from .linalg import IntMatrix
@@ -263,6 +264,16 @@ class CriterionReport:
     minimum_norm: int | None
     passed: bool
 
+    @property
+    def reasons(self) -> tuple[str, ...]:
+        """The failed checks in check order, ``MIN_NORM_k`` for a minimum k below 3."""
+        names = ("MISSING_H_SQUARED", "NOT_POSITIVE_DEFINITE", "NOT_SATURATED")
+        flags = (self.contains_h_squared, self.positive_definite, self.saturated)
+        failed = [name for name, ok in zip(names, flags) if not ok]
+        if self.minimum_norm is not None and self.minimum_norm < 3:
+            failed.append(f"MIN_NORM_{self.minimum_norm}")
+        return tuple(failed)
+
     def to_dict(self) -> dict:
         return {
             "containsHSquared": self.contains_h_squared,
@@ -278,7 +289,7 @@ class CriterionReport:
             contains_h_squared=bool(data["containsHSquared"]),
             positive_definite=bool(data["positiveDefinite"]),
             saturated=bool(data["saturated"]),
-            minimum_norm=None if data["minimumNorm"] is None else int(data["minimumNorm"]),
+            minimum_norm=None if data["minimumNorm"] is None else index(data["minimumNorm"]),
             passed=bool(data["pass"]),
         )
 
@@ -292,17 +303,12 @@ def criterion_report(gram: IntMatrix, saturated: bool, has_h: bool) -> Criterion
     decides both in one ``linalg.span_membership`` echelon.  An indefinite
     Gram is reported (positive_definite False, minimum omitted), never
     raised.  The elimination inside ``minimum`` decides definiteness, so the
-    Gram is eliminated once.
+    Gram is eliminated once.  The report passes iff its ``reasons``, which
+    the verifier lists, are empty.
     """
     try:
         min_norm: int | None = minimum(gram)
     except NotPositiveDefinite:
         min_norm = None
-    pd = min_norm is not None
-    return CriterionReport(
-        contains_h_squared=has_h,
-        positive_definite=pd,
-        saturated=saturated,
-        minimum_norm=min_norm,
-        passed=has_h and pd and saturated and min_norm is not None and min_norm >= 3,
-    )
+    report = CriterionReport(has_h, min_norm is not None, saturated, min_norm, passed=False)
+    return replace(report, passed=not report.reasons)

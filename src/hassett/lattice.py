@@ -81,7 +81,7 @@ class AmbientVector:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(index(c) for c in self.coords))
         if len(self.coords) != RANK:
             raise ValueError(f"ambient vectors have {RANK} coordinates")
 
@@ -111,7 +111,7 @@ class AmbientVector:
 
 
 def _unchecked(coords: tuple[int, ...]) -> AmbientVector:
-    # Arithmetic on validated vectors yields 23 ints: skip __post_init__'s int() pass.
+    # Arithmetic on validated vectors yields 23 ints: skip __post_init__'s index() pass.
     v = object.__new__(AmbientVector)
     object.__setattr__(v, "coords", coords)
     return v
@@ -147,7 +147,7 @@ def i3_unit(i: int) -> AmbientVector:
 def i3_vector(x: int, y: int, z: int) -> AmbientVector:
     """Vector (x, y, z) supported in the I3 block."""
     coords = [0] * RANK
-    coords[20], coords[21], coords[22] = int(x), int(y), int(z)
+    coords[20], coords[21], coords[22] = x, y, z
     return AmbientVector(tuple(coords))
 
 

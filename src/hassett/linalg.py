@@ -25,6 +25,7 @@ the triangle (entries reduced modulo the index), and reads D and V;
 from __future__ import annotations
 
 from itertools import chain
+from operator import index
 from typing import Iterable, Sequence
 
 
@@ -34,7 +35,7 @@ class IntMatrix:
     __slots__ = ("_rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(tuple(index(x) for x in row) for row in rows)
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(data[0])
@@ -258,9 +259,9 @@ def span_membership(
     pivots and back-substitution on the triangle divides exactly.  A
     solution that fails the defining equation raises ``ArithmeticError``.
     """
-    goal = [int(e) for e in target]
+    goal = [index(e) for e in target]
     n = len(goal)
-    a = [[int(e) for e in row] for row in rows]
+    a = [[index(e) for e in row] for row in rows]
     if any(len(row) != n for row in a):
         raise ValueError("rows and target must have the same length")
     t = list(goal)
@@ -401,5 +402,5 @@ def is_positive_definite(g: IntMatrix) -> bool:
 
 def quadratic_form(g: IntMatrix, x: Sequence[int]) -> int:
     """Value ``x^T g x`` of the integral form at an integer point."""
-    gx = g.mul_vector(tuple(int(e) for e in x))
-    return sum(a * b for a, b in zip(x, gx))
+    x = tuple(index(e) for e in x)
+    return sum(a * b for a, b in zip(x, g.mul_vector(x)))

@@ -20,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 
 from .criteria import (
     CriterionReport,
@@ -62,8 +63,8 @@ class LabellingCheck:
     @classmethod
     def from_dict(cls, data: dict) -> "LabellingCheck":
         return cls(
-            target_d=int(data["targetD"]),
-            realized_d=int(data["realizedD"]),
+            target_d=index(data["targetD"]),
+            realized_d=index(data["realizedD"]),
             saturated_in_m=bool(data["saturatedInM"]),
         )
 
@@ -124,7 +125,7 @@ def verify_witness(
     exception.
     """
     basis = tuple(basis)
-    targets = tuple(int(t) for t in targets)
+    targets = tuple(index(t) for t in targets)
     if not basis:
         raise ValueError("witness basis must be nonempty")
     reasons: list[str] = []
@@ -143,15 +144,7 @@ def verify_witness(
 
     gram = gram_of(basis)
     criterion = criterion_report(gram, saturated, h_in_m is not None)
-    min_norm = criterion.minimum_norm
-    if not criterion.contains_h_squared:
-        reasons.append("MISSING_H_SQUARED")
-    if not criterion.positive_definite:
-        reasons.append("NOT_POSITIVE_DEFINITE")
-    if not criterion.saturated:
-        reasons.append("NOT_SATURATED")
-    if min_norm is not None and min_norm < 3:
-        reasons.append(f"MIN_NORM_{min_norm}")
+    reasons += criterion.reasons
 
     labellings = []
     for i, v in enumerate(basis[1 : len(targets) + 1]):
@@ -199,15 +192,17 @@ class Certificate:
     report: WitnessReport
     tool_version: str = __version__
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "ambient": AMBIENT_ID,
             "basis": [list(row) for row in self.basis],
             "targets": list(self.targets),
             "report": self.report.to_dict(),
             "toolVersion": self.tool_version,
         }
-        return json.dumps(doc, separators=(",", ":"), sort_keys=False)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), separators=(",", ":"), sort_keys=False)
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":

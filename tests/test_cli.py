@@ -277,6 +277,24 @@ class TestVerifyFile:
         code, out2, err = run(capsys, "verify-file", str(path))
         assert self._one_error_line(code, out2, err) and number in err
 
+    @pytest.mark.parametrize("field", ["minimumNorm", "targetD", "realizedGram"])
+    def test_numeric_string_fields_exit_2(self, capsys, tmp_path, field):
+        # A number written as a string is malformed, as a float is; int() used
+        # to read "3" as 3.
+        _, out, _ = run(capsys, "intersect", "12", "12", "26", "--json")
+        doc = json.loads(out)
+        report = doc["report"]
+        if field == "minimumNorm":
+            report["criterion"]["minimumNorm"] = str(report["criterion"]["minimumNorm"])
+        elif field == "targetD":
+            report["labellings"][0]["targetD"] = "12"
+        else:
+            report["realizedGram"][0][0] = "3"
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code, out2, err = run(capsys, "verify-file", str(path))
+        assert self._one_error_line(code, out2, err) and "malformed report" in err
+
     def test_deep_nesting_exits_2(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
         path.write_text("[" * 100000)

@@ -764,16 +764,14 @@ def test_fallback_basis_is_built_only_when_the_search_is_exhausted(monkeypatch):
 
 
 def _glue_candidates(k):
-    """Every glue ``_glue`` may return, in its order: none, one glued y_j, ordered pairs."""
-    yield [(0, 0)] * k
-    for j in range(k):
-        glue = [(0, 0)] * k
-        glue[j] = (1, 0)
-        yield glue
-    for i, j in itertools.permutations(range(k), 2):
-        glue = [(0, 0)] * k
-        glue[i], glue[j] = (1, 0), (0, 1)
-        yield glue
+    """The indices of the y_j taking f1, then f2: none, one y_j, then every ordered pair.
+
+    The ordered pairs include (j, i) for i < j, which ``_glue`` never tests;
+    the oracle finds the first saturating pair without assuming the symmetry.
+    """
+    yield ()
+    yield from ((j,) for j in range(k))
+    yield from itertools.permutations(range(k), 2)
 
 
 def _first_saturating_glue(ys):
@@ -786,7 +784,10 @@ def _first_saturating_glue(ys):
     if not linalg.span_membership(quotient, [0] * 18)[0]:
         return None
     for glue in _glue_candidates(len(ys)):
-        if linalg.span_membership([q + g for q, g in zip(quotient, glue)], [0] * 20)[1]:
+        lam = [[0, 0] for _ in ys]  # (s_j, u_j)
+        for col, j in enumerate(glue):
+            lam[j][col] = 1
+        if linalg.span_membership([q + tuple(g) for q, g in zip(quotient, lam)], [0] * 20)[1]:
             return glue
     return None
 
@@ -840,7 +841,7 @@ class TestGlue:
         glued = 0
         for ys in _glue_draws():
             glue = constructions._glue(ys)
-            glued += glue is not None and any(g != (0, 0) for g in glue)
+            glued += bool(glue)
             for _ in range(2):
                 rows = [list(constructions._quotient_coords(y)) for y in ys]
                 for _ in range(60):

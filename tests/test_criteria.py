@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -8,6 +9,7 @@ import hassett.criteria as criteria
 import hassett.lattice as lattice
 import hassett.linalg as linalg
 from hassett.criteria import (
+    CriterionReport,
     conjecture_shape,
     conjecture_sweep,
     criterion_report,
@@ -358,3 +360,34 @@ class TestCertifyNonempty:
         assert report.minimum_norm == 3
         assert not report.saturated
         assert not report.passed
+
+
+class TestCriterionReasons:
+    def test_reasons_name_each_failed_check_in_check_order(self):
+        for has_h, pd, sat in itertools.product((True, False), repeat=3):
+            for least in (None, 2, 3):
+                report = CriterionReport(has_h, pd, sat, least, passed=False)
+                expected = []
+                if not has_h:
+                    expected.append("MISSING_H_SQUARED")
+                if not pd:
+                    expected.append("NOT_POSITIVE_DEFINITE")
+                if not sat:
+                    expected.append("NOT_SATURATED")
+                if least == 2:
+                    expected.append("MIN_NORM_2")
+                assert report.reasons == tuple(expected), (has_h, pd, sat, least)
+
+    def test_criterion_report_passes_exactly_when_no_reason_is_named(self):
+        bases = (
+            (H_SQUARED, e_vec(1, 1) + 2 * e_vec(1, 2), e_vec(2, 1) + 2 * e_vec(2, 2), 2 * A1 + i3_unit(3)),
+            (H_SQUARED, e_vec(1, 1) + e_vec(1, 2)),
+            (H_SQUARED, e_vec(1, 1)),
+        )
+        verdicts = []
+        for basis in bases:
+            for saturated, has_h in itertools.product((True, False), repeat=2):
+                report = criterion_report(gram_of(basis), saturated, has_h)
+                assert report.passed == (not report.reasons)
+                verdicts.append(report.passed)
+        assert verdicts.count(True) == 1

@@ -3,9 +3,13 @@ import importlib
 import importlib.util
 import inspect
 import types
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import hassett
+from hassett import constructions, criteria, lattice, linalg, verifier
 
 # The public API, reviewed in one place.  The test-only reference code
 # (determinant, inertia, integer_solver, invariant_factors, rational_inverse,
@@ -53,6 +57,20 @@ def _float_use(node: ast.AST) -> str | None:
     return None
 
 
+def _truncating_int(node: ast.AST) -> bool:
+    """Whether node is an ``int(...)`` call that could truncate: its argument is no comparison.
+
+    ``int()`` turns 2.9 into 2 and "3" into 3; a caller's number is coerced
+    with ``operator.index``, which refuses both.
+    """
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "int"
+        and not (len(node.args) == 1 and not node.keywords and isinstance(node.args[0], ast.Compare))
+    )
+
+
 def test_package_uses_neither_rationals_floats_nor_test_oracles():
     src = Path(hassett.__file__).resolve().parent
     modules = sorted(src.glob("*.py"))
@@ -60,6 +78,7 @@ def test_package_uses_neither_rationals_floats_nor_test_oracles():
     for path in modules:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             assert _float_use(node) is None, (path.name, node.lineno, _float_use(node))
+            assert not _truncating_int(node), (path.name, node.lineno, "int() of a non-comparison")
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -82,6 +101,57 @@ def test_float_scan_flags_each_kind():
         assert flagged(snippet), snippet
     for snippet in ("x = a // b", "x //= 2", "x = int(y)", "x = math.isqrt(y)"):
         assert not flagged(snippet), snippet
+
+
+def test_int_scan_flags_truncating_coercion_only():
+    def flagged(snippet):
+        return any(_truncating_int(node) for node in ast.walk(ast.parse(snippet)))
+
+    for snippet in ("x = int(x)", "x = int(s, 16)", "x = [int(v) for v in xs]", "x = int(a + b)"):
+        assert flagged(snippet), snippet
+    for snippet in ("x = int(i == j)", "x = int(a < b < c)", "x = index(x)", "f(type=int)"):
+        assert not flagged(snippet), snippet
+
+
+def test_non_integer_inputs_raise_type_error():
+    basis = (lattice.H_SQUARED, lattice.e_vec(1, 1) + 2 * lattice.e_vec(1, 2))
+    calls = {
+        "IntMatrix float": lambda: linalg.IntMatrix([[2.9, 0], [0, 3.5]]),
+        "IntMatrix str": lambda: linalg.IntMatrix([["3"]]),
+        "span_membership row": lambda: linalg.span_membership([[1.5, 0]], [0, 0]),
+        "span_membership target": lambda: linalg.span_membership([[1, 0]], ["1", 0]),
+        "quadratic_form": lambda: linalg.quadratic_form(linalg.IntMatrix.identity(2), (1.5, 0)),
+        "AmbientVector": lambda: lattice.AmbientVector((2.7,) * 23),
+        "i3_vector": lambda: lattice.i3_vector(1, 1, Fraction(1)),
+        "generic_slots": lambda: constructions.generic_slots([14.0, 20]),
+        "case_slots": lambda: constructions.case_slots(hassett.CaseId.R4_000, (2, 2, "4")),
+        "_r21_all2_gram": lambda: constructions._r21_all2_gram((4.0,) * 20),
+        "squares_value point": lambda: constructions.squares_value(
+            hassett.CaseId.R4_000, (2, 2, 4), (1.5, 0, 0, 0)
+        ),
+        "squares_value params": lambda: constructions.squares_value(
+            hassett.CaseId.R4_000, (2, 2, Fraction(4)), (1, 0, 0, 0)
+        ),
+        "verify_witness targets": lambda: verifier.verify_witness(basis, (14.0,)),
+        "LabellingCheck": lambda: verifier.LabellingCheck.from_dict(
+            {"targetD": "14", "realizedD": 14, "saturatedInM": True}
+        ),
+        "CriterionReport": lambda: criteria.CriterionReport.from_dict(
+            {
+                "containsHSquared": True,
+                "positiveDefinite": True,
+                "saturated": True,
+                "minimumNorm": "3",
+                "pass": True,
+            }
+        ),
+    }
+    for name, call in calls.items():
+        try:
+            call()
+        except TypeError:
+            continue
+        pytest.fail(f"{name} accepted a non-integer")
 
 
 def test_all_exports_functions_classes_and_constants_only():
