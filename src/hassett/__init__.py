@@ -38,11 +38,9 @@ from .lattice import (
     t_vec,
 )
 from .criteria import (
-    CriterionReport,
     DiscriminantReport,
     conjecture_shape,
     conjecture_sweep,
-    criterion_report,
     discriminant_report,
     factorize,
     has_associated_k3,
@@ -50,6 +48,7 @@ from .criteria import (
     satisfies_star,
 )
 from .constructions import (
+    COROLLARY_DISCRIMINANTS,
     CaseId,
     Mode,
     RealizationOutcome,
@@ -60,21 +59,22 @@ from .constructions import (
     build_generic,
     candidate_perturbations,
     case_slots,
+    check_identity,
     generic_slots,
     ideal_gram,
     realize_perturbations,
     reference_gram,
     squares_value,
+    verify_corollary20,
 )
 from .verifier import (
-    COROLLARY_DISCRIMINANTS,
     Certificate,
     CertificateError,
+    CriterionReport,
     LabellingCheck,
     WitnessReport,
     certificate_for,
-    check_identity,
-    verify_corollary20,
+    criterion_report,
     verify_witness,
 )
 

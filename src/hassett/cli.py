@@ -16,15 +16,9 @@ import json
 import sys
 
 from ._version import __version__
-from .constructions import Mode, build_generic, generic_slots
+from .constructions import Mode, build_generic, corollary20_certificate, generic_slots
 from .criteria import MAX_D, conjecture_sweep, discriminant_report
-from .verifier import (
-    Certificate,
-    CertificateError,
-    certificate_for,
-    corollary20_certificate,
-    verify_witness,
-)
+from .verifier import Certificate, CertificateError, certificate_for, verify_witness
 
 
 def _fail_usage(message: str) -> int:

@@ -58,11 +58,13 @@ of T's presentation on the non-unit pivots (w x 2w, entries mod the index)
 gives T.  The glue names the y_j that take f1 and f2, so each (s_j, u_j) is
 (0, 0) but on at most two y_j; it is the first candidate that lambda makes
 injective, tested exactly (see ``_glue``).
-Each draw is accepted by ``criteria.criterion_report``, the four-check
+Each draw is accepted by ``verifier.criterion_report``, the four-check
 predicate the verifier runs, so a witness is only reported REALIZED_GOAL
 when it is positive definite with minimum at least 3.  The y_j are drawn
 from a generator seeded by the target list, so the output is the same in
-every process.
+every process.  The flagship corollary (``corollary20_certificate``) and
+the seeded check of the completed-squares identities (``check_identity``)
+are built here too; a verdict comes from ``verifier`` alone.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from enum import Enum
 from operator import index
 from typing import Sequence
 
-from .criteria import criterion_report, satisfies_double_star, satisfies_star
+from .criteria import DiscriminantReport, discriminant_report, satisfies_double_star, satisfies_star
 from .lattice import (
     A1,
     A2,
@@ -90,7 +92,8 @@ from .lattice import (
     inner_product,
     t_vec,
 )
-from .linalg import IntMatrix, _pivot_row, _smith_in_place
+from .linalg import IntMatrix, _pivot_row, _smith_in_place, quadratic_form
+from .verifier import Certificate, WitnessReport, certificate_for, criterion_report, verify_witness
 
 # Half-width of the box in which A2 slots look for perturbations.
 A2_SEARCH_BOUND = 3
@@ -806,27 +809,14 @@ def squares_value(
         raise ValueError("point dimension must match the case rank")
     n = [index(v) for v in params]
     x1, x2, x3, x4 = x[0], x[1], x[2], x[3]
-    if case_id == CaseId.R4_000:
-        return 3 * x1**2 + 2 * n[0] * x2**2 + 2 * n[1] * x3**2 + 2 * n[2] * x4**2
-    if case_id == CaseId.R4_002:
-        return (
-            2 * x1**2
-            + 2 * n[0] * x2**2
-            + 2 * n[1] * x3**2
-            + 2 * n[2] * x4**2
-            + (x1 + x4) ** 2
-        )
-    if case_id == CaseId.R4_022:
-        return (
-            x1**2
-            + 2 * n[0] * x2**2
-            + 2 * n[1] * x3**2
-            + 2 * n[2] * x4**2
-            + (x1 + x3) ** 2
-            + (x1 + x4) ** 2
-        )
-    if case_id == CaseId.R4_222:
+    if expected_dim == 4:
         tail = 2 * n[0] * x2**2 + 2 * n[1] * x3**2 + 2 * n[2] * x4**2
+        if case_id == CaseId.R4_000:
+            return 3 * x1**2 + tail
+        if case_id == CaseId.R4_002:
+            return 2 * x1**2 + tail + (x1 + x4) ** 2
+        if case_id == CaseId.R4_022:
+            return x1**2 + tail + (x1 + x3) ** 2 + (x1 + x4) ** 2
         if corrected:
             return tail + (x1 + x2) ** 2 + (x1 + x3) ** 2 + (x1 + x4) ** 2
         return tail + (x1 + x2) ** 2 * (x1 + x3) ** 2 + (x1 + x4) ** 2
@@ -849,4 +839,65 @@ def squares_value(
         + (x1 + x3) ** 2
         + (x1 + x2) ** 2
         - x1**2
+    )
+
+
+# ---------------------------------------------------------------------------
+# The flagship corollary and the completed-squares identity check.
+
+# The twenty pairwise distinct discriminants of the flagship dimension-zero
+# intersection, in their published order.
+COROLLARY_DISCRIMINANTS = (
+    14, 38, 26, 98, 218, 294, 386, 602, 866, 1178,
+    1538, 1946, 2166, 2402, 2906, 3458, 4058, 4706, 6146, 6938,
+)
+
+
+@lru_cache(maxsize=1)
+def _corollary_basis() -> tuple[AmbientVector, ...]:
+    return build_generic(COROLLARY_DISCRIMINANTS, Mode.GOAL).basis
+
+
+def verify_corollary20() -> tuple[WitnessReport, tuple[DiscriminantReport, ...]]:
+    """Build and verify the flagship 20-divisor witness, with per-d reports.
+
+    The twenty target discriminants are pairwise distinct and all
+    K3-admissible; those facts are re-checked here rather than assumed.
+    """
+    ds = COROLLARY_DISCRIMINANTS
+    if len(set(ds)) != len(ds):
+        raise RuntimeError("target discriminants must be pairwise distinct")
+    reports = tuple(discriminant_report(d) for d in ds)
+    if not all(r.k3_admissible for r in reports):
+        raise RuntimeError("every target discriminant must be K3-admissible")
+    return corollary20_certificate().report, reports
+
+
+def corollary20_certificate() -> Certificate:
+    """Certificate for the bundled 20-divisor configuration, verified once."""
+    basis = _corollary_basis()
+    report = verify_witness(basis, COROLLARY_DISCRIMINANTS)
+    return certificate_for(basis, COROLLARY_DISCRIMINANTS, report)
+
+
+def check_identity(
+    case_id: CaseId,
+    params: tuple[int, ...] | list[int],
+    trials: int,
+    seed: int,
+    corrected: bool = True,
+) -> bool:
+    """Compare form and completed-squares values at seeded random points.
+
+    Coordinates are drawn uniformly from [-50, 50]; returns True iff the two
+    sides agree at every sampled point.
+    """
+    if trials < 1:
+        raise ValueError("at least one trial is required")
+    gram = reference_gram(case_id, params)
+    rng = random.Random(seed)
+    points = ([rng.randint(-50, 50) for _ in range(gram.nrows)] for _ in range(trials))
+    return all(
+        quadratic_form(gram, x) == squares_value(case_id, params, x, corrected=corrected)
+        for x in points
     )

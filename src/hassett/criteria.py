@@ -27,21 +27,15 @@ and decides each verdict from the resulting factorization with the same
 predicate as ``has_associated_k3``; the lemma's conclusion serves only as a
 test oracle.
 
-The lattice-level certification a witness must pass has four checks:
-contains h2, positive definite, saturated in the ambient lattice, and no
-nonzero vector of norm below 3.  ``criterion_report`` is the one place that
-runs them and decides the verdict, for the verifier and the GOAL builder alike.
+This module is the arithmetic of d alone and imports no other part of the
+package; the lattice checks a witness must pass live in ``verifier``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
-from operator import index
-
-from .lattice import NotPositiveDefinite, minimum
-from .linalg import IntMatrix
 
 MAX_D = 10**12  # the largest discriminant and sweep limit; factorize is complete up to it
 _TRIAL_LIMIT = math.isqrt(MAX_D)
@@ -253,62 +247,3 @@ def discriminant_report(d: int) -> DiscriminantReport:
         factorization=factors,
     )
 
-
-@dataclass(frozen=True)
-class CriterionReport:
-    """Verdicts of the four lattice checks certifying a nonempty intersection."""
-
-    contains_h_squared: bool
-    positive_definite: bool
-    saturated: bool
-    minimum_norm: int | None
-    passed: bool
-
-    @property
-    def reasons(self) -> tuple[str, ...]:
-        """The failed checks in check order, ``MIN_NORM_k`` for a minimum k below 3."""
-        names = ("MISSING_H_SQUARED", "NOT_POSITIVE_DEFINITE", "NOT_SATURATED")
-        flags = (self.contains_h_squared, self.positive_definite, self.saturated)
-        failed = [name for name, ok in zip(names, flags) if not ok]
-        if self.minimum_norm is not None and self.minimum_norm < 3:
-            failed.append(f"MIN_NORM_{self.minimum_norm}")
-        return tuple(failed)
-
-    def to_dict(self) -> dict:
-        return {
-            "containsHSquared": self.contains_h_squared,
-            "positiveDefinite": self.positive_definite,
-            "saturated": self.saturated,
-            "minimumNorm": self.minimum_norm,
-            "pass": self.passed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CriterionReport":
-        return cls(
-            contains_h_squared=bool(data["containsHSquared"]),
-            positive_definite=bool(data["positiveDefinite"]),
-            saturated=bool(data["saturated"]),
-            minimum_norm=None if data["minimumNorm"] is None else index(data["minimumNorm"]),
-            passed=bool(data["pass"]),
-        )
-
-
-def criterion_report(gram: IntMatrix, saturated: bool, has_h: bool) -> CriterionReport:
-    """Run the four lattice checks on a witness of k basis vectors.
-
-    ``gram`` is its k x k Gram matrix, ``saturated`` whether the basis is
-    independent with a torsion-free ambient quotient, and ``has_h`` whether
-    h2 is an integer combination of the basis; ``verifier.verify_witness``
-    decides both in one ``linalg.span_membership`` echelon.  An indefinite
-    Gram is reported (positive_definite False, minimum omitted), never
-    raised.  The elimination inside ``minimum`` decides definiteness, so the
-    Gram is eliminated once.  The report passes iff its ``reasons``, which
-    the verifier lists, are empty.
-    """
-    try:
-        min_norm: int | None = minimum(gram)
-    except NotPositiveDefinite:
-        min_norm = None
-    report = CriterionReport(has_h, min_norm is not None, saturated, min_norm, passed=False)
-    return replace(report, passed=not report.reasons)

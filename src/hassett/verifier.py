@@ -1,50 +1,118 @@
 """Independent certification of candidate witnesses and certificates.
 
-``verify_witness`` recomputes everything from the raw basis vectors: the
-Gram matrix, positive definiteness, saturation in the ambient lattice, the
-lattice minimum, and per-labelling discriminants and saturation.  It never
-trusts the builder that produced the basis, so certificates can be checked
-by third parties from the serialized coordinates alone.
+This module alone decides a verdict and owns every certificate key; it
+imports no builder.  ``verify_witness`` recomputes everything from the raw
+basis vectors: the Gram matrix, positive definiteness, saturation in the
+ambient lattice, the lattice minimum, and per-labelling discriminants and
+saturation.  It never trusts the builder that produced the basis, so
+certificates can be checked by third parties from the coordinates alone.
+
+The lattice-level certification a witness must pass has four checks:
+contains h2, positive definite, saturated in the ambient lattice, and no
+nonzero vector of norm below 3.  ``criterion_report`` is the one place that
+runs them, for ``verify_witness`` and the GOAL builder alike.
 
 ``Certificate.from_json`` reads untrusted text and raises
 ``CertificateError`` on anything it cannot read as a certificate of at least
 one target and at most ``RANK`` = 23 basis rows, including JSON that the parser
 itself refuses (an integer past the digit limit, a float, NaN or Infinity,
-nesting past the recursion limit).
+nesting past the recursion limit), and any field whose JSON type is not
+exactly the schema's (see ``_exact``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import random
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 from operator import index
 
-from .criteria import (
-    CriterionReport,
-    DiscriminantReport,
-    criterion_report,
-    discriminant_report,
+from .lattice import (
+    RANK, AmbientVector, H_SQUARED, NotPositiveDefinite, gram_of, inner_product, minimum,
 )
-from .lattice import RANK, AmbientVector, H_SQUARED, gram_of, inner_product
-from .linalg import IntMatrix, quadratic_form, span_membership
-from .constructions import CaseId, Mode, build_generic, reference_gram, squares_value
+from .linalg import IntMatrix, span_membership
 from ._version import __version__
 
 AMBIENT_ID = "E8+E8+U+U+I3"
 
-# The twenty pairwise distinct discriminants of the flagship dimension-zero
-# intersection, in their published order.
-COROLLARY_DISCRIMINANTS = (
-    14, 38, 26, 98, 218, 294, 386, 602, 866, 1178,
-    1538, 1946, 2166, 2402, 2906, 3458, 4058, 4706, 6146, 6938,
-)
-
 
 class CertificateError(ValueError):
     """Raised when certificate JSON cannot be parsed against the schema."""
+
+
+def _exact(value, kind: type, what: str, item: type | None = None, nullable: bool = False):
+    """``value``, whose type must be exactly ``kind``; with ``item``, a list of exactly ``item``.
+
+    The schema's JSON types are exact: a bool is no int and an int no bool, a
+    string no number, and null only where ``nullable``.  Anything else raises
+    ``TypeError`` naming ``what``.
+    """
+    if value is None and nullable:
+        return value
+    if type(value) is kind and (item is None or all(type(x) is item for x in value)):
+        return value
+    of = "" if item is None else f" of {item.__name__}"
+    raise TypeError(f"{what} must be a {kind.__name__}{of}")
+
+
+@dataclass(frozen=True)
+class CriterionReport:
+    """Verdicts of the four lattice checks certifying a nonempty intersection."""
+
+    contains_h_squared: bool
+    positive_definite: bool
+    saturated: bool
+    minimum_norm: int | None
+    passed: bool
+
+    @property
+    def reasons(self) -> tuple[str, ...]:
+        """The failed checks in check order, ``MIN_NORM_k`` for a minimum k below 3."""
+        names = ("MISSING_H_SQUARED", "NOT_POSITIVE_DEFINITE", "NOT_SATURATED")
+        flags = (self.contains_h_squared, self.positive_definite, self.saturated)
+        failed = [name for name, ok in zip(names, flags) if not ok]
+        if self.minimum_norm is not None and self.minimum_norm < 3:
+            failed.append(f"MIN_NORM_{self.minimum_norm}")
+        return tuple(failed)
+
+    def to_dict(self) -> dict:
+        return {
+            "containsHSquared": self.contains_h_squared,
+            "positiveDefinite": self.positive_definite,
+            "saturated": self.saturated,
+            "minimumNorm": self.minimum_norm,
+            "pass": self.passed,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "CriterionReport":
+        return cls(
+            contains_h_squared=_exact(data["containsHSquared"], bool, "containsHSquared"),
+            positive_definite=_exact(data["positiveDefinite"], bool, "positiveDefinite"),
+            saturated=_exact(data["saturated"], bool, "saturated"),
+            minimum_norm=_exact(data["minimumNorm"], int, "minimumNorm", nullable=True),
+            passed=_exact(data["pass"], bool, "pass"),
+        )
+
+
+def criterion_report(gram: IntMatrix, saturated: bool, has_h: bool) -> CriterionReport:
+    """Run the four lattice checks on a witness of k basis vectors.
+
+    ``gram`` is its k x k Gram matrix, ``saturated`` whether the basis is
+    independent with a torsion-free ambient quotient, and ``has_h`` whether
+    h2 is an integer combination of the basis; ``verify_witness`` decides
+    both in one ``linalg.span_membership`` echelon.  An indefinite Gram is
+    reported (positive_definite False, minimum omitted), never raised.  The
+    elimination inside ``minimum`` decides definiteness, so the Gram is
+    eliminated once.  The report passes iff its ``reasons``, which
+    ``verify_witness`` lists, are empty.
+    """
+    try:
+        min_norm: int | None = minimum(gram)
+    except NotPositiveDefinite:
+        min_norm = None
+    report = CriterionReport(has_h, min_norm is not None, saturated, min_norm, passed=False)
+    return replace(report, passed=not report.reasons)
 
 
 @dataclass(frozen=True)
@@ -63,9 +131,9 @@ class LabellingCheck:
     @classmethod
     def from_dict(cls, data: dict) -> "LabellingCheck":
         return cls(
-            target_d=index(data["targetD"]),
-            realized_d=index(data["realizedD"]),
-            saturated_in_m=bool(data["saturatedInM"]),
+            target_d=_exact(data["targetD"], int, "targetD"),
+            realized_d=_exact(data["realizedD"], int, "realizedD"),
+            saturated_in_m=_exact(data["saturatedInM"], bool, "saturatedInM"),
         )
 
 
@@ -92,13 +160,16 @@ class WitnessReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WitnessReport":
+        labellings = _exact(data["labellings"], list, "labellings")
+        matches = data["gramMatchesReference"]
+        gram = _exact(data["realizedGram"], list, "realizedGram")
         return cls(
             criterion=CriterionReport.from_dict(data["criterion"]),
-            labellings=tuple(LabellingCheck.from_dict(l) for l in data["labellings"]),
-            gram_matches_reference=data["gramMatchesReference"],
-            realized_gram=IntMatrix(data["realizedGram"]),
-            verdict=str(data["verdict"]),
-            failure_reasons=tuple(str(r) for r in data["failureReasons"]),
+            labellings=tuple(LabellingCheck.from_dict(l) for l in labellings),
+            gram_matches_reference=_exact(matches, bool, "gramMatchesReference", nullable=True),
+            realized_gram=IntMatrix([_exact(row, list, "realizedGram row", int) for row in gram]),
+            verdict=_exact(data["verdict"], str, "verdict"),
+            failure_reasons=tuple(_exact(data["failureReasons"], list, "failureReasons", str)),
         )
 
 
@@ -121,8 +192,10 @@ def verify_witness(
 
     The basis must start with h2 and carry one further vector per target
     discriminant; labelling i is spanned by h2 and ``basis[i + 1]``.
-    Malformed input produces a FAIL report with structured reasons, never an
-    exception.
+    A basis that is not h2 first, holds dependent vectors or does not match
+    the target count produces a FAIL report with structured reasons.  An
+    empty basis raises ``ValueError`` and a non-integer target ``TypeError``;
+    ``Certificate.from_json`` rejects both before ``reverify`` runs.
     """
     basis = tuple(basis)
     targets = tuple(index(t) for t in targets)
@@ -229,18 +302,15 @@ class Certificate:
         if len(basis) > RANK:
             # Such rows are dependent; checking them would cost quadratic time for a sure FAIL.
             raise CertificateError(f"field 'basis' holds {len(basis)} rows, more than the rank {RANK}")
-        rows = []
-        for idx, row in enumerate(basis):
-            if not isinstance(row, list) or len(row) != RANK:
+        try:
+            rows = [tuple(_exact(row, list, f"basis row {i}", int)) for i, row in enumerate(basis)]
+            targets = _exact(doc["targets"], list, "field 'targets'", int)
+            tool_version = _exact(doc["toolVersion"], str, "field 'toolVersion'")
+        except TypeError as exc:
+            raise CertificateError(str(exc)) from None
+        for idx, row in enumerate(rows):
+            if len(row) != RANK:
                 raise CertificateError(f"basis row {idx} must hold {RANK} integers")
-            if not all(isinstance(x, int) and not isinstance(x, bool) for x in row):
-                raise CertificateError(f"basis row {idx} must hold {RANK} integers")
-            rows.append(tuple(row))
-        targets = doc["targets"]
-        if not isinstance(targets, list) or not all(
-            isinstance(t, int) and not isinstance(t, bool) for t in targets
-        ):
-            raise CertificateError("field 'targets' must be a list of integers")
         if not targets:
             raise CertificateError("field 'targets' is empty: the certificate names no divisor")
         try:
@@ -251,7 +321,7 @@ class Certificate:
             basis=tuple(rows),
             targets=tuple(targets),
             report=report,
-            tool_version=str(doc["toolVersion"]),
+            tool_version=tool_version,
         )
 
     def reverify(self) -> WitnessReport:
@@ -269,56 +339,3 @@ def certificate_for(
         report=report,
     )
 
-
-@lru_cache(maxsize=1)
-def _corollary_basis() -> tuple[AmbientVector, ...]:
-    outcome = build_generic(COROLLARY_DISCRIMINANTS, Mode.GOAL)
-    return outcome.basis
-
-
-def verify_corollary20() -> tuple[WitnessReport, tuple[DiscriminantReport, ...]]:
-    """Build and verify the flagship 20-divisor witness, with per-d reports.
-
-    The twenty target discriminants are pairwise distinct and all
-    K3-admissible; those facts are re-checked here rather than assumed.
-    """
-    ds = COROLLARY_DISCRIMINANTS
-    if len(set(ds)) != len(ds):
-        raise RuntimeError("target discriminants must be pairwise distinct")
-    reports = tuple(discriminant_report(d) for d in ds)
-    if not all(r.k3_admissible for r in reports):
-        raise RuntimeError("every target discriminant must be K3-admissible")
-    witness = verify_witness(_corollary_basis(), ds)
-    return witness, reports
-
-
-def corollary20_certificate() -> Certificate:
-    """Certificate for the bundled 20-divisor configuration."""
-    witness, _ = verify_corollary20()
-    return certificate_for(_corollary_basis(), COROLLARY_DISCRIMINANTS, witness)
-
-
-def check_identity(
-    case_id: CaseId,
-    params: tuple[int, ...] | list[int],
-    trials: int,
-    seed: int,
-    corrected: bool = True,
-) -> bool:
-    """Compare form and completed-squares values at seeded random points.
-
-    Coordinates are drawn uniformly from [-50, 50]; returns True iff the two
-    sides agree at every sampled point.
-    """
-    if trials < 1:
-        raise ValueError("at least one trial is required")
-    gram = reference_gram(case_id, params)
-    rank = gram.nrows
-    rng = random.Random(seed)
-    for _ in range(trials):
-        point = [rng.randint(-50, 50) for _ in range(rank)]
-        lhs = quadratic_form(gram, point)
-        rhs = squares_value(case_id, params, point, corrected=corrected)
-        if lhs != rhs:
-            return False
-    return True

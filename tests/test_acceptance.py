@@ -17,19 +17,15 @@ from hassett.constructions import (
     RealizationStatus,
     build,
     build_generic,
+    check_identity,
+    corollary20_certificate,
+    verify_corollary20,
 )
 from hassett.criteria import conjecture_sweep, factorize, has_associated_k3
 from hassett.lattice import E8_GRAM, short_vectors
 from hassett.linalg import IntMatrix, is_positive_definite
 from hassett.lattice import AMBIENT_GRAM
-from hassett.verifier import (
-    Certificate,
-    certificate_for,
-    check_identity,
-    corollary20_certificate,
-    verify_corollary20,
-    verify_witness,
-)
+from hassett.verifier import Certificate, certificate_for, verify_witness
 from oracles import determinant, inertia, oracle_short_vectors, rational_inverse
 
 A2_GRAM = IntMatrix([[2, 1], [1, 2]])

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -120,12 +121,19 @@ class TestCorollary20:
 
     @pytest.mark.parametrize("argv", [["corollary20"], ["corollary20", "--json"]])
     def test_verifies_the_witness_once(self, capsys, monkeypatch, argv):
+        # Each function is counted in every hassett module that holds it, so
+        # a call is seen whichever module makes it.
+        import hassett.criteria as criteria
         import hassett.verifier as verifier
 
-        calls = {"verify_witness": 0, "discriminant_report": 0}
+        originals = {
+            "verify_witness": verifier.verify_witness,
+            "discriminant_report": criteria.discriminant_report,
+        }
+        calls = dict.fromkeys(originals, 0)
 
         def counted(name):
-            inner = getattr(verifier, name)
+            inner = originals[name]
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
@@ -133,8 +141,12 @@ class TestCorollary20:
 
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(verifier, name, counted(name))
+        modules = [m for k, m in sys.modules.items() if k == "hassett" or k.startswith("hassett.")]
+        for name, inner in originals.items():
+            wrapper = counted(name)
+            for module in modules:
+                if vars(module).get(name) is inner:
+                    monkeypatch.setattr(module, name, wrapper)
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert calls == {"verify_witness": 1, "discriminant_report": 20}
@@ -294,6 +306,36 @@ class TestVerifyFile:
         path.write_text(json.dumps(doc))
         code, out2, err = run(capsys, "verify-file", str(path))
         assert self._one_error_line(code, out2, err) and "malformed report" in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("report.criterion.positiveDefinite", "no"),
+            ("report.labellings.0.saturatedInM", "false"),
+            ("report.criterion.pass", 1),
+            ("report.verdict", 0),
+            ("report.failureReasons", "abc"),
+            ("report.realizedGram", [[True]]),
+            ("report.gramMatchesReference", "maybe"),
+            ("toolVersion", 1),
+        ],
+        ids=str,
+    )
+    def test_field_of_another_json_type_exits_2(self, capsys, tmp_path, field, value):
+        # Each field's JSON type must be exactly the schema's: these edits used
+        # to be coerced (bool("no") is True, "abc" read as three reasons) and
+        # verified to exit 0.
+        _, out, _ = run(capsys, "intersect", "12", "12", "26", "--json")
+        doc = json.loads(out)
+        *parents, key = [int(k) if k.isdigit() else k for k in field.split(".")]
+        node = doc
+        for step in parents:
+            node = node[step]
+        node[key] = value
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code, out2, err = run(capsys, "verify-file", str(path))
+        assert self._one_error_line(code, out2, err) and key in err
 
     def test_deep_nesting_exits_2(self, capsys, tmp_path):
         path = tmp_path / "cert.json"

@@ -12,6 +12,7 @@ import pytest
 
 import hassett.constructions as constructions
 from hassett.constructions import (
+    COROLLARY_DISCRIMINANTS,
     CaseId,
     Mode,
     RealizationStatus,
@@ -37,9 +38,8 @@ from hassett.lattice import (
     i3_unit,
     inner_product,
 )
-from hassett.criteria import CriterionReport
 from hassett.linalg import IntMatrix, is_positive_definite, quadratic_form
-from hassett.verifier import COROLLARY_DISCRIMINANTS, verify_witness
+from hassett.verifier import CriterionReport, verify_witness
 from oracles import from_columns, invariant_factors
 
 RANK4_CASES = (CaseId.R4_000, CaseId.R4_002, CaseId.R4_022, CaseId.R4_222)
@@ -568,8 +568,6 @@ class TestGenericBuilds:
         assert len(outcome.basis) == 3
 
     def test_flagship_slot_parameters(self):
-        from hassett.verifier import COROLLARY_DISCRIMINANTS
-
         slots = generic_slots(COROLLARY_DISCRIMINANTS)
         assert [s.n for s in slots] == [
             2, 6, 4, 16, 36, 49, 64, 100, 144, 196,

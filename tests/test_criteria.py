@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 import hassett.criteria as criteria
 import hassett.lattice as lattice
 import hassett.linalg as linalg
+from hassett.constructions import COROLLARY_DISCRIMINANTS
 from hassett.criteria import (
-    CriterionReport,
     conjecture_shape,
     conjecture_sweep,
-    criterion_report,
     discriminant_report,
     factorize,
     has_associated_k3,
@@ -20,7 +19,7 @@ from hassett.criteria import (
     satisfies_star,
 )
 from hassett.lattice import A1, H_SQUARED, e_vec, gram_of, i3_unit
-from hassett.verifier import COROLLARY_DISCRIMINANTS
+from hassett.verifier import CriterionReport, criterion_report
 from oracles import from_columns, integer_solver
 
 

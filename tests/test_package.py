@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hassett
-from hassett import constructions, criteria, lattice, linalg, verifier
+from hassett import constructions, lattice, linalg, verifier
 
 # The public API, reviewed in one place.  The test-only reference code
 # (determinant, inertia, integer_solver, invariant_factors, rational_inverse,
@@ -92,6 +92,39 @@ def test_package_uses_neither_rationals_floats_nor_test_oracles():
                 assert root not in ("fractions", "oracles"), (path.name, name)
 
 
+def _package_imports(path: Path) -> set[str]:
+    """The hassett modules that the source file at path imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "hassett" + (f".{node.module}" if node.module else "") if node.level else node.module
+            names = [f"{module}.{a.name}" for a in node.names] if module == "hassett" else [module]
+        else:
+            continue
+        found |= {name.split(".")[1] for name in names if name.startswith("hassett.")}
+    return found
+
+
+# The verdict is decided by verifier over lattice and linalg alone, and
+# criteria is the arithmetic of d alone; no builder feeds either.
+ALLOWED_IMPORTS = {
+    "verifier": {"lattice", "linalg", "_version"},
+    "lattice": {"linalg"},
+    "linalg": set(),
+    "criteria": set(),
+}
+
+
+def test_verdict_modules_import_no_builder():
+    src = Path(hassett.__file__).resolve().parent
+    imports = {path.stem: _package_imports(path) for path in src.glob("*.py")}
+    assert imports["cli"] >= {"constructions", "criteria", "verifier"}  # the scan sees imports
+    for module, allowed in ALLOWED_IMPORTS.items():
+        assert imports[module] <= allowed, (module, imports[module] - allowed)
+
+
 def test_float_scan_flags_each_kind():
     def flagged(snippet):
         return any(_float_use(node) for node in ast.walk(ast.parse(snippet)))
@@ -136,7 +169,7 @@ def test_non_integer_inputs_raise_type_error():
         "LabellingCheck": lambda: verifier.LabellingCheck.from_dict(
             {"targetD": "14", "realizedD": 14, "saturatedInM": True}
         ),
-        "CriterionReport": lambda: criteria.CriterionReport.from_dict(
+        "CriterionReport": lambda: verifier.CriterionReport.from_dict(
             {
                 "containsHSquared": True,
                 "positiveDefinite": True,

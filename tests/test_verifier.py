@@ -4,7 +4,17 @@ import random
 
 import pytest
 
-from hassett.constructions import CaseId, Mode, build, build_generic
+from hassett.constructions import (
+    COROLLARY_DISCRIMINANTS,
+    _corollary_basis,
+    CaseId,
+    Mode,
+    build,
+    build_generic,
+    check_identity,
+    corollary20_certificate,
+    verify_corollary20,
+)
 from hassett.criteria import satisfies_star
 from hassett.lattice import (
     A1,
@@ -17,15 +27,10 @@ from hassett.lattice import (
 )
 from hassett.linalg import IntMatrix, quadratic_form
 from hassett.verifier import (
-    COROLLARY_DISCRIMINANTS,
-    _corollary_basis,
     _labelling_saturated,
     Certificate,
     CertificateError,
     certificate_for,
-    check_identity,
-    corollary20_certificate,
-    verify_corollary20,
     verify_witness,
 )
 from oracles import from_columns, invariant_factors, oracle_short_vectors
