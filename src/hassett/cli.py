@@ -18,7 +18,7 @@ import sys
 from ._version import __version__
 from .constructions import Mode, build_generic, corollary20_certificate, generic_slots
 from .criteria import MAX_D, conjecture_sweep, discriminant_report
-from .verifier import Certificate, CertificateError, certificate_for, verify_witness
+from .verifier import Certificate, CertificateError, certificate_for
 
 
 def _fail_usage(message: str) -> int:
@@ -76,8 +76,8 @@ def cmd_intersect(args) -> int:
         return _fail_usage(str(exc))
     mode = Mode(args.mode)
     outcome = build_generic(targets, mode)
-    report = verify_witness(outcome.basis, targets, reference=outcome.reference)
-    cert = certificate_for(outcome.basis, tuple(targets), report)
+    cert = certificate_for(outcome.basis, tuple(targets), outcome.reference)
+    report = cert.report
     if args.json:
         print(cert.to_json())
     else:
@@ -152,7 +152,7 @@ def cmd_verify_file(args) -> int:
         cert = Certificate.from_json(text)
     except CertificateError as exc:
         return _fail_usage(str(exc))
-    report = cert.reverify()
+    report = cert.report
     if args.json:
         print(json.dumps(report.to_dict(), separators=(",", ":")))
     else:

@@ -93,7 +93,7 @@ from .lattice import (
     t_vec,
 )
 from .linalg import IntMatrix, _pivot_row, _smith_in_place, quadratic_form
-from .verifier import Certificate, WitnessReport, certificate_for, criterion_report, verify_witness
+from .verifier import Certificate, WitnessReport, certificate_for, criterion_report
 
 # Half-width of the box in which A2 slots look for perturbations.
 A2_SEARCH_BOUND = 3
@@ -202,10 +202,13 @@ class RealizationOutcome:
 
     status: RealizationStatus
     basis: tuple[AmbientVector, ...]
-    realized_gram: IntMatrix
     targets: tuple[int, ...]
     detail: str = ""
     reference: IntMatrix | None = None  # None: a GOAL target list, judged by no Gram
+
+    @property
+    def realized_gram(self) -> IntMatrix:
+        return gram_of(self.basis)
 
     @property
     def gram_delta(self) -> IntMatrix | None:
@@ -437,7 +440,7 @@ def realize_perturbations(slots: Sequence[SlotSpec]) -> RealizationOutcome:
     which candidates the A2 slots take, and ``_exact_assignment`` minimises
     it over those few choices.  Ties go to the lexicographically first
     assignment in candidate order.  Returns REALIZED_STRICT on an exact
-    match, otherwise NOT_REALIZABLE carrying the realized Gram and its delta.
+    match, otherwise NOT_REALIZABLE, whose ``gram_delta`` to the ideal is nonzero.
     """
     slots = tuple(slots)
     ideal = ideal_gram(slots)
@@ -447,7 +450,6 @@ def realize_perturbations(slots: Sequence[SlotSpec]) -> RealizationOutcome:
     return RealizationOutcome(
         status=RealizationStatus.NOT_REALIZABLE if miss else RealizationStatus.REALIZED_STRICT,
         basis=basis,
-        realized_gram=gram_of(basis),
         reference=ideal,
         targets=tuple(s.target_d for s in slots),
         detail=f"optimal assignment misses target by {miss}" if miss else "",
@@ -769,7 +771,6 @@ def _glued_search(slots: Sequence[SlotSpec]) -> RealizationOutcome:
             return RealizationOutcome(
                 status=RealizationStatus.REALIZED_GOAL,
                 basis=basis,
-                realized_gram=gram,
                 targets=targets,
             )
     # Only an exhausted search reports the basis of first candidates.
@@ -777,7 +778,6 @@ def _glued_search(slots: Sequence[SlotSpec]) -> RealizationOutcome:
     return RealizationOutcome(
         status=RealizationStatus.NOT_REALIZABLE,
         basis=canonical,
-        realized_gram=gram_of(canonical),
         targets=targets,
         detail=(
             f"search exhausted: none of {attempts} seeded glued witnesses passed "
@@ -875,9 +875,7 @@ def verify_corollary20() -> tuple[WitnessReport, tuple[DiscriminantReport, ...]]
 
 def corollary20_certificate() -> Certificate:
     """Certificate for the bundled 20-divisor configuration, verified once."""
-    basis = _corollary_basis()
-    report = verify_witness(basis, COROLLARY_DISCRIMINANTS)
-    return certificate_for(basis, COROLLARY_DISCRIMINANTS, report)
+    return certificate_for(_corollary_basis(), COROLLARY_DISCRIMINANTS)
 
 
 def check_identity(

@@ -17,7 +17,10 @@ runs them, for ``verify_witness`` and the GOAL builder alike.
 one target and at most ``RANK`` = 23 basis rows, including JSON that the parser
 itself refuses (an integer past the digit limit, a float, NaN or Infinity,
 nesting past the recursion limit), and any field whose JSON type is not
-exactly the schema's (see ``_exact``).
+exactly the schema's (see ``_exact``).  The embedded report must have the
+schema's form, but no value of it is read: every report object comes from
+``verify_witness``, and a parsed certificate carries the report recomputed
+from its basis and targets.
 """
 
 from __future__ import annotations
@@ -84,16 +87,6 @@ class CriterionReport:
             "pass": self.passed,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CriterionReport":
-        return cls(
-            contains_h_squared=_exact(data["containsHSquared"], bool, "containsHSquared"),
-            positive_definite=_exact(data["positiveDefinite"], bool, "positiveDefinite"),
-            saturated=_exact(data["saturated"], bool, "saturated"),
-            minimum_norm=_exact(data["minimumNorm"], int, "minimumNorm", nullable=True),
-            passed=_exact(data["pass"], bool, "pass"),
-        )
-
 
 def criterion_report(gram: IntMatrix, saturated: bool, has_h: bool) -> CriterionReport:
     """Run the four lattice checks on a witness of k basis vectors.
@@ -128,14 +121,6 @@ class LabellingCheck:
             "saturatedInM": self.saturated_in_m,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "LabellingCheck":
-        return cls(
-            target_d=_exact(data["targetD"], int, "targetD"),
-            realized_d=_exact(data["realizedD"], int, "realizedD"),
-            saturated_in_m=_exact(data["saturatedInM"], bool, "saturatedInM"),
-        )
-
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -157,20 +142,6 @@ class WitnessReport:
             "verdict": self.verdict,
             "failureReasons": list(self.failure_reasons),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WitnessReport":
-        labellings = _exact(data["labellings"], list, "labellings")
-        matches = data["gramMatchesReference"]
-        gram = _exact(data["realizedGram"], list, "realizedGram")
-        return cls(
-            criterion=CriterionReport.from_dict(data["criterion"]),
-            labellings=tuple(LabellingCheck.from_dict(l) for l in labellings),
-            gram_matches_reference=_exact(matches, bool, "gramMatchesReference", nullable=True),
-            realized_gram=IntMatrix([_exact(row, list, "realizedGram row", int) for row in gram]),
-            verdict=_exact(data["verdict"], str, "verdict"),
-            failure_reasons=tuple(_exact(data["failureReasons"], list, "failureReasons", str)),
-        )
 
 
 def _labelling_saturated(h: tuple[int, ...], j: int) -> bool:
@@ -195,7 +166,7 @@ def verify_witness(
     A basis that is not h2 first, holds dependent vectors or does not match
     the target count produces a FAIL report with structured reasons.  An
     empty basis raises ``ValueError`` and a non-integer target ``TypeError``;
-    ``Certificate.from_json`` rejects both before ``reverify`` runs.
+    ``Certificate.from_json`` rejects both before it calls this function.
     """
     basis = tuple(basis)
     targets = tuple(index(t) for t in targets)
@@ -256,9 +227,42 @@ def _reject_non_integer(text: str):
 _DECODER = json.JSONDecoder(parse_constant=_reject_non_integer, parse_float=_reject_non_integer)
 
 
+def _check_report_form(report) -> None:
+    """Check that an embedded report has the schema's keys and exact JSON types.
+
+    Nothing is built from its values: ``Certificate.from_json`` recomputes the
+    report.  A missing key raises ``KeyError``, a mistyped field ``TypeError``,
+    and an empty or ragged ``realizedGram`` ``ValueError``.  The order of the
+    checks decides which error a report with several faults names.
+    """
+    labellings = _exact(report["labellings"], list, "labellings")
+    matches = report["gramMatchesReference"]
+    gram = _exact(report["realizedGram"], list, "realizedGram")
+    criterion = report["criterion"]
+    for key in ("containsHSquared", "positiveDefinite", "saturated"):
+        _exact(criterion[key], bool, key)
+    _exact(criterion["minimumNorm"], int, "minimumNorm", nullable=True)
+    _exact(criterion["pass"], bool, "pass")
+    for labelling in labellings:
+        for key, kind in (("targetD", int), ("realizedD", int), ("saturatedInM", bool)):
+            _exact(labelling[key], kind, key)
+    _exact(matches, bool, "gramMatchesReference", nullable=True)
+    rows = [_exact(row, list, "realizedGram row", int) for row in gram]
+    if not rows or not rows[0]:
+        raise ValueError("matrix must have at least one row and one column")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("ragged rows")
+    _exact(report["verdict"], str, "verdict")
+    _exact(report["failureReasons"], list, "failureReasons", str)
+
+
 @dataclass(frozen=True)
 class Certificate:
-    """Self-contained, re-verifiable record of one witness check."""
+    """Self-contained, re-verifiable record of one witness check.
+
+    Build one with ``certificate_for`` or ``from_json``; both carry the report
+    that ``verify_witness`` computed from ``basis`` and ``targets``.
+    """
 
     basis: tuple[tuple[int, ...], ...]
     targets: tuple[int, ...]
@@ -314,28 +318,22 @@ class Certificate:
         if not targets:
             raise CertificateError("field 'targets' is empty: the certificate names no divisor")
         try:
-            report = WitnessReport.from_dict(doc["report"])
+            _check_report_form(doc["report"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CertificateError(f"malformed report: {exc}") from None
-        return cls(
-            basis=tuple(rows),
-            targets=tuple(targets),
-            report=report,
-            tool_version=tool_version,
-        )
-
-    def reverify(self) -> WitnessReport:
-        """Ignore the embedded report and re-run verification from the basis."""
-        vectors = tuple(AmbientVector(row) for row in self.basis)
-        return verify_witness(vectors, self.targets)
+        vectors = tuple(AmbientVector(row) for row in rows)
+        return replace(certificate_for(vectors, tuple(targets)), tool_version=tool_version)
 
 
 def certificate_for(
-    basis: tuple[AmbientVector, ...], targets: tuple[int, ...], report: WitnessReport
+    basis: tuple[AmbientVector, ...],
+    targets: tuple[int, ...],
+    reference: IntMatrix | None = None,
 ) -> Certificate:
+    """Certificate of ``basis`` and ``targets`` carrying the report ``verify_witness`` computes."""
     return Certificate(
         basis=tuple(v.coords for v in basis),
         targets=tuple(targets),
-        report=report,
+        report=verify_witness(basis, targets, reference),
     )
 

@@ -211,8 +211,7 @@ def golden_pool():
 def golden_digest():
     h = hashlib.sha256()
     for basis, targets, reference in golden_pool():
-        report = verify_witness(basis, targets, reference=reference)
-        h.update(certificate_for(basis, targets, report).to_json().encode())
+        h.update(certificate_for(basis, targets, reference).to_json().encode())
     return h.hexdigest()
 
 
@@ -265,25 +264,62 @@ class TestCertificates:
         text = cert.to_json()
         parsed = Certificate.from_json(text)
         assert parsed.to_json() == text
-        assert parsed.reverify() == cert.report
+        assert parsed.report == cert.report
 
     def test_round_trip_passing_certificate(self):
         outcome = build_generic((12, 12, 26), Mode.GOAL)
-        report = verify_witness(outcome.basis, outcome.targets)
-        cert = certificate_for(outcome.basis, outcome.targets, report)
+        cert = certificate_for(outcome.basis, outcome.targets)
         again = Certificate.from_json(cert.to_json())
-        assert again.reverify().verdict == "PASS"
+        assert again.report.verdict == "PASS"
 
     def test_tampered_basis_detected(self):
         outcome = build_generic((12, 12, 26), Mode.GOAL)
-        report = verify_witness(outcome.basis, outcome.targets)
-        cert = certificate_for(outcome.basis, outcome.targets, report)
+        cert = certificate_for(outcome.basis, outcome.targets)
         doc = json.loads(cert.to_json())
         doc["basis"][1] = [2 * x for x in doc["basis"][1]]
         tampered = Certificate.from_json(json.dumps(doc))
-        redone = tampered.reverify()
+        redone = tampered.report
         assert redone.verdict == "FAIL"
         assert "NOT_SATURATED" in redone.failure_reasons
+
+    def test_forged_pass_is_recomputed(self):
+        # Two orthogonal U vectors of norms 400 and 460 and no h2, as the
+        # benchmark's hostile certificates have; the embedded report claims
+        # PASS with minimum 3 and a 1 x 1 Gram.
+        basis = (e_vec(1, 1) + 200 * e_vec(1, 2), e_vec(2, 1) + 230 * e_vec(2, 2))
+        doc = json.loads(certificate_for(basis, (8,)).to_json())
+        doc["report"] = {
+            "criterion": {
+                "containsHSquared": True,
+                "positiveDefinite": True,
+                "saturated": True,
+                "minimumNorm": 3,
+                "pass": True,
+            },
+            "labellings": [{"targetD": 8, "realizedD": 8, "saturatedInM": True}],
+            "gramMatchesReference": None,
+            "realizedGram": [[3]],
+            "verdict": "PASS",
+            "failureReasons": [],
+        }
+        parsed = Certificate.from_json(json.dumps(doc))
+        assert parsed.report == verify_witness(basis, (8,))
+        assert parsed.report.verdict == "FAIL"
+        assert parsed.report.criterion.minimum_norm == 400
+
+    def test_contradicting_report_is_recomputed(self):
+        # The intersect 12 12 26 certificate with an emptied labelling list,
+        # a 1 x 3 Gram and unknown keys: it parses, and its report is the
+        # verifier's, not the file's.
+        outcome = build_generic((12, 12, 26), Mode.GOAL)
+        doc = json.loads(certificate_for(outcome.basis, outcome.targets).to_json())
+        doc["extra"] = 1
+        doc["report"]["criterion"]["bogus"] = True
+        doc["report"]["labellings"] = []
+        doc["report"]["realizedGram"] = [[1, 2, 3]]
+        parsed = Certificate.from_json(json.dumps(doc))
+        assert parsed.report == verify_witness(outcome.basis, outcome.targets)
+        assert [l.realized_d for l in parsed.report.labellings] == [12, 12, 26]
 
     def test_truncated_json_rejected(self):
         cert = corollary20_certificate()
