@@ -18,7 +18,7 @@ import sys
 from ._version import __version__
 from .constructions import Mode, build_generic, corollary20_certificate, generic_slots
 from .criteria import MAX_D, conjecture_sweep, discriminant_report
-from .verifier import Certificate, CertificateError, certificate_for
+from .verifier import Certificate, CertificateError
 
 
 def _fail_usage(message: str) -> int:
@@ -76,7 +76,7 @@ def cmd_intersect(args) -> int:
         return _fail_usage(str(exc))
     mode = Mode(args.mode)
     outcome = build_generic(targets, mode)
-    cert = certificate_for(outcome.basis, tuple(targets), outcome.reference)
+    cert = outcome.certificate
     report = cert.report
     if args.json:
         print(cert.to_json())

@@ -58,9 +58,10 @@ of T's presentation on the non-unit pivots (w x 2w, entries mod the index)
 gives T.  The glue names the y_j that take f1 and f2, so each (s_j, u_j) is
 (0, 0) but on at most two y_j; it is the first candidate that lambda makes
 injective, tested exactly (see ``_glue``).
-Each draw is accepted by ``verifier.criterion_report``, the four-check
-predicate the verifier runs, so a witness is only reported REALIZED_GOAL
-when it is positive definite with minimum at least 3.  The y_j are drawn
+Each draw is accepted by the verdict of ``verifier.verify_witness``, which
+recomputes all four checks and every labelling, so a witness is only
+reported REALIZED_GOAL when the verifier passes it, and every outcome
+carries the certificate of that one verification.  The y_j are drawn
 from a generator seeded by the target list, so the output is the same in
 every process.  The flagship corollary (``corollary20_certificate``) and
 the seeded check of the completed-squares identities (``check_identity``)
@@ -93,7 +94,7 @@ from .lattice import (
     t_vec,
 )
 from .linalg import IntMatrix, _pivot_row, _smith_in_place, quadratic_form
-from .verifier import Certificate, WitnessReport, certificate_for, criterion_report
+from .verifier import Certificate, WitnessReport, certificate_for
 
 # Half-width of the box in which A2 slots look for perturbations.
 A2_SEARCH_BOUND = 3
@@ -198,17 +199,22 @@ class SlotSpec:
 
 @dataclass(frozen=True)
 class RealizationOutcome:
-    """A built witness and the ``reference`` Gram (ideal or named) it was judged against."""
+    """A built witness and the ``reference`` Gram (ideal or named) it was judged against.
+
+    ``certificate`` is ``certificate_for(basis, targets, reference)``, computed
+    once by the builder; ``realized_gram`` and ``gram_delta`` read its report.
+    """
 
     status: RealizationStatus
     basis: tuple[AmbientVector, ...]
     targets: tuple[int, ...]
+    certificate: Certificate
     detail: str = ""
     reference: IntMatrix | None = None  # None: a GOAL target list, judged by no Gram
 
     @property
     def realized_gram(self) -> IntMatrix:
-        return gram_of(self.basis)
+        return self.certificate.report.realized_gram
 
     @property
     def gram_delta(self) -> IntMatrix | None:
@@ -432,7 +438,9 @@ def _exact_assignment(
     return optimum, assignment
 
 
-def realize_perturbations(slots: Sequence[SlotSpec]) -> RealizationOutcome:
+def realize_perturbations(
+    slots: Sequence[SlotSpec], reference: IntMatrix | None = None
+) -> RealizationOutcome:
     """Find the perturbation assignment whose Gram deviates least from the ideal Gram.
 
     The deviation is the sum of absolute entrywise differences.  It is a
@@ -441,17 +449,22 @@ def realize_perturbations(slots: Sequence[SlotSpec]) -> RealizationOutcome:
     it over those few choices.  Ties go to the lexicographically first
     assignment in candidate order.  Returns REALIZED_STRICT on an exact
     match, otherwise NOT_REALIZABLE, whose ``gram_delta`` to the ideal is nonzero.
+    The basis is certified once, against ``reference``: the ideal Gram unless
+    a named case passes its own.
     """
     slots = tuple(slots)
     ideal = ideal_gram(slots)
     gens = [_generators(s) for s in slots]
     miss, picks = _exact_assignment(slots, gens, ideal)
     basis = (H_SQUARED,) + tuple(g[a] for g, a in zip(gens, picks))
+    targets = tuple(s.target_d for s in slots)
+    reference = ideal if reference is None else reference
     return RealizationOutcome(
         status=RealizationStatus.NOT_REALIZABLE if miss else RealizationStatus.REALIZED_STRICT,
         basis=basis,
-        reference=ideal,
-        targets=tuple(s.target_d for s in slots),
+        targets=targets,
+        certificate=certificate_for(basis, targets, reference),
+        reference=reference,
         detail=f"optimal assignment misses target by {miss}" if miss else "",
     )
 
@@ -493,9 +506,8 @@ def build(case_id: CaseId, params: Sequence[int], mode: Mode = Mode.GOAL) -> Rea
     # R21_ALL2 is the one case whose reference is not the ideal Gram of its slots.
     transcribed = _r21_all2_gram(params) if case_id == CaseId.R21_ALL2 else None
     if mode == Mode.GOAL:
-        reference = ideal_gram(slots) if transcribed is None else transcribed
-        return replace(_glued_search(slots), reference=reference)
-    outcome = realize_perturbations(slots)
+        return _glued_search(slots, ideal_gram(slots) if transcribed is None else transcribed)
+    outcome = realize_perturbations(slots, transcribed)
     if transcribed is None:
         return outcome
     unmet = _unmet_entries(slots, transcribed)
@@ -505,7 +517,6 @@ def build(case_id: CaseId, params: Sequence[int], mode: Mode = Mode.GOAL) -> Rea
     return replace(
         outcome,
         status=RealizationStatus.NOT_REALIZABLE,
-        reference=transcribed,
         detail=(
             f"{len(unmet)} target entries are met by no candidate pair, "
             f"first ({i}, {j}) = {transcribed[i][j]}"
@@ -549,11 +560,11 @@ def build_generic(targets: Sequence[int], mode: Mode = Mode.GOAL) -> Realization
     its witnesses reproduce scaled generators and can fail saturation.  GOAL
     builds the glued witness of the module docstring.  It guarantees exact
     labelling discriminants and saturation in the ambient lattice, and it
-    returns REALIZED_GOAL only after positive definiteness and the minimum
-    norm of at least 3 have been checked.  When ``GOAL_ATTEMPTS`` seeded
-    draws all fail, the outcome is NOT_REALIZABLE with a detail saying that
-    the search was exhausted; that is not a proof that the targets are
-    impossible.
+    returns REALIZED_GOAL only when ``verify_witness`` passes the witness;
+    either mode's outcome carries its certificate.  When ``GOAL_ATTEMPTS``
+    seeded draws all fail, the outcome is NOT_REALIZABLE with a detail
+    saying that the search was exhausted; that is not a proof that the
+    targets are impossible.
     """
     slots = generic_slots(targets)
     if mode == Mode.STRICT:
@@ -566,7 +577,7 @@ def build_generic(targets: Sequence[int], mode: Mode = Mode.GOAL) -> Realization
 
 # Seeded draws of the y_j before GOAL reports the search exhausted.  A draw
 # fails when no glue saturates it (P/Y needs more than two generators, or no
-# candidate glue is injective) or its Gram fails a check; the 950 lists of
+# candidate glue is injective) or its certificate fails; the 950 lists of
 # acceptance criterion 7 and the corollary list need at most 12 draws.
 GOAL_ATTEMPTS = 64
 
@@ -746,12 +757,16 @@ def _glue(ys: Sequence[AmbientVector]) -> tuple[int, ...] | None:
     return None
 
 
-def _glued_search(slots: Sequence[SlotSpec]) -> RealizationOutcome:
+def _glued_search(
+    slots: Sequence[SlotSpec], reference: IntMatrix | None = None
+) -> RealizationOutcome:
     """GOAL witness: v1, v2 from the U slots, v_j = y_j plus f1 or f2 where ``_glue`` names j.
 
-    A draw is accepted by ``criterion_report``, the predicate the verifier
-    runs.  Saturation, h2 and the discriminants hold by construction (see the
-    module docstring), so it decides definiteness and the minimum.
+    A draw is accepted when its certificate, ``certificate_for`` against
+    ``reference``, has verdict PASS.  Saturation, h2 and the discriminants
+    hold by construction (see the module docstring), so in effect the verdict
+    decides definiteness and the minimum; it checks the rest all the same.
+    An exhausted search certifies its basis of first candidates once.
     """
     slots = tuple(slots)
     targets = tuple(s.target_d for s in slots)
@@ -766,12 +781,14 @@ def _glued_search(slots: Sequence[SlotSpec]) -> RealizationOutcome:
         for j, f in zip(glue, (e_vec(1, 2), e_vec(2, 2))):
             ys[j] = ys[j] + f
         basis = head + tuple(ys)
-        gram = gram_of(basis)
-        if criterion_report(gram, True, True).passed:
+        certificate = certificate_for(basis, targets, reference)
+        if certificate.report.verdict == "PASS":
             return RealizationOutcome(
                 status=RealizationStatus.REALIZED_GOAL,
                 basis=basis,
                 targets=targets,
+                certificate=certificate,
+                reference=reference,
             )
     # Only an exhausted search reports the basis of first candidates.
     canonical = head + tuple(_generators(s)[0] for s in slots[2:])
@@ -779,6 +796,8 @@ def _glued_search(slots: Sequence[SlotSpec]) -> RealizationOutcome:
         status=RealizationStatus.NOT_REALIZABLE,
         basis=canonical,
         targets=targets,
+        certificate=certificate_for(canonical, targets, reference),
+        reference=reference,
         detail=(
             f"search exhausted: none of {attempts} seeded glued witnesses passed "
             "every check; this does not show that the targets are impossible"
@@ -854,8 +873,12 @@ COROLLARY_DISCRIMINANTS = (
 
 
 @lru_cache(maxsize=1)
+def _corollary_build() -> RealizationOutcome:
+    return build_generic(COROLLARY_DISCRIMINANTS, Mode.GOAL)
+
+
 def _corollary_basis() -> tuple[AmbientVector, ...]:
-    return build_generic(COROLLARY_DISCRIMINANTS, Mode.GOAL).basis
+    return _corollary_build().basis
 
 
 def verify_corollary20() -> tuple[WitnessReport, tuple[DiscriminantReport, ...]]:
@@ -874,8 +897,8 @@ def verify_corollary20() -> tuple[WitnessReport, tuple[DiscriminantReport, ...]]
 
 
 def corollary20_certificate() -> Certificate:
-    """Certificate for the bundled 20-divisor configuration, verified once."""
-    return certificate_for(_corollary_basis(), COROLLARY_DISCRIMINANTS)
+    """Certificate for the bundled 20-divisor configuration: that of its cached build."""
+    return _corollary_build().certificate
 
 
 def check_identity(

@@ -10,7 +10,8 @@ certificates can be checked by third parties from the coordinates alone.
 The lattice-level certification a witness must pass has four checks:
 contains h2, positive definite, saturated in the ambient lattice, and no
 nonzero vector of norm below 3.  ``criterion_report`` is the one place that
-runs them, for ``verify_witness`` and the GOAL builder alike.
+runs them, for ``verify_witness``; the GOAL builder accepts a draw by the
+verdict of ``certificate_for``, so it never judges a witness itself.
 
 ``Certificate.from_json`` reads untrusted text and raises
 ``CertificateError`` on anything it cannot read as a certificate of at least
@@ -261,7 +262,8 @@ class Certificate:
     """Self-contained, re-verifiable record of one witness check.
 
     Build one with ``certificate_for`` or ``from_json``; both carry the report
-    that ``verify_witness`` computed from ``basis`` and ``targets``.
+    that ``verify_witness`` computed from ``basis`` and ``targets``.  Every
+    build outcome carries the one its builder accepted or rejected it by.
     """
 
     basis: tuple[tuple[int, ...], ...]

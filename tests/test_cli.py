@@ -118,15 +118,35 @@ class TestCorollary20:
         assert len(doc["discriminants"]) == 20
         assert doc["certificate"]["targets"][0] == 14
 
-    @pytest.mark.parametrize("argv", [["corollary20"], ["corollary20", "--json"]])
+    # A 20-target GOAL list whose first seeded draw passes.
+    FIRST_DRAW_20 = (30, 62, 7776, 600, 3750, 6146, 216, 24, 9126, 8664) + (
+        2168, 486, 386, 3458, 1736, 5768, 4058, 4376, 1176, 2906,
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["corollary20"],
+            ["corollary20", "--json"],
+            ["intersect", "12", "12", "26", "--json"],
+            ["intersect", *map(str, FIRST_DRAW_20)],
+            ["intersect", "12", "12", "24", "--mode", "strict", "--json"],
+        ],
+    )
     def test_verifies_the_witness_once(self, capsys, monkeypatch, argv):
         # Each function is counted in every hassett module that holds it, so
-        # a call is seen whichever module makes it.
+        # a call is seen whichever module makes it.  The corollary build is
+        # cached, so its cache is cleared to count the build's own work.
+        import hassett.constructions as constructions
         import hassett.criteria as criteria
+        import hassett.lattice as lattice
         import hassett.verifier as verifier
 
+        constructions._corollary_build.cache_clear()
         originals = {
             "verify_witness": verifier.verify_witness,
+            "gram_of": lattice.gram_of,
+            "minimum": lattice.minimum,
             "discriminant_report": criteria.discriminant_report,
         }
         calls = dict.fromkeys(originals, 0)
@@ -147,9 +167,18 @@ class TestCorollary20:
                 if vars(module).get(name) is inner:
                     monkeypatch.setattr(module, name, wrapper)
         code, out, _ = run(capsys, *argv)
-        assert code == 0
-        assert calls == {"verify_witness": 1, "discriminant_report": 20}
-        if "--json" in argv:
+        strict = "strict" in argv
+        # The STRICT witness 2*a1 is not saturated.
+        assert code == int(strict)
+        assert calls == {
+            "verify_witness": 1,
+            # STRICT also builds the ideal reference Gram of the bare
+            # generators, a second matrix; the witness Gram is computed once.
+            "gram_of": 1 + strict,
+            "minimum": 1,
+            "discriminant_report": 20 if argv[0] == "corollary20" else 0,
+        }
+        if argv == ["corollary20", "--json"]:
             assert json.loads(out)["certificate"]["report"]["verdict"] == "PASS"
 
 

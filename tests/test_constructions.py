@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -39,7 +40,8 @@ from hassett.lattice import (
     inner_product,
 )
 from hassett.linalg import IntMatrix, is_positive_definite, quadratic_form
-from hassett.verifier import CriterionReport, verify_witness
+import hassett.verifier as verifier
+from hassett.verifier import certificate_for, verify_witness
 from oracles import from_columns, invariant_factors
 
 RANK4_CASES = (CaseId.R4_000, CaseId.R4_002, CaseId.R4_022, CaseId.R4_222)
@@ -552,6 +554,40 @@ class TestBuildGoal:
                 assert "does not show that the targets are impossible" in outcome.detail
 
 
+def _carried_report_outcomes():
+    """(mode, outcome) of seeded GOAL and STRICT lists, then of every named build in both modes.
+
+    The named builds include the exhausted ``R21_ALL0`` GOAL search and the
+    STRICT ``R21_ALL2`` build judged against its transcribed Gram.
+    """
+    rng = random.Random(24)
+    for mode in (Mode.GOAL, Mode.STRICT):
+        for n in range(2, 21 if mode == Mode.GOAL else 11):
+            targets = [rng.choice((8, 12, 14, 20, 24, 26)) for _ in range(2)]
+            targets += [6 * m * m + rng.choice((0, 2)) for m in rng.sample(range(2, 30), n - 2)]
+            yield mode, build_generic(targets, mode)
+    for case_id, params in NAMED_CASE_PARAMS:
+        for mode in (Mode.GOAL, Mode.STRICT):
+            yield mode, build(case_id, params, mode)
+
+
+def test_carried_report_is_the_verifiers():
+    # A stale reference, basis or target list would show as a report that
+    # verify_witness does not give for the outcome's own fields.
+    exhausted = 0
+    for mode, outcome in _carried_report_outcomes():
+        cert = outcome.certificate
+        report = verify_witness(outcome.basis, outcome.targets, outcome.reference)
+        assert cert.report == report, (outcome.targets, outcome.status)
+        assert cert.basis == tuple(v.coords for v in outcome.basis)
+        assert cert.targets == outcome.targets
+        if mode == Mode.GOAL:
+            realized = outcome.status == RealizationStatus.REALIZED_GOAL
+            exhausted += outcome.detail.startswith("search exhausted")
+            assert realized == (report.verdict == "PASS"), (outcome.targets, outcome.detail)
+    assert exhausted >= 1
+
+
 class TestGenericBuilds:
     def test_pool_matches_first_targets(self):
         slots = generic_slots((12, 12, 24, 98))
@@ -644,9 +680,12 @@ class TestGenericBuilds:
         assert report.verdict == "PASS", report.failure_reasons
 
     def test_exhausted_search_is_not_reported_realized(self, monkeypatch):
-        # Every attempt fails the minimum check, so no witness may be claimed.
-        failing = CriterionReport(True, True, True, 1, False)
-        monkeypatch.setattr(constructions, "criterion_report", lambda g, s, h: failing)
+        # Every attempt's certificate fails, so no witness may be claimed.
+        def failing(basis, targets, reference=None):
+            cert = certificate_for(basis, targets, reference)
+            return replace(cert, report=replace(cert.report, verdict="FAIL"))
+
+        monkeypatch.setattr(constructions, "certificate_for", failing)
         outcome = build_generic((12, 12, 26), Mode.GOAL)
         assert outcome.status == RealizationStatus.NOT_REALIZABLE
         assert "exhausted" in outcome.detail and "impossible" in outcome.detail
@@ -683,13 +722,13 @@ class TestGenericBuilds:
 
 
 def test_glued_draw_eliminates_each_gram_once(monkeypatch):
-    # criterion_report's minimum also decides definiteness, so every glued
-    # draw runs one _ldl on its Gram and no is_positive_definite.  At these
+    # The verifier's minimum also decides definiteness, so every glued draw
+    # runs one _ldl on its Gram and no is_positive_definite.  At these
     # parameters all 64 draws fail, most of them as indefinite Grams, and the
-    # NOT_REALIZABLE outcome computes no Gram of its canonical basis.
+    # NOT_REALIZABLE outcome certifies its canonical basis once.
     assert not hasattr(constructions, "is_positive_definite")
     calls = {"_ldl": 0, "is_positive_definite": 0, "gram_of": 0}
-    owners = {"_ldl": lattice, "is_positive_definite": linalg, "gram_of": constructions}
+    owners = {"_ldl": lattice, "is_positive_definite": linalg, "gram_of": verifier}
     for name, owner in owners.items():
         inner = getattr(owner, name)
 
