@@ -71,11 +71,11 @@ def cmd_intersect(args) -> int:
         if not 1 <= d <= MAX_D:
             return _fail_usage(f"d must lie in [1, {MAX_D}], got {d}")
     try:
-        generic_slots(targets)
+        slots = generic_slots(targets)
     except ValueError as exc:
         return _fail_usage(str(exc))
     mode = Mode(args.mode)
-    outcome = build_generic(targets, mode)
+    outcome = build_generic(targets, mode, slots=slots)
     cert = outcome.certificate
     report = cert.report
     if args.json:

@@ -36,7 +36,9 @@ Two realization modes, for named cases (``build``) and target lists
   saturated by construction, that must also pass the remaining checks.
 
 STRICT compares a named case with its reference Gram and a target list with
-the ideal Gram of its slots.  The glued GOAL witness is built as follows.
+the ideal Gram of its slots, a closed form in the slot parameters and the A2
+and E8 Gram entries (``ideal_gram``), so STRICT computes one Gram, that of
+its witness, in the verifier.  The glued GOAL witness is built as follows.
 Write P = E8+E8+I3, so L = P+U1+U2 with U_i spanned by the isotropic pair
 e_i = e_vec(i, 1), f_i = e_vec(i, 2).  The basis is h2, the U-slot
 generators v1 = e1 + n1*f1 (+p1) and v2 = e2 + n2*f2 (+p2) exactly as above,
@@ -63,9 +65,10 @@ recomputes all four checks and every labelling, so a witness is only
 reported REALIZED_GOAL when the verifier passes it, and every outcome
 carries the certificate of that one verification.  The y_j are drawn
 from a generator seeded by the target list, so the output is the same in
-every process.  The flagship corollary (``corollary20_certificate``) and
-the seeded check of the completed-squares identities (``check_identity``)
-are built here too; a verdict comes from ``verifier`` alone.
+every process, and read only through ``getrandbits`` (see ``_below``).
+The flagship corollary (``corollary20_certificate``) and the seeded check
+of the completed-squares identities (``check_identity``) are built here
+too; a verdict comes from ``verifier`` alone.
 """
 
 from __future__ import annotations
@@ -86,6 +89,7 @@ from .lattice import (
     E8_GRAM,
     AmbientVector,
     H_SQUARED,
+    _unchecked,
     e_vec,
     gram_of,
     i3_unit,
@@ -134,6 +138,11 @@ for _copy in (1, 2):
 
 U_KINDS = ("U1", "U2")
 _A2_KINDS = ("A2_1", "A2_2")
+
+# <b, b'> for the scaled slot bases in ``_SCALED_BASES`` order: the Gram of
+# a1, a2, then the two E8 blocks, which pair with nothing outside themselves.
+_BASE_PAIRING = IntMatrix.block_diagonal([gram_of([A1, A2]), E8_GRAM, E8_GRAM]).rows
+_BASE_INDEX = {kind: i for i, kind in enumerate(_SCALED_BASES)}
 
 # Scaled-slot assignment order for generic builds: the two A2 generators, then
 # E8 basis vectors of both copies interleaved so that early slots avoid
@@ -192,8 +201,10 @@ class SlotSpec:
 
     def bare_generator(self) -> AmbientVector:
         if self.kind in U_KINDS:
-            copy = 1 if self.kind == "U1" else 2
-            return e_vec(copy, 1) + self.n * e_vec(copy, 2)
+            coords = [0] * 23
+            at = 16 if self.kind == "U1" else 18  # e_i of U_i; f_i follows it
+            coords[at], coords[at + 1] = 1, self.n
+            return _unchecked(tuple(coords))
         return self.scale * _SCALED_BASES[self.kind]
 
 
@@ -243,18 +254,31 @@ def _sqrt_entry(ni: int, nj: int) -> int:
     return root
 
 
+def _bare_pairing(s: SlotSpec, t: SlotSpec) -> int:
+    """Inner product of the bare generators of two slots (see ``ideal_gram``)."""
+    if s.kind in U_KINDS or t.kind in U_KINDS:
+        return s.n + t.n if s.kind == t.kind else 0
+    return s.scale * t.scale * _BASE_PAIRING[_BASE_INDEX[s.kind]][_BASE_INDEX[t.kind]]
+
+
 def ideal_gram(slots: Sequence[SlotSpec]) -> IntMatrix:
     """Gram matrix of a witness whose perturbations pair to zero everywhere.
 
-    Cross terms between bare generators (A2 pairs, E8 diagram edges) are kept;
-    every perturbation contributes only its forced diagonal and h2 entries.
+    A closed form, with no generator vector: h2 has norm 3 and meets no bare
+    generator; U generators e + n f pair as n + n' in one plane (2n on the
+    diagonal), 0 elsewhere; scaled ones m b, m' b' as m m' <b, b'> from
+    ``_BASE_PAIRING``, which keeps the A2 and E8 cross terms.  A residue-2
+    perturbation adds only its forced 1 in the h2 row and on the diagonal.
     """
-    bare = [s.bare_generator() for s in slots]
-    g = gram_of([H_SQUARED] + bare).to_lists()
-    for i, s in enumerate(slots):
+    k = len(slots)
+    g = [[0] * (k + 1) for _ in range(k + 1)]
+    g[0][0] = 3
+    for i, s in enumerate(slots, 1):
+        for j, t in enumerate(slots[i - 1 :], i):
+            g[i][j] = g[j][i] = _bare_pairing(s, t)
         if s.residue == 2:
-            g[0][i + 1] = g[i + 1][0] = 1
-            g[i + 1][i + 1] += 1
+            g[0][i] = g[i][0] = 1
+            g[i][i] += 1
     return IntMatrix(g)
 
 
@@ -400,8 +424,9 @@ def _exact_assignment(
 
     where w_u = sum |u.g| over the A2 generators g.  Every other entry meets
     its target.  So the optimum is a minimum over the A2 picks and the counts
-    c0 + c1 + c2 = K.  Walking the slots in order and keeping the least pick
-    that some optimal (picks, counts) still allows gives the
+    c0 + c1 + c2 = K; each pick prices c_u from one list per unit u, of
+    C(c, 2) + c * w_u for c = 0..K.  Walking the slots in order and keeping
+    the least pick that some optimal (picks, counts) still allows gives the
     lexicographically first optimal assignment.
     """
     a2 = [i for i, s in enumerate(slots) if s.kind in _A2_KINDS]
@@ -414,11 +439,11 @@ def _exact_assignment(
             for (i, a), (j, b) in itertools.combinations(zip(a2, picks), 2)
         )
         w = [sum(weight[i][a][u] for i, a in zip(a2, picks)) for u in range(3)]
+        cost0, cost1, cost2 = ([c * (c - 1) // 2 + c * wu for c in range(units + 1)] for wu in w)
         for c0 in range(units + 1):
             for c1 in range(units + 1 - c0):
-                counts = (c0, c1, units - c0 - c1)
-                miss = a2_miss + sum(c * (c - 1) // 2 + c * wu for c, wu in zip(counts, w))
-                options.append((miss, picks, counts))
+                c2 = units - c0 - c1
+                options.append((a2_miss + cost0[c0] + cost1[c1] + cost2[c2], picks, (c0, c1, c2)))
     optimum = min(miss for miss, _, _ in options)
     allowed = [(p, c) for miss, p, c in options if miss == optimum]
     placed = [0, 0, 0]
@@ -553,7 +578,12 @@ def generic_slots(targets: Sequence[int]) -> tuple[SlotSpec, ...]:
     return tuple(slots)
 
 
-def build_generic(targets: Sequence[int], mode: Mode = Mode.GOAL) -> RealizationOutcome:
+def build_generic(
+    targets: Sequence[int],
+    mode: Mode = Mode.GOAL,
+    *,
+    slots: tuple[SlotSpec, ...] | None = None,
+) -> RealizationOutcome:
     """Witness builder for 2 to 20 arbitrary admissible discriminants.
 
     STRICT searches slot perturbations against the ideal Gram of the slots;
@@ -564,9 +594,11 @@ def build_generic(targets: Sequence[int], mode: Mode = Mode.GOAL) -> Realization
     either mode's outcome carries its certificate.  When ``GOAL_ATTEMPTS``
     seeded draws all fail, the outcome is NOT_REALIZABLE with a detail
     saying that the search was exhausted; that is not a proof that the
-    targets are impossible.
+    targets are impossible.  A caller that has already validated the targets
+    passes ``slots = generic_slots(targets)``, so they are made only once.
     """
-    slots = generic_slots(targets)
+    if slots is None:
+        slots = generic_slots(targets)
     if mode == Mode.STRICT:
         return realize_perturbations(slots)
     return _glued_search(slots)
@@ -599,36 +631,39 @@ def _quotient_coords(v: AmbientVector) -> tuple[int, ...]:
     return c[:16] + (c[21] - c[20], c[22] - c[20])
 
 
+def _below(bits, n: int) -> int:
+    """Uniform on [0, n) from ``bits = rng.getrandbits``, as CPython 3.11 draws it.
+
+    ``getrandbits(k)``, k the bit length of n, redrawn while it is not below
+    n: the stream that ``choice``, ``sample`` and ``randint`` consume through
+    the private ``Random._randbelow``, so the witnesses are the ones those
+    calls give.  Reading the documented bit stream directly also skips that
+    call chain, which costs more than the draw itself.
+    """
+    k = n.bit_length()
+    x = bits(k)
+    while x >= n:
+        x = bits(k)
+    return x
+
+
 def _four_squares(n: int, rng: random.Random) -> tuple[int, int, int, int]:
     """A random integer quadruple whose squares sum to ``n`` (Lagrange: one exists).
 
-    a, b and c are uniform on [-r, r], r = isqrt(n): each is drawn as
-    ``getrandbits(k)``, for k the bit length of the width 2r + 1, redrawn
-    while it is not below the width.  That is exactly the stream
-    ``randint(-r, r)`` consumes in CPython 3.11, so the draws, and the
-    witnesses, are the ones ``randint`` gives.  Drawing from ``getrandbits``
-    keeps them on the documented Mersenne Twister bit stream rather than on
-    the private path behind ``randrange``, and skips that call chain, which
-    costs more than the draw itself.
+    a, b and c are uniform on [-r, r], r = isqrt(n), and the sign of d is
+    one of (1, -1), each drawn by ``_below``: the stream of ``randint(-r, r)``
+    and of ``choice((1, -1))``.
     """
     r = math.isqrt(n)
     width = 2 * r + 1
-    k = width.bit_length()
     bits = rng.getrandbits
-
-    def draw() -> int:
-        x = bits(k)
-        while x >= width:
-            x = bits(k)
-        return x - r
-
     while True:
-        a, b, c = draw(), draw(), draw()
+        a, b, c = (_below(bits, width) - r for _ in range(3))
         rest = n - a * a - b * b - c * c
         if rest >= 0:
             d = math.isqrt(rest)
             if d * d == rest:
-                return a, b, c, rng.choice((1, -1)) * d
+                return a, b, c, (1, -1)[_below(bits, 2)] * d
 
 
 @lru_cache(maxsize=None)
@@ -651,31 +686,38 @@ def _draw_y(slot: SlotSpec, rng: random.Random) -> AmbientVector:
     y = (m - 1)*b + w for the slot base b (a root), where w is orthogonal to
     b and h2.w = r, w.w = 4m - 2 + r.  w is an I3 part plus integer multiples
     of four mutually orthogonal E8 basis vectors orthogonal to b.
+
+    The bits are those that ``choice`` of the I3 part, ``sample(range(16),
+    16)`` of the E8 nodes and ``_four_squares`` consume, drawn by ``_below``.
     """
     base = _SCALED_BASES[slot.kind]
     m, r = slot.scale, slot.residue
-    budget = 4 * m - 2 + r
-    x = rng.choice(_i3_parts(slot.kind, r))  # x.x <= 3 and budget >= 6, so half >= 1
-    half = (budget - sum(c * c for c in x)) // 2
+    bits = rng.getrandbits
+    parts = _i3_parts(slot.kind, r)
+    x = parts[_below(bits, len(parts))]  # x.x <= 3 and 4m - 2 + r >= 6, so half >= 1
+    half = (4 * m - 2 + r - sum(c * c for c in x)) // 2
     # A node is taken unless it is blocked (the base or a node already taken)
     # or adjacent to a blocked node, that is, unless it is in ``closed``.
     closed: set[int] = set()
     for i in range(16):
         if base.coords[i]:
             closed |= _E8_CLOSED[i]
+    # The nodes in sample's order: each step takes pool[j], j below the nodes
+    # left, and moves the last one left into its place.  All 16 steps are
+    # drawn, as sample draws them, though four nodes may be taken sooner.
+    pool = list(range(16))
     nodes: list[int] = []
-    for node in rng.sample(range(16), 16):
-        if node in closed:
-            continue
-        nodes.append(node)
-        if len(nodes) == 4:
-            break
-        closed |= _E8_CLOSED[node]
+    for left in range(16, 0, -1):
+        j = _below(bits, left)
+        node, pool[j] = pool[j], pool[left - 1]
+        if len(nodes) < 4 and node not in closed:
+            nodes.append(node)
+            closed |= _E8_CLOSED[node]
     coords = [(m - 1) * c for c in base.coords]
     coords[20:23] = [c + p for c, p in zip(coords[20:23], x)]
     for c, node in zip(_four_squares(half, rng), nodes):
         coords[node] += c
-    return AmbientVector(tuple(coords))
+    return _unchecked(tuple(coords))
 
 
 def _glue(ys: Sequence[AmbientVector]) -> tuple[int, ...] | None:
@@ -875,10 +917,6 @@ COROLLARY_DISCRIMINANTS = (
 @lru_cache(maxsize=1)
 def _corollary_build() -> RealizationOutcome:
     return build_generic(COROLLARY_DISCRIMINANTS, Mode.GOAL)
-
-
-def _corollary_basis() -> tuple[AmbientVector, ...]:
-    return _corollary_build().basis
 
 
 def verify_corollary20() -> tuple[WitnessReport, tuple[DiscriminantReport, ...]]:

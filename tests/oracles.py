@@ -13,15 +13,35 @@ code with it.  They use only public ``hassett`` names.
   solver is the oracle for the column echelon ``span_membership``.
 * ``oracle_short_vectors`` walks the whole box that the exact inverse bounds,
   against the Fincke-Pohst enumeration of ``short_vectors``.
+* ``bare_ideal_gram`` pairs the bare slot generators with ``gram_of``,
+  against the closed form ``ideal_gram`` reads off its base-pairing table.
+* ``draw_y_by_sample`` and ``four_squares_by_randint`` make the GOAL draws
+  through ``choice``, ``sample`` and ``randint``, against the ``getrandbits``
+  stream that ``constructions._draw_y`` reads.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from hassett import IntMatrix, quadratic_form, smith_normal_form
+from hassett import (
+    A1,
+    A2,
+    E8_GRAM,
+    H_SQUARED,
+    AmbientVector,
+    IntMatrix,
+    SlotSpec,
+    e_vec,
+    gram_of,
+    quadratic_form,
+    smith_normal_form,
+    t_vec,
+)
 
 
 def from_columns(columns: Sequence[Sequence[int]]) -> IntMatrix:
@@ -171,3 +191,82 @@ def oracle_short_vectors(g: IntMatrix, c: int) -> list[tuple[int, ...]]:
         first = next(v for v in x if v != 0)
         canon.add(x if first > 0 else tuple(-v for v in x))
     return sorted(canon)
+
+
+def slot_base(slot: SlotSpec) -> AmbientVector:
+    """The base vector b of a scaled slot, read off its kind: a1, a2 or t^c_i."""
+    if slot.kind.startswith("A2_"):
+        return (A1, A2)[int(slot.kind[-1]) - 1]
+    _, copy, i = slot.kind.split("_")
+    return t_vec(int(copy), int(i))
+
+
+def bare_generator(slot: SlotSpec) -> AmbientVector:
+    """e_i + n f_i for a U slot, m b for a scaled one, from the lattice's own vectors."""
+    if slot.kind in ("U1", "U2"):
+        copy = int(slot.kind[1])
+        return e_vec(copy, 1) + slot.n * e_vec(copy, 2)
+    return slot.scale * slot_base(slot)
+
+
+def bare_ideal_gram(slots: Sequence[SlotSpec]) -> IntMatrix:
+    """The ideal Gram as ``gram_of`` pairs h2 and the bare generators, plus the forced entries.
+
+    A residue-2 perturbation adds 1 to its h2 entry and to its diagonal.
+    """
+    g = gram_of([H_SQUARED] + [bare_generator(s) for s in slots]).to_lists()
+    for i, s in enumerate(slots, 1):
+        if s.residue == 2:
+            g[0][i] = g[i][0] = 1
+            g[i][i] += 1
+    return IntMatrix(g)
+
+
+def four_squares_by_randint(n: int, rng: random.Random) -> tuple[int, int, int, int]:
+    """The quadruple draw through ``randint`` and ``choice``, as the witnesses were first drawn."""
+    r = math.isqrt(n)
+    while True:
+        a, b, c = (rng.randint(-r, r) for _ in range(3))
+        rest = n - a * a - b * b - c * c
+        if rest >= 0 and math.isqrt(rest) ** 2 == rest:
+            return a, b, c, rng.choice((1, -1)) * math.isqrt(rest)
+
+
+def _e8_closed(node: int) -> set[int]:
+    # An E8 node 0..15 and its diagram neighbours: its nonzero E8_GRAM entries.
+    lo = node - node % 8
+    return {lo + j for j in range(8) if E8_GRAM[node % 8][j]}
+
+
+def draw_y_by_sample(slot: SlotSpec, rng: random.Random) -> AmbientVector:
+    """The GOAL draw of y for a scaled slot through ``choice`` and ``sample``.
+
+    y = (m - 1) b + x + sum c_k t_k: an I3 part x in [-1, 1]^3 with h2.x = r
+    and x orthogonal to b, chosen uniformly; then, in the order of
+    ``sample(range(16), 16)``, the first four E8 nodes that are neither the
+    base nor adjacent to it or to a node already taken; then c from
+    ``four_squares_by_randint`` of (4m - 2 + r - x.x) / 2.
+    """
+    base = slot_base(slot)
+    m, r = slot.scale, slot.residue
+    b = base.i3_part()
+    parts = [
+        x for x in itertools.product((-1, 0, 1), repeat=3)
+        if sum(x) == r and sum(p * q for p, q in zip(x, b)) == 0
+    ]
+    x = rng.choice(parts)
+    half = (4 * m - 2 + r - sum(c * c for c in x)) // 2
+    blocked = set().union(*(_e8_closed(i) for i in range(16) if base.coords[i]))
+    nodes = []
+    for node in rng.sample(range(16), 16):
+        if node in blocked:
+            continue
+        nodes.append(node)
+        if len(nodes) == 4:
+            break
+        blocked |= _e8_closed(node)
+    coords = [(m - 1) * c for c in base.coords]
+    coords[20:23] = [c + p for c, p in zip(coords[20:23], x)]
+    for c, node in zip(four_squares_by_randint(half, rng), nodes):
+        coords[node] += c
+    return AmbientVector(tuple(coords))

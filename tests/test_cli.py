@@ -95,6 +95,36 @@ class TestIntersect:
         _, out2, _ = run(capsys, "intersect", "12", "12", "26", "--json")
         assert out1 == out2
 
+    @pytest.mark.parametrize("mode", ["goal", "strict"])
+    def test_validates_the_targets_once(self, capsys, monkeypatch, mode):
+        # The slots that validated the targets are the ones the build uses.
+        import hassett.constructions as constructions
+
+        calls = []
+        inner = constructions.generic_slots
+
+        def counting(targets):
+            calls.append(tuple(targets))
+            return inner(targets)
+
+        monkeypatch.setattr(cli, "generic_slots", counting)
+        monkeypatch.setattr(constructions, "generic_slots", counting)
+        code, _, _ = run(capsys, "intersect", "12", "12", "26", "--mode", mode)
+        assert code == 0 and calls == [(12, 12, 26)]
+
+    def test_a_value_error_inside_the_build_is_no_usage_error(self, capsys, monkeypatch):
+        # Only the target validation answers with exit 2; a fault of the
+        # build itself propagates.
+        import hassett.constructions as constructions
+
+        def broken(*args):
+            raise ValueError("fault inside the build")
+
+        monkeypatch.setattr(constructions, "_glued_search", broken)
+        with pytest.raises(ValueError, match="fault inside the build"):
+            main(["intersect", "12", "12", "26"])
+        assert capsys.readouterr().err == ""
+
 
 class TestCorollary20:
     def test_table_and_honest_verdict(self, capsys):
@@ -172,9 +202,9 @@ class TestCorollary20:
         assert code == int(strict)
         assert calls == {
             "verify_witness": 1,
-            # STRICT also builds the ideal reference Gram of the bare
-            # generators, a second matrix; the witness Gram is computed once.
-            "gram_of": 1 + strict,
+            # STRICT reads its ideal reference Gram off a closed form, so in
+            # either mode the witness Gram is the one Gram computed.
+            "gram_of": 1,
             "minimum": 1,
             "discriminant_report": 20 if argv[0] == "corollary20" else 0,
         }

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -42,7 +43,14 @@ from hassett.lattice import (
 from hassett.linalg import IntMatrix, is_positive_definite, quadratic_form
 import hassett.verifier as verifier
 from hassett.verifier import certificate_for, verify_witness
-from oracles import from_columns, invariant_factors
+from oracles import (
+    bare_generator,
+    bare_ideal_gram,
+    draw_y_by_sample,
+    four_squares_by_randint,
+    from_columns,
+    invariant_factors,
+)
 
 RANK4_CASES = (CaseId.R4_000, CaseId.R4_002, CaseId.R4_022, CaseId.R4_222)
 RANK5_CASES = (
@@ -744,16 +752,6 @@ def test_glued_draw_eliminates_each_gram_once(monkeypatch):
     assert calls["is_positive_definite"] == 0
 
 
-def _four_squares_by_randint(n, rng):
-    # The quadruple draw through randint, as the witnesses were first drawn.
-    r = math.isqrt(n)
-    while True:
-        a, b, c = (rng.randint(-r, r) for _ in range(3))
-        rest = n - a * a - b * b - c * c
-        if rest >= 0 and math.isqrt(rest) ** 2 == rest:
-            return a, b, c, rng.choice((1, -1)) * math.isqrt(rest)
-
-
 def test_four_squares_consumes_the_randint_stream():
     # Same quadruple and same generator state afterwards, so every later
     # draw of a GOAL search, and every witness, is unchanged.
@@ -763,9 +761,80 @@ def test_four_squares_consumes_the_randint_stream():
         seed = pairs.getrandbits(32)
         mine, ref = random.Random(seed), random.Random(seed)
         quad = constructions._four_squares(n, mine)
-        assert quad == _four_squares_by_randint(n, ref), (n, seed)
+        assert quad == four_squares_by_randint(n, ref), (n, seed)
         assert sum(x * x for x in quad) == n
         assert mine.getstate() == ref.getstate(), (n, seed)
+
+
+def _goal_targets(rng, n):
+    """n criterion-7 targets: two (*) ones, then 6m^2 + r with m = 2..34."""
+    targets = [rng.choice((8, 14, 20, 26, 38, 42, 98)) for _ in range(2)]
+    return targets + [6 * m * m + rng.choice((0, 2)) for m in rng.choices(range(2, 35), k=n - 2)]
+
+
+def test_draw_y_consumes_the_choice_and_sample_stream():
+    # Same vector and same generator state after every draw, so every GOAL
+    # witness is the one that choice, sample and randint gave.
+    pairs = random.Random(17)
+    kinds = set()
+    for _ in range(60):
+        slots = generic_slots(_goal_targets(pairs, pairs.randint(3, 20)))
+        seed = pairs.getrandbits(32)
+        mine, ref = random.Random(seed), random.Random(seed)
+        for s in slots[2:]:
+            assert constructions._draw_y(s, mine) == draw_y_by_sample(s, ref), (s, seed)
+            assert mine.getstate() == ref.getstate(), (s, seed)
+            kinds.add((s.kind, s.residue))
+    assert kinds == {(kind, r) for kind in SLOT_POOL for r in (0, 2)}
+
+
+class _GetrandbitsOnly(random.Random):
+    """A generator that refuses every draw but ``getrandbits``."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("the generator was read past getrandbits")
+
+    choice = sample = randint = randrange = random = _refuse
+
+
+def test_goal_reads_the_generator_only_through_getrandbits(monkeypatch):
+    # So the witness bytes depend on the documented bit stream alone, not on
+    # how random's private _randbelow turns bits into choices.
+    lists = (COROLLARY_DISCRIMINANTS, (12, 12, 26))
+    expected = [build_generic(targets, Mode.GOAL) for targets in lists]
+    assert all(o.status == RealizationStatus.REALIZED_GOAL for o in expected)
+    monkeypatch.setattr(constructions, "random", types.SimpleNamespace(Random=_GetrandbitsOnly))
+    with pytest.raises(AssertionError, match="past getrandbits"):
+        constructions.random.Random(1).choice((1, -1))
+    for targets, outcome in zip(lists, expected):
+        assert build_generic(targets, Mode.GOAL).basis == outcome.basis
+
+
+def _oracle_slot_lists():
+    """Seeded STRICT and GOAL slot lists, lists that repeat a kind, and the named cases."""
+    rng = random.Random(43)
+    for _ in range(40):
+        yield generic_slots(random_strict_targets(rng, rng.randint(2, 20)))
+        yield generic_slots(_goal_targets(rng, rng.randint(2, 20)))
+        yield tuple(
+            SlotSpec(kind, rng.randint(1, 40) if kind in ("U1", "U2") else rng.randint(2, 30) ** 2, r)
+            for kind, r in zip(
+                rng.choices(("U1", "U2") + SLOT_POOL, k=rng.randint(1, 12)),
+                rng.choices((0, 2), k=12),
+            )
+        )
+    for case_id, params in NAMED_CASE_PARAMS + ((CaseId.R21_ALL2, (2, 2) + (9,) * 18),):
+        yield case_slots(case_id, params)
+
+
+def test_ideal_gram_is_the_gram_of_the_bare_generators():
+    kinds = set()
+    for slots in _oracle_slot_lists():
+        assert ideal_gram(slots) == bare_ideal_gram(slots), slots
+        for s in slots:
+            assert s.bare_generator() == bare_generator(s), s
+            kinds.add((s.kind[0], s.residue))
+    assert kinds == {(k, r) for k in "UAE" for r in (0, 2)}
 
 
 def test_fallback_basis_is_built_only_when_the_search_is_exhausted(monkeypatch):

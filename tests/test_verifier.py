@@ -6,7 +6,7 @@ import pytest
 
 from hassett.constructions import (
     COROLLARY_DISCRIMINANTS,
-    _corollary_basis,
+    _corollary_build,
     CaseId,
     Mode,
     build,
@@ -238,7 +238,7 @@ class TestCorollary20:
         import hassett.constructions as constructions
         import hassett.linalg as linalg
 
-        basis = _corollary_basis()
+        basis = _corollary_build().basis
         expected = verify_witness(basis, COROLLARY_DISCRIMINANTS)
 
         def refuse(*args):
