@@ -78,13 +78,13 @@ def cmd_intersect(args) -> int:
     outcome = build_generic(targets, mode, slots=slots)
     cert = outcome.certificate
     report = cert.report
+    if outcome.detail:
+        print(f"note:    {outcome.detail}", file=sys.stderr)
     if args.json:
         print(cert.to_json())
     else:
         print(f"mode:    {mode.value}")
         print(f"status:  {outcome.status.value}")
-        if outcome.detail:
-            print(f"note:    {outcome.detail}", file=sys.stderr)
         _render_report(report)
     return 0 if report.verdict == "PASS" else 1
 

@@ -65,7 +65,7 @@ recomputes all four checks and every labelling, so a witness is only
 reported REALIZED_GOAL when the verifier passes it, and every outcome
 carries the certificate of that one verification.  The y_j are drawn
 from a generator seeded by the target list, so the output is the same in
-every process, and read only through ``getrandbits`` (see ``_below``).
+every process, and read only through ``getrandbits`` (see ``_four_squares``).
 The flagship corollary (``corollary20_certificate``) and the seeded check
 of the completed-squares identities (``check_identity``) are built here
 too; a verdict comes from ``verifier`` alone.
@@ -631,39 +631,40 @@ def _quotient_coords(v: AmbientVector) -> tuple[int, ...]:
     return c[:16] + (c[21] - c[20], c[22] - c[20])
 
 
-def _below(bits, n: int) -> int:
-    """Uniform on [0, n) from ``bits = rng.getrandbits``, as CPython 3.11 draws it.
-
-    ``getrandbits(k)``, k the bit length of n, redrawn while it is not below
-    n: the stream that ``choice``, ``sample`` and ``randint`` consume through
-    the private ``Random._randbelow``, so the witnesses are the ones those
-    calls give.  Reading the documented bit stream directly also skips that
-    call chain, which costs more than the draw itself.
-    """
-    k = n.bit_length()
-    x = bits(k)
-    while x >= n:
-        x = bits(k)
-    return x
-
-
 def _four_squares(n: int, rng: random.Random) -> tuple[int, int, int, int]:
     """A random integer quadruple whose squares sum to ``n`` (Lagrange: one exists).
 
     a, b and c are uniform on [-r, r], r = isqrt(n), and the sign of d is
-    one of (1, -1), each drawn by ``_below``: the stream of ``randint(-r, r)``
-    and of ``choice((1, -1))``.
+    one of (1, -1).  Each is ``getrandbits(k)``, k the bit length of the
+    number of choices, redrawn while it is not below that number: the
+    stream of ``randint(-r, r)`` and ``choice((1, -1))`` on CPython 3.11,
+    whose private ``Random._randbelow`` draws so.  Reading the documented
+    bit stream inline also skips that call chain, which costs more than the
+    draw itself.
     """
     r = math.isqrt(n)
     width = 2 * r + 1
+    k = width.bit_length()
     bits = rng.getrandbits
     while True:
-        a, b, c = (_below(bits, width) - r for _ in range(3))
+        a = bits(k)
+        while a >= width:
+            a = bits(k)
+        b = bits(k)
+        while b >= width:
+            b = bits(k)
+        c = bits(k)
+        while c >= width:
+            c = bits(k)
+        a, b, c = a - r, b - r, c - r
         rest = n - a * a - b * b - c * c
         if rest >= 0:
             d = math.isqrt(rest)
             if d * d == rest:
-                return a, b, c, (1, -1)[_below(bits, 2)] * d
+                sign = bits(2)
+                while sign >= 2:
+                    sign = bits(2)
+                return a, b, c, -d if sign else d
 
 
 @lru_cache(maxsize=None)
@@ -688,13 +689,18 @@ def _draw_y(slot: SlotSpec, rng: random.Random) -> AmbientVector:
     of four mutually orthogonal E8 basis vectors orthogonal to b.
 
     The bits are those that ``choice`` of the I3 part, ``sample(range(16),
-    16)`` of the E8 nodes and ``_four_squares`` consume, drawn by ``_below``.
+    16)`` of the E8 nodes and ``_four_squares`` consume, each value read as
+    ``_four_squares`` reads it.
     """
     base = _SCALED_BASES[slot.kind]
     m, r = slot.scale, slot.residue
     bits = rng.getrandbits
     parts = _i3_parts(slot.kind, r)
-    x = parts[_below(bits, len(parts))]  # x.x <= 3 and 4m - 2 + r >= 6, so half >= 1
+    n = len(parts)
+    i = bits(n.bit_length())
+    while i >= n:
+        i = bits(n.bit_length())
+    x = parts[i]  # x.x <= 3 and 4m - 2 + r >= 6, so half >= 1
     half = (4 * m - 2 + r - sum(c * c for c in x)) // 2
     # A node is taken unless it is blocked (the base or a node already taken)
     # or adjacent to a blocked node, that is, unless it is in ``closed``.
@@ -708,7 +714,10 @@ def _draw_y(slot: SlotSpec, rng: random.Random) -> AmbientVector:
     pool = list(range(16))
     nodes: list[int] = []
     for left in range(16, 0, -1):
-        j = _below(bits, left)
+        k = left.bit_length()
+        j = bits(k)
+        while j >= left:
+            j = bits(k)
         node, pool[j] = pool[j], pool[left - 1]
         if len(nodes) < 4 and node not in closed:
             nodes.append(node)
@@ -739,9 +748,30 @@ def _glue(ys: Sequence[AmbientVector]) -> tuple[int, ...] | None:
     then ``(i, j)`` with i < j; so it depends on the y_j alone.  Returns
     None when the y_j are dependent or no candidate is injective, as when T
     needs more than two generators.
+
+    Before the triangle, a 2-rank test rejects most draws that the full
+    path would reject.  Over F2 the rank of the rows is the number of odd
+    invariant factors of their Smith form (a zero factor, from dependent
+    rows, counts as even), so k minus that rank is dim T/2T when the y_j
+    are independent, and T needs at least that many generators (Cohen,
+    2.4).  When more than two rows reduce to zero mod 2 over the rows
+    before them, the y_j are dependent or T needs more than two generators.
+    The full path returns None on such a draw too, so the test never
+    rejects a draw that a glue saturates.
     """
     k = len(ys)
     tri = [list(_quotient_coords(y)) for y in ys]
+    masks: list[int] = []  # the rows mod 2 as an XOR basis with distinct leading bits
+    for i, row in enumerate(tri):
+        x = 0
+        for c in row:
+            x = x << 1 | c & 1
+        for b in masks:
+            x = min(x, x ^ b)
+        if x:
+            masks.append(x)
+        elif i - len(masks) >= 2:  # the third row to reduce to zero
+            return None
     for i in range(k):
         if not _pivot_row(tri[i:], i):
             return None

@@ -90,6 +90,15 @@ class TestIntersect:
         assert json.loads(out)["report"]["gramMatchesReference"] is False
         assert '"gramMatchesReference":false' in out
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_exhausted_search_says_so_in_both_modes(self, capsys, fmt):
+        # A FAIL verdict on the fallback basis is no proof of impossibility,
+        # so the note goes to stderr whatever the stdout format.
+        code, out, err = run(capsys, "intersect", "8", "8", *["56"] * 18, *fmt)
+        assert code == 1 and "NOT_SATURATED" in out
+        assert "search exhausted" in err and "does not show that the targets are impossible" in err
+        assert "search exhausted" not in out
+
     def test_byte_identical_output(self, capsys):
         _, out1, _ = run(capsys, "intersect", "12", "12", "26", "--json")
         _, out2, _ = run(capsys, "intersect", "12", "12", "26", "--json")

@@ -932,13 +932,27 @@ def _glue_draws():
 
 
 class TestGlue:
-    def test_glue_is_the_first_saturating_candidate(self):
+    def test_glue_is_the_first_saturating_candidate(self, monkeypatch):
         kinds = collections.Counter()
+        pivots = []
+        inner = constructions._pivot_row
+
+        def counting(*args):
+            pivots.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(constructions, "_pivot_row", counting)
+        rejected = []  # kinds of the draws that the 2-rank test turns away before the echelon
         for ys in _glue_draws():
-            kinds[_torsion_kind(ys)] += 1
+            kind = _torsion_kind(ys)
+            kinds[kind] += 1
+            pivots.clear()
             assert constructions._glue(ys) == _first_saturating_glue(ys), len(ys)
+            if not pivots:
+                rejected.append(kind)
         assert kinds["dependent"] and kinds[0] and kinds[1] and kinds[2], kinds
         assert any(isinstance(kind, int) and kind > 2 for kind in kinds), kinds
+        assert rejected and all(kind == "dependent" or kind > 2 for kind in rejected), rejected
 
     def test_glue_is_invariant_under_unimodular_quotient_changes(self):
         # The glue saturates M or not whatever basis the quotient Z^18 has,
@@ -975,9 +989,11 @@ class TestGlue:
             calls.clear()
             constructions._glue(ys)
             kind = _torsion_kind(ys)
-            quotient = from_columns([constructions._quotient_coords(y) for y in ys])
-            index = math.prod(invariant_factors(quotient))
-            if kind == "dependent" or index == 1:
+            invariants = invariant_factors(from_columns([constructions._quotient_coords(y) for y in ys]))
+            index = math.prod(invariants)
+            # dim T/2T: the 2-rank test turns the draw away when it exceeds 2.
+            even = sum(d % 2 == 0 for d in invariants)
+            if kind == "dependent" or index == 1 or even > 2:
                 assert calls == []
                 continue
             (block,) = calls
