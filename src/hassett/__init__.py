@@ -65,7 +65,6 @@ from .constructions import (
     realize_perturbations,
     reference_gram,
     squares_value,
-    verify_corollary20,
 )
 from .verifier import (
     Certificate,

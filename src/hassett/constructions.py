@@ -66,7 +66,7 @@ reported REALIZED_GOAL when the verifier passes it, and every outcome
 carries the certificate of that one verification.  The y_j are drawn
 from a generator seeded by the target list, so the output is the same in
 every process, and read only through ``getrandbits`` (see ``_four_squares``).
-The flagship corollary (``corollary20_certificate``) and the seeded check
+The flagship corollary (``corollary20_certificate``) and the exact check
 of the completed-squares identities (``check_identity``) are built here
 too; a verdict comes from ``verifier`` alone.
 """
@@ -80,9 +80,9 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from enum import Enum
 from operator import index
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .criteria import DiscriminantReport, discriminant_report, satisfies_double_star, satisfies_star
+from .criteria import satisfies_double_star, satisfies_star
 from .lattice import (
     A1,
     A2,
@@ -98,7 +98,7 @@ from .lattice import (
     t_vec,
 )
 from .linalg import IntMatrix, _pivot_row, _smith_in_place, quadratic_form
-from .verifier import Certificate, WitnessReport, certificate_for
+from .verifier import Certificate, certificate_for
 
 # Half-width of the box in which A2 slots look for perturbations.
 A2_SEARCH_BOUND = 3
@@ -213,7 +213,7 @@ class RealizationOutcome:
     """A built witness and the ``reference`` Gram (ideal or named) it was judged against.
 
     ``certificate`` is ``certificate_for(basis, targets, reference)``, computed
-    once by the builder; ``realized_gram`` and ``gram_delta`` read its report.
+    once by the builder; ``realized_gram`` reads its report.
     """
 
     status: RealizationStatus
@@ -226,10 +226,6 @@ class RealizationOutcome:
     @property
     def realized_gram(self) -> IntMatrix:
         return self.certificate.report.realized_gram
-
-    @property
-    def gram_delta(self) -> IntMatrix | None:
-        return None if self.reference is None else self.realized_gram - self.reference
 
 
 def case_slots(case_id: CaseId, params: Sequence[int]) -> tuple[SlotSpec, ...]:
@@ -473,7 +469,7 @@ def realize_perturbations(
     which candidates the A2 slots take, and ``_exact_assignment`` minimises
     it over those few choices.  Ties go to the lexicographically first
     assignment in candidate order.  Returns REALIZED_STRICT on an exact
-    match, otherwise NOT_REALIZABLE, whose ``gram_delta`` to the ideal is nonzero.
+    match, otherwise NOT_REALIZABLE, whose realized Gram differs from the ideal.
     The basis is certified once, against ``reference``: the ideal Gram unless
     a named case passes its own.
     """
@@ -888,49 +884,50 @@ def squares_value(
 ) -> int:
     """Completed-squares expression of the case's form at an integer point.
 
+    The slots are those of ``case_slots``, so the parameters are validated as
+    ``reference_gram`` validates them.  With x0 the h2 coordinate, x_i that of
+    slot i, m_i its scale and r the number of residue-2 slots, the value is
+
+        (3 - r) x0^2 + sum n_i x_i^2 + sum_{U slots} n_i x_i^2
+            + (sum_{A2 slots} m_i x_i)^2 + sum_{residue-2 slots} (x0 + x_i)^2.
+
+    These cases have only U and A2 slots: a U generator has norm 2n, and the
+    A2 ones pair through the square of their sum.
+
     With ``corrected=False`` the all-residue-2 rank-4 case reproduces a known
-    transcription slip (a product where a sum belongs); every other case is
-    identical in both variants.
+    transcription slip: its first two residue-2 squares are multiplied, not
+    added.  Every other case is identical in both variants.
     """
+    return _squares(case_id, params, corrected)(point)
+
+
+def _squares(
+    case_id: CaseId, params: Sequence[int], corrected: bool
+) -> Callable[[Sequence[int]], int]:
+    """``squares_value`` as a function of the point, with the case validated once."""
     if case_id in (CaseId.R21_ALL0, CaseId.R21_ALL2):
         raise ValueError(f"no closed identity for case {case_id}")
-    x = [index(v) for v in point]
-    expected_dim = 4 if case_id.value.startswith("r4") else 5
-    if len(x) != expected_dim:
-        raise ValueError("point dimension must match the case rank")
-    n = [index(v) for v in params]
-    x1, x2, x3, x4 = x[0], x[1], x[2], x[3]
-    if expected_dim == 4:
-        tail = 2 * n[0] * x2**2 + 2 * n[1] * x3**2 + 2 * n[2] * x4**2
-        if case_id == CaseId.R4_000:
-            return 3 * x1**2 + tail
-        if case_id == CaseId.R4_002:
-            return 2 * x1**2 + tail + (x1 + x4) ** 2
-        if case_id == CaseId.R4_022:
-            return x1**2 + tail + (x1 + x3) ** 2 + (x1 + x4) ** 2
-        if corrected:
-            return tail + (x1 + x2) ** 2 + (x1 + x3) ** 2 + (x1 + x4) ** 2
-        return tail + (x1 + x2) ** 2 * (x1 + x3) ** 2 + (x1 + x4) ** 2
-    x5 = x[4]
-    m3, m4 = math.isqrt(n[2]), math.isqrt(n[3])
-    mixed = n[2] * x4**2 + n[3] * x5**2 + (m3 * x4 + m4 * x5) ** 2
-    common = 2 * n[0] * x2**2 + 2 * n[1] * x3**2 + mixed
-    if case_id == CaseId.R5_0000:
-        return 3 * x1**2 + common
-    if case_id == CaseId.R5_0002:
-        return 2 * x1**2 + common + (x1 + x5) ** 2
-    if case_id == CaseId.R5_0022:
-        return x1**2 + common + (x1 + x5) ** 2 + (x1 + x4) ** 2
-    if case_id == CaseId.R5_0222:
-        return common + (x1 + x5) ** 2 + (x1 + x4) ** 2 + (x1 + x3) ** 2
-    return (
-        common
-        + (x1 + x5) ** 2
-        + (x1 + x4) ** 2
-        + (x1 + x3) ** 2
-        + (x1 + x2) ** 2
-        - x1**2
-    )
+    slots = case_slots(case_id, params)
+    r = sum(s.residue == 2 for s in slots)
+    slip = not corrected and case_id == CaseId.R4_222
+
+    def value(point: Sequence[int]) -> int:
+        x = [index(v) for v in point]
+        if len(x) != len(slots) + 1:
+            raise ValueError("point dimension must match the case rank")
+        x0, pairs = x[0], tuple(zip(slots, x[1:]))
+        twos = [(x0 + xi) ** 2 for s, xi in pairs if s.residue == 2]
+        if slip:
+            twos[:2] = [twos[0] * twos[1]]
+        return (
+            (3 - r) * x0**2
+            + sum(s.n * xi**2 for s, xi in pairs)
+            + sum(s.n * xi**2 for s, xi in pairs if s.kind in U_KINDS)
+            + sum(s.scale * xi for s, xi in pairs if s.kind in _A2_KINDS) ** 2
+            + sum(twos)
+        )
+
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -949,44 +946,24 @@ def _corollary_build() -> RealizationOutcome:
     return build_generic(COROLLARY_DISCRIMINANTS, Mode.GOAL)
 
 
-def verify_corollary20() -> tuple[WitnessReport, tuple[DiscriminantReport, ...]]:
-    """Build and verify the flagship 20-divisor witness, with per-d reports.
-
-    The twenty target discriminants are pairwise distinct and all
-    K3-admissible; those facts are re-checked here rather than assumed.
-    """
-    ds = COROLLARY_DISCRIMINANTS
-    if len(set(ds)) != len(ds):
-        raise RuntimeError("target discriminants must be pairwise distinct")
-    reports = tuple(discriminant_report(d) for d in ds)
-    if not all(r.k3_admissible for r in reports):
-        raise RuntimeError("every target discriminant must be K3-admissible")
-    return corollary20_certificate().report, reports
-
-
 def corollary20_certificate() -> Certificate:
     """Certificate for the bundled 20-divisor configuration: that of its cached build."""
     return _corollary_build().certificate
 
 
-def check_identity(
-    case_id: CaseId,
-    params: tuple[int, ...] | list[int],
-    trials: int,
-    seed: int,
-    corrected: bool = True,
-) -> bool:
-    """Compare form and completed-squares values at seeded random points.
+def check_identity(case_id: CaseId, params: Sequence[int], corrected: bool = True) -> bool:
+    """Decide whether the case's form equals its completed squares as polynomials.
 
-    Coordinates are drawn uniformly from [-50, 50]; returns True iff the two
-    sides agree at every sampled point.
+    Both sides have degree at most 4 in each coordinate: the form and the
+    squares of linear forms have degree 2, and the slip's product of two
+    squares degree 4.  A polynomial of degree at most 4 in each variable that
+    vanishes on {0, ..., 4}^n is zero (Alon, Combinatorial Nullstellensatz,
+    1999), so agreement at every point of that grid, checked here exhaustively,
+    proves the identity at every point.
     """
-    if trials < 1:
-        raise ValueError("at least one trial is required")
     gram = reference_gram(case_id, params)
-    rng = random.Random(seed)
-    points = ([rng.randint(-50, 50) for _ in range(gram.nrows)] for _ in range(trials))
+    squares = _squares(case_id, params, corrected)
     return all(
-        quadratic_form(gram, x) == squares_value(case_id, params, x, corrected=corrected)
-        for x in points
+        quadratic_form(gram, x) == squares(x)
+        for x in itertools.product(range(5), repeat=gram.nrows)
     )

@@ -98,9 +98,6 @@ class AmbientVector:
         k = index(k)
         return _unchecked(tuple(k * a for a in self.coords))
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
-
     def i3_part(self) -> tuple[int, int, int]:
         off = _BLOCK_OFFSETS["I3"]
         return self.coords[off], self.coords[off + 1], self.coords[off + 2]

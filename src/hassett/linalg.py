@@ -16,9 +16,10 @@ strategy (Cohen, A Course in Computational Algebraic Number Theory, 2.4.14).
 Its diagonal entries are nonnegative and satisfy the divisibility chain
 ``d1 | d2 | ...``, so results are reproducible byte for byte.  A unit pivot
 ends the pivot scan, since no entry is smaller, and needs no divisibility
-sweep.  The GOAL glue of ``constructions`` calls the kernel once per draw,
-without a row companion, on the w x 2w presentation of the torsion read off
-the triangle (entries reduced modulo the index), and reads D and V;
+sweep.  The GOAL glue of ``constructions`` calls the kernel, without a row
+companion, only on a draw that passes its 2-rank test and whose echelon has
+full rank and an index above 1, on the w x 2w presentation of the torsion
+read off the triangle (entries reduced modulo the index), and reads D and V;
 ``smith_normal_form`` passes an identity U and returns (U, D, V).
 """
 
@@ -46,11 +47,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def diagonal(cls, entries: Sequence[int]) -> "IntMatrix":
-        n = len(entries)
-        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def block_diagonal(cls, blocks: Sequence["IntMatrix"]) -> "IntMatrix":
@@ -108,9 +104,6 @@ class IntMatrix:
                 for r1, r2 in zip(self._rows, other._rows)
             ]
         )
-
-    def is_zero(self) -> bool:
-        return all(all(a == 0 for a in row) for row in self._rows)
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self._rows]

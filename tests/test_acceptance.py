@@ -12,6 +12,7 @@ import random
 import time
 
 from hassett.constructions import (
+    COROLLARY_DISCRIMINANTS,
     CaseId,
     Mode,
     RealizationStatus,
@@ -19,9 +20,8 @@ from hassett.constructions import (
     build_generic,
     check_identity,
     corollary20_certificate,
-    verify_corollary20,
 )
-from hassett.criteria import conjecture_sweep, factorize, has_associated_k3
+from hassett.criteria import conjecture_sweep, discriminant_report, factorize, has_associated_k3
 from hassett.lattice import E8_GRAM, short_vectors
 from hassett.linalg import IntMatrix, is_positive_definite
 from hassett.lattice import AMBIENT_GRAM
@@ -47,7 +47,8 @@ def _report(number: int, name: str, checks: dict[str, bool], started: float) -> 
 
 def test_criterion_1_corollary20():
     started = time.time()
-    witness, reports = verify_corollary20()
+    witness = corollary20_certificate().report
+    reports = [discriminant_report(d) for d in COROLLARY_DISCRIMINANTS]
     expected_m = [2, 4, 6, 7, 8, 10, 12, 14, 16, 18, 19, 20, 22, 24, 26, 28, 32, 34]
     checks = {
         "all 20 satisfy (*)": all(r.star for r in reports),
@@ -95,16 +96,16 @@ def test_criterion_2_rank4_cases():
 
     checks = {
         "case 000 strict Gram": strict1.status == RealizationStatus.REALIZED_STRICT
-        and strict1.realized_gram == IntMatrix.diagonal([3, 4, 4, 8]),
+        and strict1.realized_gram == IntMatrix([[3, 0, 0, 0], [0, 4, 0, 0], [0, 0, 4, 0], [0, 0, 0, 8]]),
         "case 002 strict Gram": strict2.status == RealizationStatus.REALIZED_STRICT
         and strict2.realized_gram
         == IntMatrix([[3, 0, 0, 1], [0, 4, 0, 0], [0, 0, 4, 0], [1, 0, 0, 9]]),
         "case 022 strict not realizable": strict3.status
         == RealizationStatus.NOT_REALIZABLE
-        and not strict3.gram_delta.is_zero(),
+        and strict3.realized_gram != strict3.reference,
         "case 222 strict not realizable": strict4.status
         == RealizationStatus.NOT_REALIZABLE
-        and not strict4.gram_delta.is_zero(),
+        and strict4.realized_gram != strict4.reference,
         "goal (12,12,26)": goal_passes(CaseId.R4_002, (2, 2, 4), (12, 12, 26)),
         "goal (12,14,26)": goal_passes(CaseId.R4_022, (2, 2, 4), (12, 14, 26)),
         "goal (14,14,26)": goal_passes(CaseId.R4_222, (2, 2, 4), (14, 14, 26)),
@@ -179,19 +180,19 @@ def test_criterion_5_identity_suite():
     all_hold = True
     for case_id in cases:
         residues = case_id.value.split("-")[1]
-        for trial in range(5):
+        for _ in range(5):
             params = []
             for i, r in enumerate(residues):
                 if i < 2:
                     params.append(rng.randint(2 if r == "0" else 1, 9))
                 else:
                     params.append(rng.randint(2, 9) ** 2)
-            if not check_identity(case_id, tuple(params), 10_000, seed=1000 + trial):
+            if not check_identity(case_id, tuple(params)):
                 all_hold = False
     checks = {
-        "corrected identities hold at 10^4 points x 5 params": all_hold,
+        "corrected identities proved on {0..4}^n x 5 params": all_hold,
         "raw all-residue-2 rank-4 identity detected unequal": not check_identity(
-            CaseId.R4_222, (1, 1, 4), 10_000, seed=0, corrected=False
+            CaseId.R4_222, (1, 1, 4), corrected=False
         ),
     }
     _report(5, "completed-squares identity suite", checks, started)

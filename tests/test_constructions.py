@@ -118,7 +118,8 @@ def named_build_digests():
         for mode in (Mode.STRICT, Mode.GOAL):
             o = build(case_id, params, mode)
             basis = None if o.basis is None else tuple(v.coords for v in o.basis)
-            grams = [None if m is None else m.rows for m in (o.realized_gram, o.gram_delta)]
+            delta = None if o.reference is None else o.realized_gram - o.reference
+            grams = [None if m is None else m.rows for m in (o.realized_gram, delta)]
             record = repr((o.status.value, basis, *grams, o.targets, o.detail)).encode()
             digests[case_id.value, params, mode.value] = hashlib.sha256(record).hexdigest()
     return digests
@@ -144,7 +145,7 @@ def random_params(rng, case_id):
 
 class TestReferenceGram:
     def test_rank4_all_zero(self):
-        assert reference_gram(CaseId.R4_000, (2, 2, 4)) == IntMatrix.diagonal([3, 4, 4, 8])
+        assert reference_gram(CaseId.R4_000, (2, 2, 4)) == IntMatrix([[3, 0, 0, 0], [0, 4, 0, 0], [0, 0, 4, 0], [0, 0, 0, 8]])
 
     def test_rank4_one_two(self):
         assert reference_gram(CaseId.R4_002, (2, 2, 4)) == IntMatrix(
@@ -238,7 +239,7 @@ class TestRealizePerturbations:
         outcome = realize_perturbations(slots)
         assert outcome.status == RealizationStatus.REALIZED_STRICT
         assert outcome.basis[3] == 2 * A1 + i3_unit(3)
-        assert outcome.gram_delta.is_zero()
+        assert outcome.realized_gram == outcome.reference
 
     def test_nothing_to_perturb(self):
         slots = case_slots(CaseId.R4_000, (2, 2, 4))
@@ -250,7 +251,7 @@ class TestRealizePerturbations:
         slots = case_slots(CaseId.R5_0022, (2, 2, 4, 4))
         outcome = realize_perturbations(slots)
         assert outcome.status == RealizationStatus.NOT_REALIZABLE
-        assert not outcome.gram_delta.is_zero()
+        assert outcome.realized_gram != outcome.reference
 
 
 def exhaustive_first_optimum(slots, target):
@@ -355,7 +356,7 @@ class TestExactStrictSearch:
             miss, basis = exhaustive_first_optimum(slots, target)
             outcome = realize_perturbations(slots)
             assert outcome.basis == basis, targets
-            assert upper_miss(outcome.gram_delta) == miss, targets
+            assert upper_miss(outcome.realized_gram - outcome.reference) == miss, targets
             if miss:
                 assert outcome.status == RealizationStatus.NOT_REALIZABLE
                 assert outcome.detail == f"optimal assignment misses target by {miss}"
@@ -377,7 +378,7 @@ class TestExactStrictSearch:
         outcome = build_generic(targets, Mode.STRICT)
         assert outcome.status == RealizationStatus.NOT_REALIZABLE
         assert outcome.detail == f"optimal assignment misses target by {optimum}"
-        assert upper_miss(outcome.gram_delta) == optimum
+        assert upper_miss(outcome.realized_gram - outcome.reference) == optimum
 
 
 def test_exact_search_does_no_work_per_unit_slot(monkeypatch):
@@ -424,7 +425,7 @@ class TestBuildStrict:
             e_vec(2, 1) + 2 * e_vec(2, 2),
             2 * A1,
         )
-        assert outcome.realized_gram == IntMatrix.diagonal([3, 4, 4, 8])
+        assert outcome.realized_gram == IntMatrix([[3, 0, 0, 0], [0, 4, 0, 0], [0, 0, 4, 0], [0, 0, 0, 8]])
 
     def test_rank4_case2_exact(self):
         outcome = build(CaseId.R4_002, (2, 2, 4), Mode.STRICT)
@@ -435,7 +436,7 @@ class TestBuildStrict:
         for case_id, params in ((CaseId.R4_022, (2, 2, 4)), (CaseId.R4_222, (1, 1, 4))):
             outcome = build(case_id, params, Mode.STRICT)
             assert outcome.status == RealizationStatus.NOT_REALIZABLE
-            assert not outcome.gram_delta.is_zero()
+            assert outcome.realized_gram != outcome.reference
 
     def test_rank21_all_zero_exact_with_diagram_cross_terms(self):
         params = (2, 2) + (4,) * 18
@@ -450,8 +451,8 @@ class TestBuildStrict:
         params = (1, 1) + (4,) * 18
         outcome = build(CaseId.R21_ALL2, params, Mode.STRICT)
         assert outcome.status == RealizationStatus.NOT_REALIZABLE
-        assert not outcome.gram_delta.is_zero()
-        assert outcome.gram_delta == outcome.realized_gram - reference_gram(CaseId.R21_ALL2, params)
+        assert outcome.realized_gram != outcome.reference
+        assert outcome.reference == reference_gram(CaseId.R21_ALL2, params)
         # The verdict is computed: entries of the transcribed Gram that no
         # pair of candidate generators meets.
         assert outcome.detail == "26 target entries are met by no candidate pair, first (1, 3) = 0"
@@ -551,7 +552,7 @@ class TestBuildGoal:
         assert {case_id for case_id, _ in NAMED_CASE_PARAMS} == set(CaseId)
         for case_id, params in NAMED_CASE_PARAMS:
             outcome = build(case_id, params, Mode.GOAL)
-            assert outcome.gram_delta == outcome.realized_gram - reference_gram(case_id, params)
+            assert outcome.reference == reference_gram(case_id, params)
             if outcome.status == RealizationStatus.REALIZED_GOAL:
                 report = verify_witness(outcome.basis, outcome.targets)
                 assert report.verdict == "PASS", (case_id, report.failure_reasons)
@@ -604,7 +605,7 @@ class TestGenericBuilds:
     def test_equivalent_to_rank4_case1(self):
         outcome = build_generic((12, 12, 24), Mode.STRICT)
         assert outcome.status == RealizationStatus.REALIZED_STRICT
-        assert outcome.realized_gram == IntMatrix.diagonal([3, 4, 4, 8])
+        assert outcome.realized_gram == IntMatrix([[3, 0, 0, 0], [0, 4, 0, 0], [0, 0, 4, 0], [0, 0, 0, 8]])
 
     def test_two_targets_need_only_hyperbolic_slots(self):
         outcome = build_generic((8, 8), Mode.GOAL)
@@ -1042,3 +1043,17 @@ class TestIdentities:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             squares_value(CaseId.R4_002, (2, 2, 4), (1, 2, 3))
+
+    @pytest.mark.parametrize(
+        "case_id,params",
+        [
+            (CaseId.R5_0002, (2, 2, 5, 4)),  # 5 is no square
+            (CaseId.R4_002, (2, 2, 4, 9)),  # one parameter too many
+            (CaseId.R4_002, (2, 2)),  # one too few
+        ],
+    )
+    def test_parameters_rejected_as_by_reference_gram(self, case_id, params):
+        with pytest.raises(ValueError):
+            reference_gram(case_id, params)
+        with pytest.raises(ValueError):
+            squares_value(case_id, params, (1,) * int(case_id.value[1]))  # the case rank

@@ -27,7 +27,7 @@ PUBLIC_API = (
     "is_positive_definite", "is_saturated", "minimum", "norm", "quadratic_form",
     "realize_perturbations", "reference_gram", "satisfies_double_star",
     "satisfies_star", "short_vectors", "smith_normal_form", "span_membership",
-    "squares_value", "t_vec", "verify_corollary20", "verify_witness",
+    "squares_value", "t_vec", "verify_witness",
 )
 
 
@@ -173,6 +173,24 @@ def test_non_integer_inputs_raise_type_error():
         except TypeError:
             continue
         pytest.fail(f"{name} accepted a non-integer")
+
+
+def test_no_public_callable_samples():
+    # A verdict is computed, never sampled: no exported function, class or
+    # public method takes a seed or a trial count.
+    for name in hassett.__all__:
+        value = getattr(hassett, name)
+        if not callable(value):
+            continue
+        members = [value]
+        if inspect.isclass(value):
+            members += [m for k, m in vars(value).items() if not k.startswith("_") and callable(m)]
+        for member in members:
+            try:
+                params = inspect.signature(member).parameters
+            except ValueError:  # a builtin without a signature
+                continue
+            assert not {"seed", "trials"} & set(params), name
 
 
 def test_all_exports_functions_classes_and_constants_only():

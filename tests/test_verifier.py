@@ -13,9 +13,9 @@ from hassett.constructions import (
     build_generic,
     check_identity,
     corollary20_certificate,
-    verify_corollary20,
 )
-from hassett.criteria import satisfies_star
+import hassett.constructions as constructions
+from hassett.criteria import discriminant_report, satisfies_star
 from hassett.lattice import (
     A1,
     AmbientVector,
@@ -191,14 +191,11 @@ def golden_pool():
         targets = tuple(rng.sample(star, 2) + rng.sample(double_star, n - 2))
         outcome = build_generic(targets, mode)
         basis = outcome.basis
-        reference = None
-        if outcome.gram_delta is not None:
-            reference = outcome.realized_gram - outcome.gram_delta
         doubled = rng.randrange(len(basis))
         repeated = rng.randrange(1, len(basis))
         shuffled = list(basis[1:])
         rng.shuffle(shuffled)
-        yield basis, targets, reference
+        yield basis, targets, outcome.reference
         yield (basis[0] + basis[1],) + basis[1:], targets, None
         yield basis[1:] + basis[:1], targets, None
         yield basis[:doubled] + (2 * basis[doubled],) + basis[doubled + 1 :], targets, None
@@ -221,7 +218,8 @@ def test_golden_reports():
 
 class TestCorollary20:
     def test_flagship_report(self):
-        witness, reports = verify_corollary20()
+        witness = corollary20_certificate().report
+        reports = [discriminant_report(d) for d in COROLLARY_DISCRIMINANTS]
         assert [r.d for r in reports] == list(COROLLARY_DISCRIMINANTS)
         assert all(r.star for r in reports)
         assert all(r.k3_admissible for r in reports)
@@ -235,7 +233,6 @@ class TestCorollary20:
         assert witness.failure_reasons == ()
 
     def test_verification_runs_no_smith_form(self, monkeypatch):
-        import hassett.constructions as constructions
         import hassett.linalg as linalg
 
         basis = _corollary_build().basis
@@ -251,7 +248,7 @@ class TestCorollary20:
         assert report == expected and report.verdict == "PASS"
 
     def test_minimum_is_exactly_three(self):
-        witness, _ = verify_corollary20()
+        witness = corollary20_certificate().report
         g = witness.realized_gram
         assert short_vectors(g, 2) == []
         three = short_vectors(g, 3)
@@ -341,18 +338,31 @@ class TestCertificates:
 
 class TestCheckIdentity:
     def test_case2_identity_holds(self):
-        assert check_identity(CaseId.R4_002, (2, 2, 4), 2000, 0)
+        assert check_identity(CaseId.R4_002, (2, 2, 4))
 
     def test_raw_all2_identity_fails(self):
-        assert not check_identity(CaseId.R4_222, (1, 1, 4), 2000, 0, corrected=False)
+        assert not check_identity(CaseId.R4_222, (1, 1, 4), corrected=False)
 
     def test_rank5_all2_identity_holds_as_printed(self):
-        assert check_identity(CaseId.R5_2222, (1, 1, 4, 4), 2000, 0)
+        assert check_identity(CaseId.R5_2222, (1, 1, 4, 4))
 
-    def test_deterministic_in_seed(self):
-        a = check_identity(CaseId.R4_022, (2, 2, 4), 500, 42)
-        b = check_identity(CaseId.R4_022, (2, 2, 4), 500, 42)
-        assert a == b
+    def test_one_bumped_cross_term_is_refuted_in_every_case(self, monkeypatch):
+        # The grid decides: a Gram one off-diagonal entry away from the
+        # reference is not the completed squares, in any rank-4/5 case.
+        reference = constructions.reference_gram
+
+        def bumped(case_id, params):
+            rows = reference(case_id, params).to_lists()
+            rows[1][-1] += 1
+            rows[-1][1] += 1
+            return IntMatrix(rows)
+
+        cases = [c for c in CaseId if not c.value.startswith("r21")]
+        params = {4: (2, 2, 4), 5: (2, 2, 4, 9)}
+        assert all(check_identity(c, params[int(c.value[1])]) for c in cases)
+        monkeypatch.setattr(constructions, "reference_gram", bumped)
+        for case_id in cases:
+            assert not check_identity(case_id, params[int(case_id.value[1])]), case_id
 
 
 def test_ambient_vector_round_trip():
