@@ -39,7 +39,6 @@ from .lattice import (
 )
 from .criteria import (
     DiscriminantReport,
-    conjecture_shape,
     conjecture_sweep,
     discriminant_report,
     factorize,

@@ -27,9 +27,11 @@ Two realization modes, for named cases (``build``) and target lists
   entry for entry, from the ideal Gram of the slots, and reports the delta
   when no assignment reproduces it.  Only I3 parts deviate, and the miss is
   a closed form in how many residue-2 U and E8 slots take each I3 unit and
-  which candidates the A2 slots take, so the search is exact (see
-  ``_exact_assignment``).  The transcribed ``R21_ALL2`` Gram is decided by
-  the entries that no pair of candidate generators meets (see ``build``).
+  which candidates the A2 slots take, so one exact pass over those choices
+  keeps the least miss and its first assignment, and only the generators
+  it keeps are built (see ``_exact_assignment``).  The transcribed
+  ``R21_ALL2`` Gram is decided by the entries that no pair of candidate
+  generators meets (see ``build``).
   STRICT reproduces the scaled reference Grams, so its witnesses can fail
   saturation: a residue-0 column ``m * b`` has content m.
 * GOAL keeps only the per-slot discriminants and builds a glued witness,
@@ -404,59 +406,53 @@ def _generators(slot: SlotSpec) -> tuple[AmbientVector, ...]:
 
 def _exact_assignment(
     slots: Sequence[SlotSpec],
-    gens: Sequence[Sequence[AmbientVector]],
+    perturbations: Sequence[Sequence[AmbientVector]],
     target: IntMatrix,
 ) -> tuple[int, list[int]]:
     """Least deviation from the ideal Gram ``target`` and its first optimal assignment.
 
-    ``gens[i]`` lists the candidate generators of slot i (``_generators``),
-    and the assignment holds one index into each list.  Against the ideal
-    target every candidate meets its own h2 and diagonal
-    entries, and only I3 parts can deviate.  A residue-2 U or E8 slot has no
-    I3 part but the unit vector it takes; with c_u such slots on unit u and
-    one candidate picked for each A2 slot, the miss is
+    ``perturbations[i]`` lists the candidate perturbations of slot i
+    (``candidate_perturbations``), and the assignment holds one index into
+    each list, 0 for a slot with none.  Against the ideal target every
+    candidate meets its own h2 and diagonal entries, and only I3 parts can
+    deviate.  A residue-2 U or E8 slot has no I3 part but the unit vector it
+    takes; with c_u such slots on unit u and one generator picked for each
+    A2 slot, the miss is
 
         sum_u C(c_u, 2) + sum_u c_u * w_u + (deviation among the A2 slots),
 
-    where w_u = sum |u.g| over the A2 generators g.  Every other entry meets
-    its target.  So the optimum is a minimum over the A2 picks and the counts
-    c0 + c1 + c2 = K; each pick prices c_u from one list per unit u, of
-    C(c, 2) + c * w_u for c = 0..K.  Walking the slots in order and keeping
-    the least pick that some optimal (picks, counts) still allows gives the
-    lexicographically first optimal assignment.
+    where w_u = sum |u.g| over the picked A2 generators g.  Every other entry
+    meets its target.  Every arrangement of one count vector costs the same,
+    and putting unit 0 on the first c0 of those slots, unit 1 on the next c1
+    and unit 2 on the rest is the lexicographically least.  So one pass over
+    the A2 picks and the counts c0 + c1 + c2 = K keeps the least
+    (miss, assignment), which is the first optimal assignment.
     """
     a2 = [i for i, s in enumerate(slots) if s.kind in _A2_KINDS]
-    units = sum(s.residue == 2 and s.kind not in _A2_KINDS for s in slots)
-    weight = {i: [[abs(inner_product(u, g)) for u in _UNITS_SORTED] for g in gens[i]] for i in a2}
-    options = []
-    for picks in itertools.product(*(range(len(gens[i])) for i in a2)):
+    gens = [
+        [slots[i].bare_generator() + p for p in perturbations[i]] or [slots[i].bare_generator()]
+        for i in a2
+    ]
+    units = [i for i, s in enumerate(slots) if s.residue == 2 and s.kind not in _A2_KINDS]
+    k = len(units)
+    best: tuple[int, list[int]] | None = None
+    for picks in itertools.product(*(range(len(g)) for g in gens)):
+        chosen = [g[a] for g, a in zip(gens, picks)]
         a2_miss = sum(
-            abs(inner_product(gens[i][a], gens[j][b]) - target[i + 1][j + 1])
-            for (i, a), (j, b) in itertools.combinations(zip(a2, picks), 2)
+            abs(inner_product(g, h) - target[i + 1][j + 1])
+            for (i, g), (j, h) in itertools.combinations(zip(a2, chosen), 2)
         )
-        w = [sum(weight[i][a][u] for i, a in zip(a2, picks)) for u in range(3)]
-        cost0, cost1, cost2 = ([c * (c - 1) // 2 + c * wu for c in range(units + 1)] for wu in w)
-        for c0 in range(units + 1):
-            for c1 in range(units + 1 - c0):
-                c2 = units - c0 - c1
-                options.append((a2_miss + cost0[c0] + cost1[c1] + cost2[c2], picks, (c0, c1, c2)))
-    optimum = min(miss for miss, _, _ in options)
-    allowed = [(p, c) for miss, p, c in options if miss == optimum]
-    placed = [0, 0, 0]
-    assignment = []
-    for i, s in enumerate(slots):
-        if i in a2:
-            slot = a2.index(i)
-            a = min(p[slot] for p, _ in allowed)
-            allowed = [(p, c) for p, c in allowed if p[slot] == a]
-        elif s.residue == 2:
-            a = next(u for u in range(3) if any(c[u] > placed[u] for _, c in allowed))
-            placed[a] += 1
-            allowed = [(p, c) for p, c in allowed if c[a] >= placed[a]]
-        else:
-            a = 0
-        assignment.append(a)
-    return optimum, assignment
+        w = [sum(abs(inner_product(u, g)) for g in chosen) for u in _UNITS_SORTED]
+        cost0, cost1, cost2 = ([c * (c - 1) // 2 + c * wu for c in range(k + 1)] for wu in w)
+        for c0 in range(k + 1):
+            for c1 in range(k + 1 - c0):
+                c2 = k - c0 - c1
+                miss = a2_miss + cost0[c0] + cost1[c1] + cost2[c2]
+                if best is None or miss <= best[0]:
+                    kept = dict(zip(a2, picks)) | dict(zip(units, [0] * c0 + [1] * c1 + [2] * c2))
+                    option = (miss, [kept.get(i, 0) for i in range(len(slots))])
+                    best = option if best is None else min(best, option)
+    return best
 
 
 def realize_perturbations(
@@ -466,18 +462,22 @@ def realize_perturbations(
 
     The deviation is the sum of absolute entrywise differences.  It is a
     closed form in how many residue-2 U and E8 slots take each I3 unit and
-    which candidates the A2 slots take, and ``_exact_assignment`` minimises
-    it over those few choices.  Ties go to the lexicographically first
-    assignment in candidate order.  Returns REALIZED_STRICT on an exact
-    match, otherwise NOT_REALIZABLE, whose realized Gram differs from the ideal.
+    which candidates the A2 slots take, and ``_exact_assignment`` keeps its
+    least value and the first assignment that attains it, in candidate
+    order, in one pass over those few choices.  Only the kept generators
+    are built.  Returns REALIZED_STRICT on an exact match, otherwise
+    NOT_REALIZABLE, whose realized Gram differs from the ideal.
     The basis is certified once, against ``reference``: the ideal Gram unless
     a named case passes its own.
     """
     slots = tuple(slots)
     ideal = ideal_gram(slots)
-    gens = [_generators(s) for s in slots]
-    miss, picks = _exact_assignment(slots, gens, ideal)
-    basis = (H_SQUARED,) + tuple(g[a] for g, a in zip(gens, picks))
+    perturbations = [candidate_perturbations(s) for s in slots]
+    miss, picks = _exact_assignment(slots, perturbations, ideal)
+    basis = (H_SQUARED,) + tuple(
+        s.bare_generator() + p[a] if p else s.bare_generator()
+        for s, p, a in zip(slots, perturbations, picks)
+    )
     targets = tuple(s.target_d for s in slots)
     reference = ideal if reference is None else reference
     return RealizationOutcome(

@@ -106,26 +106,6 @@ def has_associated_k3(d: int) -> bool:
     return discriminant_report(d).k3_admissible
 
 
-def conjecture_shape(d: int) -> tuple[int, int] | None:
-    """Decompose d as 6 * 4^k * s^2 + 2 with k >= 1 and s >= 2.
-
-    Returns the decomposition with maximal k (equivalently with s = 2 or s odd),
-    or None if no such decomposition exists.
-    """
-    q, r = divmod(d - 2, 6)
-    if r != 0 or q <= 0:
-        return None
-    best: tuple[int, int] | None = None
-    k = 1
-    while q % 4**k == 0:
-        rest = q // 4**k
-        s = math.isqrt(rest)
-        if s * s == rest and s >= 2:
-            best = (k, s)
-        k += 1
-    return best
-
-
 def _primes_upto(n: int) -> list[int]:
     """The primes p <= n (sieve of Eratosthenes)."""
     if n < 2:
@@ -188,8 +168,9 @@ def conjecture_sweep(limit: int) -> list[tuple[int, int, int, bool]]:
 
     The shaped values are exactly d = 24 t^2 + 2 with t >= 2, because
     6 * 4^k * s^2 + 2 = 6 x^2 + 2 = 24 t^2 + 2 for x = 2^k s = 2t.
-    (k, s) is the decomposition ``conjecture_shape`` returns: k is the 2-adic
-    valuation of x, one less when x is a power of two (then s = 2).  Every
+    (k, s) is the decomposition with maximal k, which makes s = 2 or s odd:
+    k is the 2-adic valuation of x, one less when x is a power of two (then
+    s = 2).  Every
     row is factored by ``_sieve_family``, so the verdict is computed, not
     read off the lemma in the module docstring.  Rows are (d, k, s,
     admissible) in ascending d order.  Limits below the smallest shaped

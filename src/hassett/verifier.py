@@ -67,7 +67,6 @@ class CriterionReport:
     positive_definite: bool
     saturated: bool
     minimum_norm: int | None
-    passed: bool
 
     @property
     def reasons(self) -> tuple[str, ...]:
@@ -78,6 +77,11 @@ class CriterionReport:
         if self.minimum_norm is not None and self.minimum_norm < 3:
             failed.append(f"MIN_NORM_{self.minimum_norm}")
         return tuple(failed)
+
+    @property
+    def passed(self) -> bool:
+        """True iff every check passed: no ``reasons`` are named."""
+        return not self.reasons
 
     def to_dict(self) -> dict:
         return {
@@ -105,8 +109,7 @@ def criterion_report(gram: IntMatrix, saturated: bool, has_h: bool) -> Criterion
         min_norm: int | None = minimum(gram)
     except NotPositiveDefinite:
         min_norm = None
-    report = CriterionReport(has_h, min_norm is not None, saturated, min_norm, passed=False)
-    return replace(report, passed=not report.reasons)
+    return CriterionReport(has_h, min_norm is not None, saturated, min_norm)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,8 @@ code with it.  They use only public ``hassett`` names.
 * ``draw_y_by_sample`` and ``four_squares_by_randint`` make the GOAL draws
   through ``choice``, ``sample`` and ``randint``, against the ``getrandbits``
   stream that ``constructions._draw_y`` reads.
+* ``conjecture_shape`` tries every k in turn, against the bit arithmetic
+  that gives ``criteria.conjecture_sweep`` its (k, s).
 """
 
 from __future__ import annotations
@@ -270,3 +272,23 @@ def draw_y_by_sample(slot: SlotSpec, rng: random.Random) -> AmbientVector:
     for c, node in zip(four_squares_by_randint(half, rng), nodes):
         coords[node] += c
     return AmbientVector(tuple(coords))
+
+
+def conjecture_shape(d: int) -> tuple[int, int] | None:
+    """Decompose d as 6 * 4^k * s^2 + 2 with k >= 1 and s >= 2.
+
+    Returns the decomposition with maximal k (equivalently with s = 2 or s odd),
+    or None if no such decomposition exists.
+    """
+    q, r = divmod(d - 2, 6)
+    if r != 0 or q <= 0:
+        return None
+    best: tuple[int, int] | None = None
+    k = 1
+    while q % 4**k == 0:
+        rest = q // 4**k
+        s = math.isqrt(rest)
+        if s * s == rest and s >= 2:
+            best = (k, s)
+        k += 1
+    return best

@@ -380,6 +380,22 @@ class TestExactStrictSearch:
         assert outcome.detail == f"optimal assignment misses target by {optimum}"
         assert upper_miss(outcome.realized_gram - outcome.reference) == optimum
 
+    @pytest.mark.parametrize(
+        "head,top,digest",
+        [
+            ((14, 14, 152, 488), 10, "757a2147182cb9b8122cdeea783fe39beda6f97ed080994932d55f5fdd42cbe1"),
+            ((14, 14, 26, 26), 10, "d1400f066bdd8be24586a77d620391803a578af1f486a594ef8b27e79077ae32"),
+            ((14, 14, 152, 488), 20, "6bfd8cc2d697bdd2dd7d0380600ccb6a764dcc09af37f86e94c42b4df34a04e8"),
+            ((14, 14, 26, 26), 20, "a8171f623500391145c6cbf6b42c8a9913eb054ffc00b4334c78348751113606"),
+        ],
+    )
+    def test_long_lists_keep_their_first_optimal_assignment(self, head, top, digest):
+        # Lists too long for the exhaustive oracle: a sha256 of the basis
+        # coordinates pins which of the optimal assignments is kept.
+        targets = list(head) + [6 * m * m + 2 for m in range(5, top + 1)]
+        basis = build_generic(targets, Mode.STRICT).basis
+        assert hashlib.sha256(repr(tuple(v.coords for v in basis)).encode()).hexdigest() == digest
+
 
 def test_exact_search_does_no_work_per_unit_slot(monkeypatch):
     # Residue-2 U and E8 slots enter the exact search only through their

@@ -10,7 +10,6 @@ import hassett.lattice as lattice
 import hassett.linalg as linalg
 from hassett.constructions import COROLLARY_DISCRIMINANTS
 from hassett.criteria import (
-    conjecture_shape,
     conjecture_sweep,
     discriminant_report,
     factorize,
@@ -20,7 +19,7 @@ from hassett.criteria import (
 )
 from hassett.lattice import A1, H_SQUARED, e_vec, gram_of, i3_unit
 from hassett.verifier import CriterionReport, criterion_report
-from oracles import from_columns, integer_solver
+from oracles import conjecture_shape, from_columns, integer_solver
 
 
 class TestStar:
@@ -365,7 +364,7 @@ class TestCriterionReasons:
     def test_reasons_name_each_failed_check_in_check_order(self):
         for has_h, pd, sat in itertools.product((True, False), repeat=3):
             for least in (None, 2, 3):
-                report = CriterionReport(has_h, pd, sat, least, passed=False)
+                report = CriterionReport(has_h, pd, sat, least)
                 expected = []
                 if not has_h:
                     expected.append("MISSING_H_SQUARED")
@@ -376,6 +375,7 @@ class TestCriterionReasons:
                 if least == 2:
                     expected.append("MIN_NORM_2")
                 assert report.reasons == tuple(expected), (has_h, pd, sat, least)
+                assert report.passed == (not expected)
 
     def test_criterion_report_passes_exactly_when_no_reason_is_named(self):
         bases = (

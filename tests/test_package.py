@@ -13,7 +13,8 @@ from hassett import constructions, lattice, linalg, verifier
 
 # The public API, reviewed in one place.  The test-only reference code
 # (determinant, inertia, integer_solver, invariant_factors, rational_inverse,
-# oracle_short_vectors) lives in tests/oracles.py and is not exported.
+# oracle_short_vectors, conjecture_shape) lives in tests/oracles.py and is
+# not exported.
 PUBLIC_API = (
     "A1", "A2", "AMBIENT_GRAM", "AmbientVector", "COROLLARY_DISCRIMINANTS",
     "CaseId", "Certificate", "CertificateError", "CriterionReport",
@@ -21,7 +22,7 @@ PUBLIC_API = (
     "Mode", "RealizationOutcome", "RealizationStatus", "SLOT_POOL", "SlotSpec",
     "U_GRAM", "WitnessReport", "build", "build_generic",
     "candidate_perturbations", "case_slots", "certificate_for", "check_identity",
-    "conjecture_shape", "conjecture_sweep", "criterion_report",
+    "conjecture_sweep", "criterion_report",
     "discriminant_report", "e_vec", "factorize", "generic_slots", "gram_of",
     "has_associated_k3", "i3_unit", "i3_vector", "ideal_gram", "inner_product",
     "is_positive_definite", "is_saturated", "minimum", "norm", "quadratic_form",
@@ -91,6 +92,40 @@ def test_package_uses_neither_rationals_floats_nor_test_oracles():
                 root = name.split(".")[0]
                 assert root not in ("fractions", "oracles"), (path.name, name)
 
+
+
+# Functions and methods that nothing in the package references, each with the
+# reason it stays.  A function that only its own tests call is deleted, not
+# added here.
+UNREFERENCED = {
+    "short_vectors": "bound by the benchmark tracer (ROADMAP item 2)",
+    "is_saturated": "bound by the benchmark tracer (ROADMAP item 2)",
+    "integer_rank": "bound by the benchmark tracer (ROADMAP item 2)",
+    "smith_normal_form": "bound by the benchmark tracer (ROADMAP item 2)",
+    "is_positive_definite": "bound by the benchmark tracer (ROADMAP item 2)",
+    "build": "named-case API of acceptance criterion 2 and the README",
+    "check_identity": "named-case API of acceptance criterion 5 and the README",
+    "squares_value": "named-case API of acceptance criterion 5 and the README",
+    "has_associated_k3": "public predicate: the K3 condition on a discriminant",
+    "norm": "public helper: the norm of an ambient vector",
+}
+
+
+def test_only_pinned_functions_go_unreferenced():
+    src = Path(hassett.__file__).resolve().parent
+    defined, referenced = set(), set()
+    for path in src.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not node.name.startswith("__"):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert defined - referenced == UNREFERENCED.keys()
 
 def _package_imports(path: Path) -> set[str]:
     """The hassett modules that the source file at path imports."""
