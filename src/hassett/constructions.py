@@ -50,18 +50,17 @@ and for every later slot of parameter m and residue r
 
 f1 and f2 are isotropic and orthogonal to P and to each other, so v_j has the
 norm and h2-pairing of y_j: the discriminant is 3(2m^2 + r) - r^2, which is
-6m^2 or 6m^2 + 2.  e1 occurs only in v1 and e2 only in v2, so
-
-    L / M  =  (P + Z^2) / {(y, lambda(y)) : y in Y},
-
-where Y = span(h2, y_j) and lambda(h2) = 0, lambda(y_j) = (s_j, u_j).  Hence
-M is saturated if and only if the torsion T of P/Y has at most two
-generators and lambda maps T injectively into (Q/Z)^2.  A column echelon of
-the coordinates of the y_j modulo h2 gives the index of Y, and a Smith form
-of T's presentation on the non-unit pivots (w x 2w, entries mod the index)
-gives T.  The glue names the y_j that take f1 and f2, so each (s_j, u_j) is
-(0, 0) but on at most two y_j; it is the first candidate that lambda makes
-injective, tested exactly (see ``_glue``).
+6m^2 or 6m^2 + 2.  e1 occurs only in v1 and e2 only in v2, so M is
+saturated iff h2 and the v_j span a saturated sublattice of P + Z f1 + Z f2.
+The glue names the y_j that take f1 and f2, so each (s_j, u_j) is (0, 0)
+but on at most two y_j, and f1 and f2 occur in no other v_j.  Hence, for
+independent y_j, M is saturated if and only if h2 and the y_l outside the
+glue span a saturated sublattice of P.  A column echelon brings the
+coordinates of the y_j modulo h2 to a k x k triangle, and that holds iff
+the unit vectors e_j of the glued y_j generate G = Z^k / (columns of the
+triangle).  One Smith form of G's presentation on the non-unit pivots (w x 2w,
+entries mod |G|) gives G and places each e_j in it; the glue is the first
+candidate whose e_j generate G, tested exactly (see ``_glue``).
 Each draw is accepted by the verdict of ``verifier.verify_witness``, which
 recomputes all four checks and every labelling, so a witness is only
 reported REALIZED_GOAL when the verifier passes it, and every outcome
@@ -604,8 +603,8 @@ def build_generic(
 # GOAL witnesses for target lists, saturated by construction.
 
 # Seeded draws of the y_j before GOAL reports the search exhausted.  A draw
-# fails when no glue saturates it (P/Y needs more than two generators, or no
-# candidate glue is injective) or its certificate fails; the 950 lists of
+# fails when no glue saturates it (G needs more than two generators, or no
+# candidate's e_j generate it) or its certificate fails; the 950 lists of
 # acceptance criterion 7 and the corollary list need at most 12 draws.
 GOAL_ATTEMPTS = 64
 
@@ -728,30 +727,30 @@ def _draw_y(slot: SlotSpec, rng: random.Random) -> AmbientVector:
 def _glue(ys: Sequence[AmbientVector]) -> tuple[int, ...] | None:
     """The y_j that take f1 and f2 so that h2 and the glued v_j span a saturated M.
 
-    Let P = E8+E8+I3 and Y = span(h2, y_j).  ``_pivot_row`` brings the
-    coordinates of the y_j modulo h2 to a k x k lower triangle L = rows C
-    with C unimodular, so the torsion of P/Y is T = Z^k / Z^k L.  Its order
-    is the index D = |prod of the pivots|, so D Z^k lies in Z^k L.  A unit
-    pivot expresses its coordinate through lower ones; substituting them,
-    as residues mod D, presents T on the w coordinates of non-unit pivots.
-    One Smith form of the w x 2w block [relations | D I] (relations as
-    columns) gives T = sum Z/d_i, and column i of block * V is d_i times a
-    generator.  Back-substitution on L writes it as sum_j c_j y_j, so the
-    glue lambda(y_j) = (s_j, u_j) sends the generator to
-    sum_j c_j (s_j, u_j) / d_i in (Q/Z)^2.  The witness is saturated iff
-    that map is injective on T.  The glue is the first injective candidate,
-    as the indices of the y_j taking f1, then f2: ``()``, then ``(j,)``,
-    then ``(i, j)`` with i < j; so it depends on the y_j alone.  Returns
-    None when the y_j are dependent or no candidate is injective, as when T
-    needs more than two generators.
+    Let P = E8+E8+I3.  Putting f1 and f2 on the y_j with j in g saturates M
+    iff h2 and the y_l outside g span a saturated sublattice of P (see the
+    module docstring).  ``_pivot_row`` brings the coordinates of the y_j
+    modulo h2 to a k x k lower triangle L = rows C with C unimodular, so
+    that holds iff the rows of L outside g span a saturated sublattice of
+    Z^k, that is, iff the e_j with j in g generate G = Z^k / (columns of
+    L).  G has order D = |prod of the pivots|, so D e_j = 0.  Walking the
+    columns c from last to first, a unit pivot expresses e_c through the
+    e_r with r > c, and a non-unit pivot gives one relation, so residues
+    mod D present G on the w non-unit pivots.  One Smith form U [relations
+    | D I] V of that w x 2w block gives G = sum Z/d_t, with e_j at
+    (U expr_j)_t mod d_t (Cohen, 2.4.14).  The glue is the first candidate
+    whose e_j generate G, as the indices of the y_j taking f1, then f2:
+    ``()``, then ``(j,)``, then ``(i, j)`` with i < j; so it depends on the
+    y_j alone.  Returns None when the y_j are dependent or no candidate
+    generates G, as when G needs more than two generators.
 
     Before the triangle, a 2-rank test rejects most draws that the full
     path would reject.  Over F2 the rank of the rows is the number of odd
     invariant factors of their Smith form (a zero factor, from dependent
-    rows, counts as even), so k minus that rank is dim T/2T when the y_j
-    are independent, and T needs at least that many generators (Cohen,
+    rows, counts as even), so k minus that rank is dim G/2G when the y_j
+    are independent, and G needs at least that many generators (Cohen,
     2.4).  When more than two rows reduce to zero mod 2 over the rows
-    before them, the y_j are dependent or T needs more than two generators.
+    before them, the y_j are dependent or G needs more than two generators.
     The full path returns None on such a draw too, so the test never
     rejects a draw that a glue saturates.
     """
@@ -774,50 +773,40 @@ def _glue(ys: Sequence[AmbientVector]) -> tuple[int, ...] | None:
     delta = abs(math.prod(tri[i][i] for i in range(k)))
     if delta == 1:
         return ()
-    nonunit = {i: r for r, i in enumerate(i for i in range(k) if abs(tri[i][i]) > 1)}
+    nonunit = {c: t for t, c in enumerate(c for c in range(k) if abs(tri[c][c]) > 1)}
     w, half = len(nonunit), (delta - 1) // 2  # (x + half) % delta - half lies in (-D/2, D/2]
-    expr: list[list[int]] = []  # expr[i]: e_i in T, on the non-unit coordinates
+    expr = [[0] * w for _ in range(k)]  # expr[j]: e_j in G, on the non-unit pivots
     relations = []
-    for i, row in enumerate(tri):
+    for c in range(k - 1, -1, -1):
         comb = [0] * w
-        for j in range(i):
-            if row[j]:
-                comb = [x + row[j] * e for x, e in zip(comb, expr[j])]
-        if i in nonunit:
-            comb[nonunit[i]] += row[i]
+        for r in range(c + 1, k):
+            if tri[r][c]:
+                comb = [x + tri[r][c] * e for x, e in zip(comb, expr[r])]
+        if c in nonunit:
+            comb[nonunit[c]] += tri[c][c]
             relations.append([(x + half) % delta - half for x in comb])
-            expr.append([int(r == nonunit[i]) for r in range(w)])
-        else:  # row[i] = +-1 and row[i] e_i + comb = 0 in T
-            expr.append([(half - row[i] * x) % delta - half for x in comb])
+            expr[c][nonunit[c]] = 1
+        else:  # tri[c][c] = +-1 and tri[c][c] e_c + comb = 0 in G
+            expr[c] = [(half - tri[c][c] * x) % delta - half for x in comb]
     block = [[*col] + [delta * (r == c) for c in range(w)] for r, col in enumerate(zip(*relations))]
-    d = [row[:] for row in block]
-    v = _smith_in_place(d)
-    torsion = [t for t in range(w) if d[t][t] > 1]
-    if len(torsion) > 2:
+    u = [[int(r == c) for c in range(w)] for r in range(w)]
+    _smith_in_place(block, u)
+    factors = [
+        (block[t][t], [sum(x * e for x, e in zip(u[t], ej)) % block[t][t] for ej in expr])
+        for t in range(w)
+        if block[t][t] > 1
+    ]
+    if len(factors) > 2:
         return None
-    coeffs = []
-    for t in torsion:
-        gen = [0] * k  # d_t times the generator, on the non-unit coordinates
-        for i, r in nonunit.items():
-            gen[i] = sum(x * vc[t] for x, vc in zip(block[r], v))
-        c = [0] * k
-        for j in range(k - 1, -1, -1):
-            c[j], rem = divmod(gen[j] - sum(c[i] * tri[i][j] for i in range(j + 1, k)), tri[j][j])
-            if rem:
-                raise ArithmeticError("torsion generator is not in the span of the y_j")
-        coeffs.append((d[t][t], [x % d[t][t] for x in c]))
-    db, cb = coeffs[-1]
-    if len(coeffs) == 1:
-        # A cyclic T = Z/d embeds iff its generator maps to an element of order d.
-        for j in range(k):
-            if math.gcd(cb[j], db) == 1:
-                return (j,)
-        coeffs.insert(0, (1, [0] * k))  # Z/1 + Z/d
-    da, ca = coeffs[0]
+    if len(factors) == 1:
+        factors.insert(0, (1, [0] * k))  # a cyclic G = Z/1 + Z/d
+    (da, ca), (db, cb) = factors
+    # e_j generate G = Z/da + Z/db, da | db, iff their columns and (da, 0),
+    # (0, db) span Z^2, that is, iff the 2 x 2 minors of those have gcd 1.
+    for j in range(k):
+        if math.gcd(da * cb[j], db * ca[j], da * db) == 1:
+            return (j,)
     for i, j in itertools.combinations(range(k), 2):
-        # With e = db / da, (alpha, beta) maps to (alpha e ca + beta cb) / db in
-        # (Q/Z)^2 at (i, j).  That is injective on Z/da + Z/db iff the 2 x 2
-        # minors of [e ca | cb | db I] have gcd e; these are the minors over e.
         # Swapping i and j permutes the minors, so the pair (j, i) needs no test.
         minors = (ca[i] * cb[j] - ca[j] * cb[i], db * ca[i], db * ca[j], da * cb[i], da * cb[j])
         if math.gcd(*minors, da * db) == 1:

@@ -16,11 +16,11 @@ strategy (Cohen, A Course in Computational Algebraic Number Theory, 2.4.14).
 Its diagonal entries are nonnegative and satisfy the divisibility chain
 ``d1 | d2 | ...``, so results are reproducible byte for byte.  A unit pivot
 ends the pivot scan, since no entry is smaller, and needs no divisibility
-sweep.  The GOAL glue of ``constructions`` calls the kernel, without a row
-companion, only on a draw that passes its 2-rank test and whose echelon has
-full rank and an index above 1, on the w x 2w presentation of the torsion
-read off the triangle (entries reduced modulo the index), and reads D and V;
-``smith_normal_form`` passes an identity U and returns (U, D, V).
+sweep.  The GOAL glue of ``constructions`` calls the kernel, with an
+identity row companion, only on a draw that passes its 2-rank test and whose
+echelon has full rank and an index above 1, on the w x 2w presentation of
+the group G read off the triangle (entries reduced modulo the index), and
+reads D and U; ``smith_normal_form`` also returns V.
 """
 
 from __future__ import annotations

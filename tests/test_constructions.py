@@ -971,6 +971,21 @@ class TestGlue:
         assert any(isinstance(kind, int) and kind > 2 for kind in kinds), kinds
         assert rejected and all(kind == "dependent" or kind > 2 for kind in rejected), rejected
 
+    def test_glue_is_the_first_candidate_whose_unglued_rows_are_saturated(self):
+        # f1 and f2 on the y_j of g saturate M iff h2 and the other y_l span
+        # a saturated sublattice of P, that is, iff the quotient rows outside
+        # g are saturated in Z^18: an oracle with no glued coordinates.
+        for ys in _glue_draws():
+            quotient = [constructions._quotient_coords(y) for y in ys]
+            first = None
+            if linalg.span_membership(quotient, [0] * 18)[0]:
+                for glue in _glue_candidates(len(ys)):
+                    rest = [q for j, q in enumerate(quotient) if j not in glue]
+                    if linalg.span_membership(rest, [0] * 18)[1]:
+                        first = glue
+                        break
+            assert constructions._glue(ys) == first, len(ys)
+
     def test_glue_is_invariant_under_unimodular_quotient_changes(self):
         # The glue saturates M or not whatever basis the quotient Z^18 has,
         # so the first saturating glue cannot depend on it.
@@ -997,7 +1012,7 @@ class TestGlue:
         inner = constructions._smith_in_place
 
         def recording(a, *rest):
-            calls.append([row[:] for row in a])
+            calls.append(([row[:] for row in a], [[row[:] for row in u] for u in rest]))
             return inner(a, *rest)
 
         monkeypatch.setattr(constructions, "_smith_in_place", recording)
@@ -1013,8 +1028,10 @@ class TestGlue:
             if kind == "dependent" or index == 1 or even > 2:
                 assert calls == []
                 continue
-            (block,) = calls
+            ((block, rest),) = calls
             w = len(block)
+            # The row companion starts as the w x w identity, so it ends as U.
+            assert rest == [[[int(r == c) for c in range(w)] for r in range(w)]]
             assert kind <= w and 2**w <= index and all(len(row) == 2 * w for row in block)
             for r, row in enumerate(block):
                 assert all(-index < 2 * x <= index for x in row[:w]), (row, index)

@@ -378,15 +378,27 @@ class TestCriterionReasons:
                 assert report.passed == (not expected)
 
     def test_criterion_report_passes_exactly_when_no_reason_is_named(self):
-        bases = (
-            (H_SQUARED, e_vec(1, 1) + 2 * e_vec(1, 2), e_vec(2, 1) + 2 * e_vec(2, 2), 2 * A1 + i3_unit(3)),
-            (H_SQUARED, e_vec(1, 1) + e_vec(1, 2)),
-            (H_SQUARED, e_vec(1, 1)),
+        # Basis 1 passes every lattice check, basis 2 has Gram [[3, 0], [0, 2]]
+        # and basis 3 the semidefinite [[3, 0], [0, 0]].  Each basis lists its
+        # minimum and its reasons for (saturated, has_h) = TT, TF, FT, FF.
+        h, sat, pd, two = "MISSING_H_SQUARED", "NOT_SATURATED", "NOT_POSITIVE_DEFINITE", "MIN_NORM_2"
+        cases = (
+            (
+                (H_SQUARED, e_vec(1, 1) + 2 * e_vec(1, 2), e_vec(2, 1) + 2 * e_vec(2, 2), 2 * A1 + i3_unit(3)),
+                3,
+                ((), (h,), (sat,), (h, sat)),
+            ),
+            ((H_SQUARED, e_vec(1, 1) + e_vec(1, 2)), 2, ((two,), (h, two), (sat, two), (h, sat, two))),
+            ((H_SQUARED, e_vec(1, 1)), None, ((pd,), (h, pd), (pd, sat), (h, pd, sat))),
         )
         verdicts = []
-        for basis in bases:
-            for saturated, has_h in itertools.product((True, False), repeat=2):
+        for basis, least, reasons in cases:
+            flags = itertools.product((True, False), repeat=2)
+            for (saturated, has_h), expected in zip(flags, reasons, strict=True):
                 report = criterion_report(gram_of(basis), saturated, has_h)
-                assert report.passed == (not report.reasons)
+                assert report.minimum_norm == least
+                assert report.reasons == expected, (basis, saturated, has_h)
                 verdicts.append(report.passed)
+        assert gram_of(cases[1][0]).rows == ((3, 0), (0, 2))
+        assert gram_of(cases[2][0]).rows == ((3, 0), (0, 0))
         assert verdicts.count(True) == 1
