@@ -14,7 +14,6 @@ from ._version import __version__
 from .linalg import (
     IntMatrix,
     is_positive_definite,
-    quadratic_form,
     smith_normal_form,
     span_membership,
 )

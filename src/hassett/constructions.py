@@ -81,7 +81,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from enum import Enum
 from operator import index
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .criteria import satisfies_double_star, satisfies_star
 from .lattice import (
@@ -98,7 +98,7 @@ from .lattice import (
     inner_product,
     t_vec,
 )
-from .linalg import IntMatrix, _pivot_row, _smith_in_place, quadratic_form
+from .linalg import IntMatrix, _pivot_row, _smith_in_place
 from .verifier import Certificate, certificate_for
 
 # Half-width of the box in which A2 slots look for perturbations.
@@ -865,58 +865,42 @@ def _glued_search(
 # ---------------------------------------------------------------------------
 # Closed-form completed-squares identities for the rank-4 and rank-5 cases.
 
-def squares_value(
-    case_id: CaseId,
-    params: Sequence[int],
-    point: Sequence[int],
-    corrected: bool = True,
-) -> int:
-    """Completed-squares expression of the case's form at an integer point.
+def squares_value(case_id: CaseId, params: Sequence[int], point: Sequence[int]) -> int:
+    """The case's completed squares, sum w (c . x)^2 over ``_squares``, at an integer point."""
+    squares = _squares(case_id, params)
+    x = [index(v) for v in point]
+    if len(x) != len(squares[0][1]):
+        raise ValueError("point dimension must match the case rank")
+    return sum(w * sum(a * b for a, b in zip(c, x)) ** 2 for w, c in squares)
+
+
+def _squares(case_id: CaseId, params: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """The completed squares of a rank-4 or rank-5 case, as pairs (w, c).
 
     The slots are those of ``case_slots``, so the parameters are validated as
     ``reference_gram`` validates them.  With x0 the h2 coordinate, x_i that of
-    slot i, m_i its scale and r the number of residue-2 slots, the value is
+    slot i, m_i its scale and r the number of residue-2 slots, the form is
 
         (3 - r) x0^2 + sum n_i x_i^2 + sum_{U slots} n_i x_i^2
-            + (sum_{A2 slots} m_i x_i)^2 + sum_{residue-2 slots} (x0 + x_i)^2.
+            + (sum_{A2 slots} m_i x_i)^2 + sum_{residue-2 slots} (x0 + x_i)^2,
 
+    one weight w and one coefficient vector c in the case's basis per square.
     These cases have only U and A2 slots: a U generator has norm 2n, and the
     A2 ones pair through the square of their sum.
-
-    With ``corrected=False`` the all-residue-2 rank-4 case reproduces a known
-    transcription slip: its first two residue-2 squares are multiplied, not
-    added.  Every other case is identical in both variants.
     """
-    return _squares(case_id, params, corrected)(point)
-
-
-def _squares(
-    case_id: CaseId, params: Sequence[int], corrected: bool
-) -> Callable[[Sequence[int]], int]:
-    """``squares_value`` as a function of the point, with the case validated once."""
     if case_id in (CaseId.R21_ALL0, CaseId.R21_ALL2):
         raise ValueError(f"no closed identity for case {case_id}")
     slots = case_slots(case_id, params)
-    r = sum(s.residue == 2 for s in slots)
-    slip = not corrected and case_id == CaseId.R4_222
 
-    def value(point: Sequence[int]) -> int:
-        x = [index(v) for v in point]
-        if len(x) != len(slots) + 1:
-            raise ValueError("point dimension must match the case rank")
-        x0, pairs = x[0], tuple(zip(slots, x[1:]))
-        twos = [(x0 + xi) ** 2 for s, xi in pairs if s.residue == 2]
-        if slip:
-            twos[:2] = [twos[0] * twos[1]]
-        return (
-            (3 - r) * x0**2
-            + sum(s.n * xi**2 for s, xi in pairs)
-            + sum(s.n * xi**2 for s, xi in pairs if s.kind in U_KINDS)
-            + sum(s.scale * xi for s, xi in pairs if s.kind in _A2_KINDS) ** 2
-            + sum(twos)
-        )
+    def unit(*at: int) -> tuple[int, ...]:
+        return tuple(sum(i == a for a in at) for i in range(len(slots) + 1))
 
-    return value
+    return (
+        [(3 - sum(s.residue == 2 for s in slots), unit(0))]
+        + [(2 * s.n if s.kind in U_KINDS else s.n, unit(i)) for i, s in enumerate(slots, 1)]
+        + [(1, (0, *(s.scale if s.kind in _A2_KINDS else 0 for s in slots)))]
+        + [(1, unit(0, i)) for i, s in enumerate(slots, 1) if s.residue == 2]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -940,19 +924,14 @@ def corollary20_certificate() -> Certificate:
     return _corollary_build().certificate
 
 
-def check_identity(case_id: CaseId, params: Sequence[int], corrected: bool = True) -> bool:
-    """Decide whether the case's form equals its completed squares as polynomials.
+def check_identity(case_id: CaseId, params: Sequence[int]) -> bool:
+    """Decide whether the case's form equals its completed squares.
 
-    Both sides have degree at most 4 in each coordinate: the form and the
-    squares of linear forms have degree 2, and the slip's product of two
-    squares degree 4.  A polynomial of degree at most 4 in each variable that
-    vanishes on {0, ..., 4}^n is zero (Alon, Combinatorial Nullstellensatz,
-    1999), so agreement at every point of that grid, checked here exhaustively,
-    proves the identity at every point.
+    A sum of weighted squares sum w (c . x)^2 is the form of the symmetric
+    matrix sum w c c^T, and two integral forms are equal exactly when their
+    symmetric matrices are, so one matrix comparison proves the identity.
     """
-    gram = reference_gram(case_id, params)
-    squares = _squares(case_id, params, corrected)
-    return all(
-        quadratic_form(gram, x) == squares(x)
-        for x in itertools.product(range(5), repeat=gram.nrows)
-    )
+    squares = _squares(case_id, params)
+    k = range(len(squares[0][1]))
+    gram = tuple(tuple(sum(w * c[i] * c[j] for w, c in squares) for j in k) for i in k)
+    return reference_gram(case_id, params).rows == gram

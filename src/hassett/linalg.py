@@ -90,21 +90,6 @@ class IntMatrix:
             for j in range(i + 1, self.ncols)
         )
 
-    def mul_vector(self, vec: Sequence[int]) -> tuple[int, ...]:
-        if len(vec) != self.ncols:
-            raise ValueError("dimension mismatch in matrix-vector product")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self._rows)
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("dimension mismatch in matrix difference")
-        return IntMatrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self._rows, other._rows)
-            ]
-        )
-
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self._rows]
 
@@ -392,8 +377,3 @@ def is_positive_definite(g: IntMatrix) -> bool:
     """Exact Sylvester test: every leading principal minor is positive."""
     return _ldl(g) is not None
 
-
-def quadratic_form(g: IntMatrix, x: Sequence[int]) -> int:
-    """Value ``x^T g x`` of the integral form at an integer point."""
-    x = tuple(index(e) for e in x)
-    return sum(a * b for a, b in zip(x, g.mul_vector(x)))

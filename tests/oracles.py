@@ -20,6 +20,10 @@ code with it.  They use only public ``hassett`` names.
   stream that ``constructions._draw_y`` reads.
 * ``conjecture_shape`` tries every k in turn, against the bit arithmetic
   that gives ``criteria.conjecture_sweep`` its (k, s).
+* ``mul_vector``, ``quadratic_form`` (the value x^T g x) and ``gram_delta``
+  (the entrywise difference of two Grams) are plain matrix arithmetic that
+  the package does not need.  ``slipped_all2_value`` is the paper's displayed
+  ``R4_222`` expression, slip included, that the tests refute against x^T g x.
 """
 
 from __future__ import annotations
@@ -36,12 +40,13 @@ from hassett import (
     E8_GRAM,
     H_SQUARED,
     AmbientVector,
+    CaseId,
     IntMatrix,
     SlotSpec,
     e_vec,
     gram_of,
-    quadratic_form,
     smith_normal_form,
+    squares_value,
     t_vec,
 )
 
@@ -57,6 +62,36 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         raise ValueError("dimension mismatch in matrix product")
     cols = tuple(zip(*b.rows))
     return IntMatrix([[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.rows])
+
+
+def mul_vector(m: IntMatrix, vec: Sequence[int]) -> tuple[int, ...]:
+    """The product m vec."""
+    if len(vec) != m.ncols:
+        raise ValueError("dimension mismatch in matrix-vector product")
+    return tuple(sum(a * b for a, b in zip(row, vec)) for row in m.rows)
+
+
+def quadratic_form(g: IntMatrix, x: Sequence[int]) -> int:
+    """Value ``x^T g x`` of the integral form at an integer point."""
+    return sum(a * b for a, b in zip(x, mul_vector(g, x)))
+
+
+def gram_delta(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The entrywise difference a - b."""
+    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
+        raise ValueError("dimension mismatch in matrix difference")
+    return IntMatrix([[x - y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)])
+
+
+def slipped_all2_value(point: Sequence[int]) -> int:
+    """The paper's displayed ``R4_222`` expression at parameters (1, 1, 4), slip included.
+
+    It is the completed squares of ``squares_value`` with the sum
+    (x0 + x1)^2 + (x0 + x2)^2 of the first two residue-2 squares replaced by
+    their product.
+    """
+    a, b = (point[0] + point[1]) ** 2, (point[0] + point[2]) ** 2
+    return squares_value(CaseId.R4_222, (1, 1, 4), point) - a - b + a * b
 
 
 def _charpoly(m: IntMatrix) -> tuple[list[int], list[list[int]]]:
@@ -137,7 +172,7 @@ def integer_solver(
 
     def solve(b: Sequence[int]) -> tuple[int, ...] | None:
         b = tuple(int(e) for e in b)
-        c = u.mul_vector(b)
+        c = mul_vector(u, b)
         z = [0] * ncols
         for i in range(nrows):
             di = invariants[i] if i < len(invariants) else 0
@@ -148,8 +183,8 @@ def integer_solver(
                 if c[i] % di != 0:
                     return None
                 z[i] = c[i] // di
-        x = v.mul_vector(z)
-        if a.mul_vector(x) != b:
+        x = mul_vector(v, z)
+        if mul_vector(a, x) != b:
             raise ArithmeticError("Smith form solution does not satisfy a x = b")
         return x
 

@@ -7,6 +7,7 @@ saturated in the ambient lattice.  The glued GOAL builder makes its
 witnesses saturated by construction, so both pass.
 """
 
+import itertools
 import math
 import random
 import time
@@ -20,13 +21,21 @@ from hassett.constructions import (
     build_generic,
     check_identity,
     corollary20_certificate,
+    reference_gram,
 )
 from hassett.criteria import conjecture_sweep, discriminant_report, factorize, has_associated_k3
 from hassett.lattice import E8_GRAM, short_vectors
 from hassett.linalg import IntMatrix, is_positive_definite
 from hassett.lattice import AMBIENT_GRAM
 from hassett.verifier import Certificate, certificate_for, verify_witness
-from oracles import determinant, inertia, oracle_short_vectors, rational_inverse
+from oracles import (
+    determinant,
+    inertia,
+    oracle_short_vectors,
+    quadratic_form,
+    rational_inverse,
+    slipped_all2_value,
+)
 
 A2_GRAM = IntMatrix([[2, 1], [1, 2]])
 
@@ -189,10 +198,12 @@ def test_criterion_5_identity_suite():
                     params.append(rng.randint(2, 9) ** 2)
             if not check_identity(case_id, tuple(params)):
                 all_hold = False
+    gram = reference_gram(CaseId.R4_222, (1, 1, 4))
+    points = itertools.product(range(-1, 2), repeat=4)
     checks = {
-        "corrected identities proved on {0..4}^n x 5 params": all_hold,
-        "raw all-residue-2 rank-4 identity detected unequal": not check_identity(
-            CaseId.R4_222, (1, 1, 4), corrected=False
+        "corrected identities proved as Gram identities x 5 params": all_hold,
+        "raw all-residue-2 rank-4 identity detected unequal": any(
+            slipped_all2_value(x) != quadratic_form(gram, x) for x in points
         ),
     }
     _report(5, "completed-squares identity suite", checks, started)

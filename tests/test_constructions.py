@@ -40,7 +40,7 @@ from hassett.lattice import (
     i3_unit,
     inner_product,
 )
-from hassett.linalg import IntMatrix, is_positive_definite, quadratic_form
+from hassett.linalg import IntMatrix, is_positive_definite
 import hassett.verifier as verifier
 from hassett.verifier import certificate_for, verify_witness
 from oracles import (
@@ -49,7 +49,10 @@ from oracles import (
     draw_y_by_sample,
     four_squares_by_randint,
     from_columns,
+    gram_delta,
     invariant_factors,
+    quadratic_form,
+    slipped_all2_value,
 )
 
 RANK4_CASES = (CaseId.R4_000, CaseId.R4_002, CaseId.R4_022, CaseId.R4_222)
@@ -118,7 +121,7 @@ def named_build_digests():
         for mode in (Mode.STRICT, Mode.GOAL):
             o = build(case_id, params, mode)
             basis = None if o.basis is None else tuple(v.coords for v in o.basis)
-            delta = None if o.reference is None else o.realized_gram - o.reference
+            delta = None if o.reference is None else gram_delta(o.realized_gram, o.reference)
             grams = [None if m is None else m.rows for m in (o.realized_gram, delta)]
             record = repr((o.status.value, basis, *grams, o.targets, o.detail)).encode()
             digests[case_id.value, params, mode.value] = hashlib.sha256(record).hexdigest()
@@ -356,7 +359,7 @@ class TestExactStrictSearch:
             miss, basis = exhaustive_first_optimum(slots, target)
             outcome = realize_perturbations(slots)
             assert outcome.basis == basis, targets
-            assert upper_miss(outcome.realized_gram - outcome.reference) == miss, targets
+            assert upper_miss(gram_delta(outcome.realized_gram, outcome.reference)) == miss, targets
             if miss:
                 assert outcome.status == RealizationStatus.NOT_REALIZABLE
                 assert outcome.detail == f"optimal assignment misses target by {miss}"
@@ -378,7 +381,7 @@ class TestExactStrictSearch:
         outcome = build_generic(targets, Mode.STRICT)
         assert outcome.status == RealizationStatus.NOT_REALIZABLE
         assert outcome.detail == f"optimal assignment misses target by {optimum}"
-        assert upper_miss(outcome.realized_gram - outcome.reference) == optimum
+        assert upper_miss(gram_delta(outcome.realized_gram, outcome.reference)) == optimum
 
     @pytest.mark.parametrize(
         "head,top,digest",
@@ -1054,8 +1057,8 @@ class TestIdentities:
     def test_typo_detected_in_raw_all2_identity(self):
         point = (1, 1, 1, 1)
         assert quadratic_form(reference_gram(CaseId.R4_222, (1, 1, 4)), point) == 24
-        assert squares_value(CaseId.R4_222, (1, 1, 4), point, corrected=False) == 32
-        assert squares_value(CaseId.R4_222, (1, 1, 4), point, corrected=True) == 24
+        assert slipped_all2_value(point) == 32
+        assert squares_value(CaseId.R4_222, (1, 1, 4), point) == 24
 
     def test_all_corrected_identities_agree(self):
         rng = random.Random(123)

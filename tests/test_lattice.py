@@ -26,13 +26,14 @@ from hassett.lattice import (
     short_vectors,
     t_vec,
 )
-from hassett.linalg import IntMatrix, is_positive_definite, quadratic_form
+from hassett.linalg import IntMatrix, is_positive_definite
 from oracles import (
     determinant,
     from_columns,
     inertia,
     invariant_factors,
     oracle_short_vectors,
+    quadratic_form,
     rational_inverse,
 )
 

@@ -13,8 +13,8 @@ from hassett import constructions, lattice, linalg, verifier
 
 # The public API, reviewed in one place.  The test-only reference code
 # (determinant, inertia, integer_solver, invariant_factors, rational_inverse,
-# oracle_short_vectors, conjecture_shape) lives in tests/oracles.py and is
-# not exported.
+# oracle_short_vectors, conjecture_shape, quadratic_form, mul_vector,
+# gram_delta) lives in tests/oracles.py and is not exported.
 PUBLIC_API = (
     "A1", "A2", "AMBIENT_GRAM", "AmbientVector", "COROLLARY_DISCRIMINANTS",
     "CaseId", "Certificate", "CertificateError", "CriterionReport",
@@ -25,7 +25,7 @@ PUBLIC_API = (
     "conjecture_sweep", "criterion_report",
     "discriminant_report", "e_vec", "factorize", "generic_slots", "gram_of",
     "has_associated_k3", "i3_unit", "i3_vector", "ideal_gram", "inner_product",
-    "is_positive_definite", "is_saturated", "minimum", "norm", "quadratic_form",
+    "is_positive_definite", "is_saturated", "minimum", "norm",
     "realize_perturbations", "reference_gram", "satisfies_double_star",
     "satisfies_star", "short_vectors", "smith_normal_form", "span_membership",
     "squares_value", "t_vec", "verify_witness",
@@ -188,7 +188,6 @@ def test_non_integer_inputs_raise_type_error():
         "IntMatrix str": lambda: linalg.IntMatrix([["3"]]),
         "span_membership row": lambda: linalg.span_membership([[1.5, 0]], [0, 0]),
         "span_membership target": lambda: linalg.span_membership([[1, 0]], ["1", 0]),
-        "quadratic_form": lambda: linalg.quadratic_form(linalg.IntMatrix.identity(2), (1.5, 0)),
         "AmbientVector": lambda: lattice.AmbientVector((2.7,) * 23),
         "i3_vector": lambda: lattice.i3_vector(1, 1, Fraction(1)),
         "generic_slots": lambda: constructions.generic_slots([14.0, 20]),

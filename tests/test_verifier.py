@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -25,7 +26,7 @@ from hassett.lattice import (
     short_vectors,
     t_vec,
 )
-from hassett.linalg import IntMatrix, quadratic_form
+from hassett.linalg import IntMatrix
 from hassett.verifier import (
     _labelling_saturated,
     Certificate,
@@ -33,7 +34,13 @@ from hassett.verifier import (
     certificate_for,
     verify_witness,
 )
-from oracles import from_columns, invariant_factors, oracle_short_vectors
+from oracles import (
+    from_columns,
+    invariant_factors,
+    oracle_short_vectors,
+    quadratic_form,
+    slipped_all2_value,
+)
 
 A2_GRAM = IntMatrix([[2, 1], [1, 2]])
 
@@ -341,28 +348,34 @@ class TestCheckIdentity:
         assert check_identity(CaseId.R4_002, (2, 2, 4))
 
     def test_raw_all2_identity_fails(self):
-        assert not check_identity(CaseId.R4_222, (1, 1, 4), corrected=False)
+        # The displayed expression multiplies two residue-2 squares, so some
+        # point tells it apart from the form.
+        gram = constructions.reference_gram(CaseId.R4_222, (1, 1, 4))
+        points = itertools.product(range(-1, 2), repeat=4)
+        assert any(slipped_all2_value(x) != quadratic_form(gram, x) for x in points)
 
     def test_rank5_all2_identity_holds_as_printed(self):
         assert check_identity(CaseId.R5_2222, (1, 1, 4, 4))
 
     def test_one_bumped_cross_term_is_refuted_in_every_case(self, monkeypatch):
-        # The grid decides: a Gram one off-diagonal entry away from the
-        # reference is not the completed squares, in any rank-4/5 case.
+        # The matrix comparison decides: a Gram one entry away from the
+        # reference is not the completed squares, in any rank-4/5 case,
+        # whether the entry is a cross term, in the h2 row or on the diagonal.
         reference = constructions.reference_gram
-
-        def bumped(case_id, params):
-            rows = reference(case_id, params).to_lists()
-            rows[1][-1] += 1
-            rows[-1][1] += 1
-            return IntMatrix(rows)
-
         cases = [c for c in CaseId if not c.value.startswith("r21")]
         params = {4: (2, 2, 4), 5: (2, 2, 4, 9)}
         assert all(check_identity(c, params[int(c.value[1])]) for c in cases)
-        monkeypatch.setattr(constructions, "reference_gram", bumped)
-        for case_id in cases:
-            assert not check_identity(case_id, params[int(case_id.value[1])]), case_id
+        for i, j in ((1, -1), (0, 2), (0, 0)):
+
+            def bumped(case_id, params, i=i, j=j):
+                rows = reference(case_id, params).to_lists()
+                for a, b in {(i, j), (j, i)}:
+                    rows[a][b] += 1
+                return IntMatrix(rows)
+
+            monkeypatch.setattr(constructions, "reference_gram", bumped)
+            for case_id in cases:
+                assert not check_identity(case_id, params[int(case_id.value[1])]), (case_id, i, j)
 
 
 def test_ambient_vector_round_trip():
