@@ -161,7 +161,8 @@ def cmd_verify_file(args) -> int:
 
 
 @functools.lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser, by command name."""
     parser = argparse.ArgumentParser(
         prog="hassett",
         description="Exact lattice certificates for intersections of Hassett divisors.",
@@ -194,13 +195,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify_file)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run the command ``argv`` (default ``sys.argv[1:]``) names and return its exit code.
+
+    A named subcommand parses the rest of ``argv`` with its own parser, and
+    the top-level parser reports what it leaves, as a parse through it would.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        command = commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     return args.func(args)

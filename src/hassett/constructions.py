@@ -77,11 +77,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from enum import Enum
 from operator import index
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .criteria import satisfies_double_star, satisfies_star
 from .lattice import (
@@ -90,7 +89,6 @@ from .lattice import (
     E8_GRAM,
     AmbientVector,
     H_SQUARED,
-    _unchecked,
     e_vec,
     gram_of,
     i3_unit,
@@ -170,27 +168,32 @@ SLOT_POOL = (
 )
 
 
-@dataclass(frozen=True)
-class SlotSpec:
-    """One witness slot: which base vector, its parameter, and its residue."""
-
+class _SlotFields(NamedTuple):
     kind: str
     n: int
     residue: int
 
-    def __post_init__(self):
-        if self.kind not in U_KINDS and self.kind not in _SCALED_BASES:
-            raise ValueError(f"unknown slot kind {self.kind!r}")
-        if self.residue not in (0, 2):
+
+class SlotSpec(_SlotFields):
+    """One witness slot: which base vector, its parameter, and its residue."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, n: int, residue: int):
+        if kind not in U_KINDS and kind not in _SCALED_BASES:
+            raise ValueError(f"unknown slot kind {kind!r}")
+        if residue not in (0, 2):
             raise ValueError("slot residue must be 0 or 2")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("slot parameter must be positive")
-        if self.kind not in U_KINDS:
-            m = math.isqrt(self.n)
-            if m * m != self.n or m < 2:
-                raise ValueError(
-                    f"scaled slot needs a perfect-square parameter >= 4, got {self.n}"
-                )
+        if kind not in U_KINDS:
+            m = math.isqrt(n)
+            if m * m != n or m < 2:
+                raise ValueError(f"scaled slot needs a perfect-square parameter >= 4, got {n}")
+        return super().__new__(cls, kind, n, residue)
+
+    # ``_replace`` builds through ``_make``: validate its fields as ``__new__`` does.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def scale(self) -> int:
@@ -205,12 +208,11 @@ class SlotSpec:
             coords = [0] * 23
             at = 16 if self.kind == "U1" else 18  # e_i of U_i; f_i follows it
             coords[at], coords[at + 1] = 1, self.n
-            return _unchecked(tuple(coords))
+            return AmbientVector._unchecked(tuple(coords))
         return self.scale * _SCALED_BASES[self.kind]
 
 
-@dataclass(frozen=True)
-class RealizationOutcome:
+class RealizationOutcome(NamedTuple):
     """A built witness and the ``reference`` Gram (ideal or named) it was judged against.
 
     ``certificate`` is ``certificate_for(basis, targets, reference)``, computed
@@ -534,8 +536,7 @@ def build(case_id: CaseId, params: Sequence[int], mode: Mode = Mode.GOAL) -> Rea
     if not unmet:
         raise RuntimeError("every reference entry is met by some candidate pair; no verdict")
     i, j = unmet[0]
-    return replace(
-        outcome,
+    return outcome._replace(
         status=RealizationStatus.NOT_REALIZABLE,
         detail=(
             f"{len(unmet)} target entries are met by no candidate pair, "
@@ -721,7 +722,7 @@ def _draw_y(slot: SlotSpec, rng: random.Random) -> AmbientVector:
     coords[20:23] = [c + p for c, p in zip(coords[20:23], x)]
     for c, node in zip(_four_squares(half, rng), nodes):
         coords[node] += c
-    return _unchecked(tuple(coords))
+    return AmbientVector._unchecked(tuple(coords))
 
 
 def _glue(ys: Sequence[AmbientVector]) -> tuple[int, ...] | None:

@@ -34,8 +34,8 @@ package; the lattice checks a witness must pass live in ``verifier``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 MAX_D = 10**12  # the largest discriminant and sweep limit; factorize is complete up to it
 _TRIAL_LIMIT = math.isqrt(MAX_D)
@@ -192,8 +192,7 @@ def conjecture_sweep(limit: int) -> list[tuple[int, int, int, bool]]:
     return rows
 
 
-@dataclass(frozen=True)
-class DiscriminantReport:
+class DiscriminantReport(NamedTuple):
     """Arithmetic classification of one discriminant."""
 
     d: int

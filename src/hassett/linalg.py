@@ -36,13 +36,20 @@ class IntMatrix:
     __slots__ = ("_rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        data = tuple(tuple(index(x) for x in row) for row in rows)
+        data = tuple(tuple(map(index, row)) for row in rows)
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(data[0])
         if any(len(row) != width for row in data):
             raise ValueError("ragged rows")
         self._rows = data
+
+    @classmethod
+    def _unchecked(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        # Rows the package computed (nonempty, rectangular, ints): skip __init__'s checks.
+        m = object.__new__(cls)
+        m._rows = rows
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -82,13 +89,7 @@ class IntMatrix:
         return self._rows[i]
 
     def is_symmetric(self) -> bool:
-        if not self.is_square:
-            return False
-        return all(
-            self._rows[i][j] == self._rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
-        )
+        return self.is_square and self._rows == tuple(zip(*self._rows))
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self._rows]
@@ -237,9 +238,9 @@ def span_membership(
     pivots and back-substitution on the triangle divides exactly.  A
     solution that fails the defining equation raises ``ArithmeticError``.
     """
-    goal = [index(e) for e in target]
+    goal = list(map(index, target))
     n = len(goal)
-    a = [[index(e) for e in row] for row in rows]
+    a = [list(map(index, row)) for row in rows]
     if any(len(row) != n for row in a):
         raise ValueError("rows and target must have the same length")
     t = list(goal)
@@ -354,7 +355,7 @@ def _ldl(g: IntMatrix) -> tuple[list[int], list[list[int]]] | None:
     if not g.is_symmetric():
         raise ValueError("the LDL elimination requires a symmetric matrix")
     n = g.nrows
-    a = g.to_lists()
+    a = list(map(list, g.rows))
     piv: list[int] = []
     prev = 1
     for i in range(n):

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
 from operator import index
+from typing import NamedTuple
 
 from .lattice import (
     RANK, AmbientVector, H_SQUARED, NotPositiveDefinite, gram_of, inner_product, minimum,
@@ -53,14 +53,13 @@ def _exact(value, kind: type, what: str, item: type | None = None, nullable: boo
     """
     if value is None and nullable:
         return value
-    if type(value) is kind and (item is None or all(type(x) is item for x in value)):
+    if type(value) is kind and (item is None or set(map(type, value)) <= {item}):
         return value
     of = "" if item is None else f" of {item.__name__}"
     raise TypeError(f"{what} must be a {kind.__name__}{of}")
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(NamedTuple):
     """Verdicts of the four lattice checks certifying a nonempty intersection."""
 
     contains_h_squared: bool
@@ -112,8 +111,7 @@ def criterion_report(gram: IntMatrix, saturated: bool, has_h: bool) -> Criterion
     return CriterionReport(has_h, min_norm is not None, saturated, min_norm)
 
 
-@dataclass(frozen=True)
-class LabellingCheck:
+class LabellingCheck(NamedTuple):
     target_d: int
     realized_d: int
     saturated_in_m: bool
@@ -126,8 +124,7 @@ class LabellingCheck:
         }
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Machine-checkable verdicts for one candidate witness."""
 
     criterion: CriterionReport
@@ -173,7 +170,7 @@ def verify_witness(
     ``Certificate.from_json`` rejects both before it calls this function.
     """
     basis = tuple(basis)
-    targets = tuple(index(t) for t in targets)
+    targets = tuple(map(index, targets))
     if not basis:
         raise ValueError("witness basis must be nonempty")
     reasons: list[str] = []
@@ -260,8 +257,7 @@ def _check_report_form(report) -> None:
     _exact(report["failureReasons"], list, "failureReasons", str)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Self-contained, re-verifiable record of one witness check.
 
     Build one with ``certificate_for`` or ``from_json``; both carry the report
@@ -326,8 +322,9 @@ class Certificate:
             _check_report_form(doc["report"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CertificateError(f"malformed report: {exc}") from None
-        vectors = tuple(AmbientVector(row) for row in rows)
-        return replace(certificate_for(vectors, tuple(targets)), tool_version=tool_version)
+        # Every row is 23 exact ints: the vectors need no second coercion.
+        vectors = tuple(map(AmbientVector._unchecked, rows))
+        return certificate_for(vectors, tuple(targets))._replace(tool_version=tool_version)
 
 
 def certificate_for(

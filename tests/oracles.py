@@ -20,10 +20,11 @@ code with it.  They use only public ``hassett`` names.
   stream that ``constructions._draw_y`` reads.
 * ``conjecture_shape`` tries every k in turn, against the bit arithmetic
   that gives ``criteria.conjecture_sweep`` its (k, s).
-* ``mul_vector``, ``quadratic_form`` (the value x^T g x) and ``gram_delta``
-  (the entrywise difference of two Grams) are plain matrix arithmetic that
-  the package does not need.  ``slipped_all2_value`` is the paper's displayed
-  ``R4_222`` expression, slip included, that the tests refute against x^T g x.
+* ``mul_vector``, ``quadratic_form`` (the value x^T g x), ``gram_delta``
+  (the entrywise difference of two Grams) and ``vector_difference`` are
+  plain matrix and vector arithmetic that the package does not need.
+  ``slipped_all2_value`` is the paper's displayed ``R4_222`` expression,
+  slip included, that the tests refute against x^T g x.
 """
 
 from __future__ import annotations
@@ -69,6 +70,11 @@ def mul_vector(m: IntMatrix, vec: Sequence[int]) -> tuple[int, ...]:
     if len(vec) != m.ncols:
         raise ValueError("dimension mismatch in matrix-vector product")
     return tuple(sum(a * b for a, b in zip(row, vec)) for row in m.rows)
+
+
+def vector_difference(u: AmbientVector, v: AmbientVector) -> AmbientVector:
+    """The ambient vector u - v."""
+    return AmbientVector(a - b for a, b in zip(u.coords, v.coords))
 
 
 def quadratic_form(g: IntMatrix, x: Sequence[int]) -> int:

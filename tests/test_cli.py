@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hassett.cli as cli
+from hassett import __version__
 from hassett.cli import main
 from hassett.verifier import Certificate
 
@@ -553,9 +554,100 @@ class TestVerifyFileMutations:
             assert Certificate.from_json(text).report.to_dict() == report
 
 
+_TOP_USAGE = (
+    "usage: hassett [-h] [--version]\n"
+    "               {check-d,intersect,corollary20,sweep-conjecture,verify-file}\n"
+    "               ...\n"
+)
+_COMMANDS = ("check-d", "intersect", "corollary20", "sweep-conjecture", "verify-file")
+
+# (exit code, stdout, stderr) of each call, recorded with one parse of the
+# whole argv through the top-level parser, at 80 columns; None: not pinned.
+_RECORDED_USAGE = {
+    ("--version",): (0, f"hassett {__version__}\n", ""),
+    (): (2, "", _TOP_USAGE + "hassett: error: the following arguments are required: command\n"),
+    ("frobnicate",): (
+        2,
+        "",
+        _TOP_USAGE + "hassett: error: argument command: invalid choice: 'frobnicate' "
+        "(choose from 'check-d', 'intersect', 'corollary20', 'sweep-conjecture', 'verify-file')\n",
+    ),
+    ("check-d",): (
+        2,
+        "",
+        "usage: hassett check-d [-h] [--json] d\n"
+        "hassett check-d: error: the following arguments are required: d\n",
+    ),
+    ("sweep-conjecture",): (
+        2,
+        "",
+        "usage: hassett sweep-conjecture [-h] --limit LIMIT [--csv PATH]\n"
+        "hassett sweep-conjecture: error: the following arguments are required: --limit\n",
+    ),
+    ("check-d", "26", "extra"): (2, "", _TOP_USAGE + "hassett: error: unrecognized arguments: extra\n"),
+    ("check-d", "-h"): (
+        0,
+        "usage: hassett check-d [-h] [--json] d\n\npositional arguments:\n  d\n\n"
+        "options:\n  -h, --help  show this help message and exit\n  --json\n",
+        "",
+    ),
+}
+
+
+def _run_through_top_level_parser(capsys, argv):
+    """(exit code, stdout, stderr) with the whole argv parsed by a fresh top-level parser."""
+    parser, _ = cli._build_parser.__wrapped__()
+    try:
+        args = parser.parse_args(list(argv))
+    except SystemExit as exc:
+        code = 2 if exc.code not in (0, None) else 0
+    else:
+        code = args.func(args)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 class TestUsage:
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [(command, "-h") for command in _COMMANDS]
+        + [
+            ("check-d", "--help"),
+            ("check-d",),
+            ("intersect",),
+            ("sweep-conjecture",),
+            ("sweep-conjecture", "--csv", "out.csv"),
+            ("verify-file",),
+            ("intersect", "8", "8", "--mode", "bogus"),
+            ("check-d", "x"),
+            ("check-d", "26", "extra"),
+            ("check-d", "26", "--version"),
+            ("check-d", "--version"),
+            ("--json", "check-d", "26"),
+            ("--", "check-d", "26"),
+            ("check-d", "--", "26"),
+            ("--version",),
+            ("--version", "check-d"),
+            ("-h",),
+            (),
+            ("-x",),
+            ("frobnicate",),
+            ("CHECK-D", "26"),
+        ],
+    )
+    def test_subcommand_dispatch_prints_as_one_top_level_parse(self, capsys, monkeypatch, argv):
+        # main hands argv[1:] to the named subcommand's own parser; exit code,
+        # stdout and stderr stay those of one parse through the top-level parser.
+        monkeypatch.setenv("COLUMNS", "80")
+        got = run(capsys, *argv)
+        assert got == _run_through_top_level_parser(capsys, argv)
+        if argv in _RECORDED_USAGE:
+            assert got == _RECORDED_USAGE[argv]
+        if argv[1:] == ("-h",):
+            assert got[0] == 0 and got[1].startswith(f"usage: hassett {argv[0]} [-h]") and got[2] == ""
 
     def test_cached_parser_matches_a_fresh_one(self, capsys, monkeypatch):
         # Usage errors, --version and valid calls right after invalid ones

@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 import types
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -53,6 +52,7 @@ from oracles import (
     invariant_factors,
     quadratic_form,
     slipped_all2_value,
+    vector_difference,
 )
 
 RANK4_CASES = (CaseId.R4_000, CaseId.R4_002, CaseId.R4_022, CaseId.R4_222)
@@ -205,6 +205,17 @@ def test_public_namespace_exposes_core_api():
         "conjecture_sweep",
     ):
         assert hasattr(hassett, name), name
+
+
+def test_slot_spec_validates_on_construction_and_replace():
+    slot = SlotSpec("A2_1", 4, 0)
+    assert slot == ("A2_1", 4, 0) and slot._replace(n=9) == SlotSpec(kind="A2_1", n=9, residue=0)
+    assert type(slot._replace(n=9)) is SlotSpec
+    for bad in (("Z1", 4, 0), ("A2_1", 4, 1), ("U1", 0, 0), ("A2_1", 5, 0), ("A2_1", 1, 0)):
+        with pytest.raises(ValueError):
+            SlotSpec(*bad)
+        with pytest.raises(ValueError):
+            slot._replace(**dict(zip(SlotSpec._fields, bad)))
 
 
 class TestCandidatePerturbations:
@@ -711,7 +722,7 @@ class TestGenericBuilds:
         # Every attempt's certificate fails, so no witness may be claimed.
         def failing(basis, targets, reference=None):
             cert = certificate_for(basis, targets, reference)
-            return replace(cert, report=replace(cert.report, verdict="FAIL"))
+            return cert._replace(report=cert.report._replace(verdict="FAIL"))
 
         monkeypatch.setattr(constructions, "certificate_for", failing)
         outcome = build_generic((12, 12, 26), Mode.GOAL)
@@ -948,7 +959,7 @@ def _glue_draws():
         ys = [constructions._draw_y(s, draws) for s in slots[2:]]
         yield ys
     yield ys[:5] + [ys[1] + ys[3]]
-    yield ys[:2] + [ys[0] - 2 * ys[1]] + ys[2:9]
+    yield ys[:2] + [vector_difference(ys[0], 2 * ys[1])] + ys[2:9]
 
 
 class TestGlue:

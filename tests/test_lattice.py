@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -35,6 +37,7 @@ from oracles import (
     oracle_short_vectors,
     quadratic_form,
     rational_inverse,
+    vector_difference,
 )
 
 A2_GRAM = IntMatrix([[2, 1], [1, 2]])
@@ -119,16 +122,15 @@ class TestAmbient:
                 assert inner_product(u, v) == gram[i][j] == full_form(u, v)
 
     def test_arithmetic_matches_the_validated_constructor(self):
-        # +, -, negation and k * v skip __post_init__'s int() pass; their
-        # results must still equal AmbientVector(...) of the same coordinates.
+        # u + v and k * v skip the constructor's index() pass; their results
+        # must still equal AmbientVector(...) of the same coordinates.
         rng = random.Random(13)
         for _ in range(20):
             u, v = random_vector(rng), random_vector(rng)
             k = rng.randint(-5, 5)
             for got, coords in (
                 (u + v, [a + b for a, b in zip(u.coords, v.coords)]),
-                (u - v, [a - b for a, b in zip(u.coords, v.coords)]),
-                (-u, [-a for a in u.coords]),
+                (vector_difference(u, v), [a - b for a, b in zip(u.coords, v.coords)]),
                 (k * u, [k * a for a in u.coords]),
             ):
                 assert got == AmbientVector(tuple(coords))
@@ -138,6 +140,19 @@ class TestAmbient:
         assert type(AmbientVector((True,) + (0,) * (RANK - 1)).coords[0]) is int
         with pytest.raises(ValueError):
             AmbientVector((0,) * (RANK - 1))
+
+    def test_vectors_are_immutable_hashable_values(self):
+        v = random_vector(random.Random(19))
+        w = AmbientVector(list(v.coords))
+        assert v == w and hash(v) == hash(w) and len({v, w}) == 1
+        assert v != v.coords and v != AmbientVector((0,) * RANK)
+        with pytest.raises(AttributeError):
+            v.coords = (0,) * RANK
+        with pytest.raises(AttributeError):
+            del v.coords
+        with pytest.raises(AttributeError):
+            v.extra = 1
+        assert copy.deepcopy(v) == v and pickle.loads(pickle.dumps(v)) == v
 
     def test_bilinearity_and_symmetry(self):
         rng = random.Random(11)
@@ -165,6 +180,38 @@ class TestGramOf:
             v = random_vector(rng)
             k = rng.randint(-6, 6)
             assert gram_of([k * v]) == IntMatrix([[k * k * norm(v)]])
+
+    def test_support_only_sums_match_the_full_form(self):
+        # gram_of sums each pairing over the nonzero coordinates of one row;
+        # full_form sums over all 23 x 23 entries of AMBIENT_GRAM.  Every basis
+        # mixes each kind of row below, in seeded order.
+        rng = random.Random(43)
+
+        def dense():
+            return AmbientVector(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(RANK))
+
+        def huge():
+            coords = [0] * RANK
+            for p in rng.sample(range(RANK), rng.randint(1, 8)):
+                coords[p] = rng.choice((-1, 1)) * rng.randint(2**64, 2**70)
+            return AmbientVector(coords)
+
+        kinds = (
+            lambda: AmbientVector((0,) * RANK),
+            lambda: zero_e8_blocks(random_vector(rng), (0, 8)),
+            lambda: zero_e8_blocks(random_vector(rng), (rng.choice((0, 8)),)),
+            lambda: random_vector(rng),
+            dense,
+            huge,
+        )
+        for _ in range(25):
+            picks = list(kinds) + rng.choices(kinds, k=rng.randint(0, 6))
+            rng.shuffle(picks)
+            vectors = [make() for make in picks]
+            expected = [[full_form(u, v) for v in vectors] for u in vectors]
+            gram = gram_of(vectors)
+            assert gram.rows == tuple(map(tuple, expected))
+            assert all(type(x) is int for row in gram.rows for x in row)
 
     def test_permutation_covariance(self):
         rng = random.Random(5)
@@ -277,6 +324,18 @@ class TestLdl:
         assert ldl[0] == minors
         assert d == [Fraction(b, a) for a, b in zip([1] + minors, minors)]
 
+    def test_rejects_asymmetric_and_non_square(self):
+        for g in (
+            IntMatrix([[3, 1], [0, 3]]),
+            IntMatrix([[3, 1, 0], [1, 3, 0]]),
+            IntMatrix([[3], [1]]),
+            IntMatrix([[2, 1, 1]]),
+        ):
+            assert not g.is_symmetric()
+            with pytest.raises(ValueError):
+                _ldl(g)
+        assert IntMatrix([[5]]).is_symmetric() and A2_GRAM.is_symmetric()
+
     def test_stops_at_first_nonpositive_pivot(self):
         assert _ldl(IntMatrix([[0, 1], [1, 0]])) is None
         assert _ldl(IntMatrix([[2, 0, 0], [0, 1, 1], [0, 1, 1]])) is None
@@ -316,8 +375,9 @@ class TestMinimum:
 
     def test_rejects_nonsymmetric(self):
         for check in (minimum, lambda g: short_vectors(g, 2)):
-            with pytest.raises(ValueError):
-                check(IntMatrix([[3, 1], [0, 3]]))
+            for g in (IntMatrix([[3, 1], [0, 3]]), IntMatrix([[3, 1, 0], [1, 3, 0]])):
+                with pytest.raises(ValueError):
+                    check(g)
 
     def test_matches_reference_loop_and_oracle(self):
         rng = random.Random(29)

@@ -2,6 +2,9 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -260,3 +263,19 @@ def test_every_export_imports_from_package():
     assert set(hassett.__all__) <= set(namespace)
     for name in hassett.__all__:
         assert namespace[name] is getattr(hassett, name), name
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # A cold ``hassett`` process pays for every module it imports; dataclasses
+    # (which imports inspect) cost about 17 ms and nothing needs them.  -S keeps
+    # site-packages start-up files out of the count.
+    src = Path(hassett.__file__).resolve().parents[1]
+    code = 'import sys, hassett.cli; print(sorted({"dataclasses", "inspect"} & set(sys.modules)))'
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "[]\n"

@@ -40,6 +40,7 @@ from oracles import (
     oracle_short_vectors,
     quadratic_form,
     slipped_all2_value,
+    vector_difference,
 )
 
 A2_GRAM = IntMatrix([[2, 1], [1, 2]])
@@ -379,6 +380,19 @@ class TestCheckIdentity:
 
 
 def test_ambient_vector_round_trip():
-    v = 3 * t_vec(1, 4) - 2 * e_vec(2, 1) + i3_unit(2)
+    v = vector_difference(3 * t_vec(1, 4), 2 * e_vec(2, 1)) + i3_unit(2)
     w = AmbientVector(v.coords)
     assert v == w
+
+
+def test_records_are_named_tuples():
+    # The report records and the certificate are tuples: they iterate, compare
+    # equal to their fields, and _replace builds an edited copy.
+    outcome = build_generic((14, 38, 26), Mode.GOAL)
+    cert = outcome.certificate
+    for record in (outcome, cert, cert.report, cert.report.criterion, cert.report.labellings[0]):
+        assert isinstance(record, tuple) and record == tuple(record)
+    assert discriminant_report(26) == tuple(discriminant_report(26))
+    edited = cert._replace(report=cert.report._replace(verdict="FAIL"))
+    assert edited.report.verdict == "FAIL" and edited.basis == cert.basis
+    assert Certificate.from_json(cert.to_json()) == cert
