@@ -16,9 +16,9 @@ Every slot witness here is spanned by h2 together with one generator per
 A slot of residue 0 realizes a labelling of discriminant ``6n`` as is.  A slot
 of residue 2 additionally receives a perturbation ``p`` from the I3 block with
 ``p . h2 = 1`` and ``(g + p)**2 = 2n + 1``, which moves the discriminant to
-``6n + 2``.  For U and E8 slots the norm constraint forces ``p`` to be one of
-the three I3 unit vectors; for A2 slots a bounded box search solves the norm
-equation ``2m(b.p) + p.p = 1`` in the box of half-width ``A2_SEARCH_BOUND``.
+``6n + 2``.  For every slot kind ``p`` solves ``2 g.p + p.p = 1``, g the I3
+part of the bare generator, in the box of half-width ``A2_SEARCH_BOUND``: only
+the I3 unit vectors for U and E8 slots (g = 0), a few more for A2 slots.
 
 Two realization modes, for named cases (``build``) and target lists
 (``build_generic``) alike:
@@ -28,8 +28,8 @@ Two realization modes, for named cases (``build``) and target lists
   when no assignment reproduces it.  Only I3 parts deviate, and the miss is
   a closed form in how many residue-2 U and E8 slots take each I3 unit and
   which candidates the A2 slots take, so one exact pass over those choices
-  keeps the least miss and its first assignment, and only the generators
-  it keeps are built (see ``_exact_assignment``).  The transcribed
+  keeps the least miss and its first assignment, an index into each
+  slot's candidate generators (see ``_exact_assignment``).  The transcribed
   ``R21_ALL2`` Gram is decided by the entries that no pair of candidate
   generators meets (see ``build``).
   STRICT reproduces the scaled reference Grams, so its witnesses can fail
@@ -99,7 +99,7 @@ from .lattice import (
 from .linalg import IntMatrix, _pivot_row, _smith_in_place
 from .verifier import Certificate, certificate_for
 
-# Half-width of the box in which A2 slots look for perturbations.
+# Half-width of the I3 box in which residue-2 slots look for perturbations.
 A2_SEARCH_BOUND = 3
 
 
@@ -180,6 +180,7 @@ class SlotSpec(_SlotFields):
     __slots__ = ()
 
     def __new__(cls, kind: str, n: int, residue: int):
+        n, residue = index(n), index(residue)
         if kind not in U_KINDS and kind not in _SCALED_BASES:
             raise ValueError(f"unknown slot kind {kind!r}")
         if residue not in (0, 2):
@@ -366,37 +367,36 @@ def reference_gram(case_id: CaseId, params: Sequence[int]) -> IntMatrix:
     return _r21_all2_gram(params) if case_id == CaseId.R21_ALL2 else ideal_gram(slots)
 
 
-_UNITS_SORTED = (i3_unit(3), i3_unit(2), i3_unit(1))  # lexicographic by coordinates
+_UNITS_SORTED = (i3_unit(3), i3_unit(2), i3_unit(1))  # a U or E8 slot's candidates, in order
+
+
+@lru_cache(maxsize=None)
+def _i3_box(width: int, total: int) -> tuple[tuple[int, int, int], ...]:
+    """I3 coordinate triples in [-width, width]^3 with sum ``total``, in lexicographic order."""
+    span = range(-width, width + 1)
+    return tuple((x, y, total - x - y) for x in span for y in span if abs(total - x - y) <= width)
+
+
+@lru_cache(maxsize=None)
+def _perturbations(g: tuple[int, int, int], bound: int) -> tuple[AmbientVector, ...]:
+    """The p of ``_i3_box(bound, 1)`` with (g + p)^2 = g^2 + 1, the unit vectors first."""
+    found = [p for p in _i3_box(bound, 1) if sum((a + b) ** 2 - a * a for a, b in zip(g, p)) == 1]
+    return tuple(i3_vector(*p) for p in sorted(found, key=lambda p: sum(b * b for b in p) != 1))
 
 
 def candidate_perturbations(slot: SlotSpec) -> tuple[AmbientVector, ...]:
     """Admissible perturbations of one slot, unit vectors first then by coords.
 
-    Residue-0 slots admit none.  U and E8 slots need p.p = 1, so only the
-    unit vectors qualify.  A2 slots solve 2m(b.p) + p.p = 1 over the box
-    [-A2_SEARCH_BOUND, A2_SEARCH_BOUND]^3 with coordinate sum 1; a unit
-    vector solves it for every m, so the first candidate is always a unit.
+    Residue-0 slots admit none.  Otherwise p solves 2 g.p + p.p = 1, g the
+    I3 part of the bare generator, over the box [-A2_SEARCH_BOUND,
+    A2_SEARCH_BOUND]^3 with coordinate sum 1.  U and E8 generators have no
+    I3 part, so only the unit vectors qualify; an A2 generator m b has
+    g.p = m (b.p), and a unit orthogonal to b solves it for every m, so the
+    first candidate is always a unit.  Solutions are cached per (g, bound).
     """
     if slot.residue == 0:
         return ()
-    if slot.kind not in _A2_KINDS:
-        return _UNITS_SORTED
-    base = _SCALED_BASES[slot.kind].i3_part()
-    m = slot.scale
-    units: list[tuple[int, int, int]] = []
-    rest: list[tuple[int, int, int]] = []
-    span = range(-A2_SEARCH_BOUND, A2_SEARCH_BOUND + 1)
-    for x in span:
-        for y in span:
-            z = 1 - x - y
-            if abs(z) > A2_SEARCH_BOUND:
-                continue
-            pp = x * x + y * y + z * z
-            bp = base[0] * x + base[1] * y + base[2] * z
-            if 2 * m * bp + pp == 1:
-                (units if pp == 1 else rest).append((x, y, z))
-    ordered = sorted(units) + sorted(rest)
-    return tuple(i3_vector(*p) for p in ordered)
+    return _perturbations(slot.bare_generator().i3_part(), A2_SEARCH_BOUND)
 
 
 def _generators(slot: SlotSpec) -> tuple[AmbientVector, ...]:
@@ -407,18 +407,17 @@ def _generators(slot: SlotSpec) -> tuple[AmbientVector, ...]:
 
 def _exact_assignment(
     slots: Sequence[SlotSpec],
-    perturbations: Sequence[Sequence[AmbientVector]],
+    gens: Sequence[Sequence[AmbientVector]],
     target: IntMatrix,
 ) -> tuple[int, list[int]]:
     """Least deviation from the ideal Gram ``target`` and its first optimal assignment.
 
-    ``perturbations[i]`` lists the candidate perturbations of slot i
-    (``candidate_perturbations``), and the assignment holds one index into
-    each list, 0 for a slot with none.  Against the ideal target every
-    candidate meets its own h2 and diagonal entries, and only I3 parts can
-    deviate.  A residue-2 U or E8 slot has no I3 part but the unit vector it
-    takes; with c_u such slots on unit u and one generator picked for each
-    A2 slot, the miss is
+    ``gens[i]`` lists the candidate generators of slot i (``_generators``),
+    and the assignment holds one index into each list, 0 for a slot with no
+    perturbation.  Against the ideal target every candidate meets its own h2
+    and diagonal entries, and only I3 parts can deviate.  A residue-2 U or
+    E8 slot has no I3 part but the unit vector it takes; with c_u such slots
+    on unit u and one generator picked for each A2 slot, the miss is
 
         sum_u C(c_u, 2) + sum_u c_u * w_u + (deviation among the A2 slots),
 
@@ -430,15 +429,11 @@ def _exact_assignment(
     (miss, assignment), which is the first optimal assignment.
     """
     a2 = [i for i, s in enumerate(slots) if s.kind in _A2_KINDS]
-    gens = [
-        [slots[i].bare_generator() + p for p in perturbations[i]] or [slots[i].bare_generator()]
-        for i in a2
-    ]
     units = [i for i, s in enumerate(slots) if s.residue == 2 and s.kind not in _A2_KINDS]
     k = len(units)
     best: tuple[int, list[int]] | None = None
-    for picks in itertools.product(*(range(len(g)) for g in gens)):
-        chosen = [g[a] for g, a in zip(gens, picks)]
+    for picks in itertools.product(*(range(len(gens[i])) for i in a2)):
+        chosen = [gens[i][a] for i, a in zip(a2, picks)]
         a2_miss = sum(
             abs(inner_product(g, h) - target[i + 1][j + 1])
             for (i, g), (j, h) in itertools.combinations(zip(a2, chosen), 2)
@@ -465,20 +460,17 @@ def realize_perturbations(
     closed form in how many residue-2 U and E8 slots take each I3 unit and
     which candidates the A2 slots take, and ``_exact_assignment`` keeps its
     least value and the first assignment that attains it, in candidate
-    order, in one pass over those few choices.  Only the kept generators
-    are built.  Returns REALIZED_STRICT on an exact match, otherwise
+    order, in one pass over those few choices; the basis takes the picked
+    ``_generators``.  Returns REALIZED_STRICT on an exact match, otherwise
     NOT_REALIZABLE, whose realized Gram differs from the ideal.
     The basis is certified once, against ``reference``: the ideal Gram unless
     a named case passes its own.
     """
     slots = tuple(slots)
     ideal = ideal_gram(slots)
-    perturbations = [candidate_perturbations(s) for s in slots]
-    miss, picks = _exact_assignment(slots, perturbations, ideal)
-    basis = (H_SQUARED,) + tuple(
-        s.bare_generator() + p[a] if p else s.bare_generator()
-        for s, p, a in zip(slots, perturbations, picks)
-    )
+    gens = [_generators(s) for s in slots]
+    miss, picks = _exact_assignment(slots, gens, ideal)
+    basis = (H_SQUARED,) + tuple(g[a] for g, a in zip(gens, picks))
     targets = tuple(s.target_d for s in slots)
     reference = ideal if reference is None else reference
     return RealizationOutcome(
@@ -667,14 +659,7 @@ def _four_squares(n: int, rng: random.Random) -> tuple[int, int, int, int]:
 def _i3_parts(kind: str, residue: int) -> tuple[tuple[int, int, int], ...]:
     """I3 vectors in [-1, 1]^3 pairing ``residue`` with h2 and orthogonal to the slot base."""
     base = _SCALED_BASES[kind].i3_part()
-    span = (-1, 0, 1)
-    return tuple(
-        (x, y, z)
-        for x in span
-        for y in span
-        for z in span
-        if x + y + z == residue and x * base[0] + y * base[1] + z * base[2] == 0
-    )
+    return tuple(p for p in _i3_box(1, residue) if sum(a * b for a, b in zip(base, p)) == 0)
 
 
 def _draw_y(slot: SlotSpec, rng: random.Random) -> AmbientVector:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress
+from operator import index
 from typing import NamedTuple
 
 MAX_D = 10**12  # the largest discriminant and sweep limit; factorize is complete up to it
@@ -49,6 +50,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     so every n <= MAX_D factors completely.  Otherwise ``ValueError`` names
     the cofactor left; no factor is returned that has not been proved prime.
     """
+    n = index(n)
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
@@ -72,11 +74,13 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 def satisfies_star(d: int) -> bool:
     """Condition (*): d >= 8 and d = 0 or 2 (mod 6)."""
+    d = index(d)
     return d >= 8 and d % 6 in (0, 2)
 
 
 def satisfies_double_star(d: int) -> int | None:
     """Condition (**): the witness m >= 2 with d = 6m^2 or 6m^2 + 2, else None."""
+    d = index(d)
     for shift in (0, 2):
         q, r = divmod(d - shift, 6)
         if r == 0 and q >= 4:
@@ -214,6 +218,7 @@ class DiscriminantReport(NamedTuple):
 
 
 def discriminant_report(d: int) -> DiscriminantReport:
+    d = index(d)
     if d < 1:
         raise ValueError("discriminant must be positive")
     witness = satisfies_double_star(d)

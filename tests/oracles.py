@@ -15,6 +15,9 @@ code with it.  They use only public ``hassett`` names.
   against the Fincke-Pohst enumeration of ``short_vectors``.
 * ``bare_ideal_gram`` pairs the bare slot generators with ``gram_of``,
   against the closed form ``ideal_gram`` reads off its base-pairing table.
+* ``perturbations_by_cube`` and ``i3_parts_by_cube`` walk the whole I3 cube
+  with the ambient form, against the cached box that
+  ``candidate_perturbations`` and ``constructions._i3_parts`` filter.
 * ``draw_y_by_sample`` and ``four_squares_by_randint`` make the GOAL draws
   through ``choice``, ``sample`` and ``randint``, against the ``getrandbits``
   stream that ``constructions._draw_y`` reads.
@@ -29,6 +32,7 @@ code with it.  They use only public ``hassett`` names.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -46,6 +50,8 @@ from hassett import (
     SlotSpec,
     e_vec,
     gram_of,
+    i3_vector,
+    inner_product,
     smith_normal_form,
     squares_value,
     t_vec,
@@ -263,6 +269,39 @@ def bare_ideal_gram(slots: Sequence[SlotSpec]) -> IntMatrix:
             g[0][i] = g[i][0] = 1
             g[i][i] += 1
     return IntMatrix(g)
+
+
+def perturbations_by_cube(slot: SlotSpec, bound: int) -> tuple[AmbientVector, ...]:
+    """The I3 vectors p in [-bound, bound]^3 with h2.p = 1 and (g + p)^2 = g^2 + 1.
+
+    g is the bare generator; residue-0 slots take none.  The unit vectors
+    come first, then the rest, each in lexicographic order of coordinates.
+    """
+    if slot.residue == 0:
+        return ()
+    g = bare_generator(slot)
+    gg = inner_product(g, g)
+    units, rest = [], []
+    for p in _h2_dual_cube(bound):
+        if inner_product(g + p, g + p) == gg + 1:
+            (units if inner_product(p, p) == 1 else rest).append(p)
+    return tuple(units + rest)
+
+
+@functools.lru_cache(maxsize=None)
+def _h2_dual_cube(bound: int) -> tuple[AmbientVector, ...]:
+    # The I3 vectors of [-bound, bound]^3 with h2.p = 1, in lexicographic order.
+    cube = (i3_vector(*p) for p in itertools.product(range(-bound, bound + 1), repeat=3))
+    return tuple(p for p in cube if inner_product(p, H_SQUARED) == 1)
+
+
+def i3_parts_by_cube(slot: SlotSpec) -> tuple[tuple[int, int, int], ...]:
+    """The I3 parts x in [-1, 1]^3 with h2.x = r and x orthogonal to the slot base, in order."""
+    return tuple(
+        x for x in itertools.product((-1, 0, 1), repeat=3)
+        if inner_product(i3_vector(*x), H_SQUARED) == slot.residue
+        and inner_product(i3_vector(*x), slot_base(slot)) == 0
+    )
 
 
 def four_squares_by_randint(n: int, rng: random.Random) -> tuple[int, int, int, int]:

@@ -49,7 +49,9 @@ from oracles import (
     four_squares_by_randint,
     from_columns,
     gram_delta,
+    i3_parts_by_cube,
     invariant_factors,
+    perturbations_by_cube,
     quadratic_form,
     slipped_all2_value,
     vector_difference,
@@ -245,6 +247,27 @@ class TestCandidatePerturbations:
                 slot = SlotSpec(kind="A2_1", n=m * m, residue=2)
                 cands = candidate_perturbations(slot)
                 assert cands and cands[0] == i3_unit(3)
+
+    def test_matches_the_whole_cube_for_every_kind(self, monkeypatch):
+        kinds = ("U1", "U2") + SLOT_POOL
+        for bound in (1, 2, 3, 4):
+            monkeypatch.setattr(constructions, "A2_SEARCH_BOUND", bound)
+            for kind in kinds:
+                for m in range(2, 16):
+                    slot = SlotSpec(kind, m if kind in ("U1", "U2") else m * m, 2)
+                    assert candidate_perturbations(slot) == perturbations_by_cube(slot, bound), slot
+        for kind in SLOT_POOL:
+            for residue in (0, 2):
+                slot = SlotSpec(kind, 4, residue)
+                assert constructions._i3_parts(kind, residue) == i3_parts_by_cube(slot), slot
+
+    def test_cache_is_keyed_by_the_bound(self, monkeypatch):
+        # At m = 2 the A2 box of half-width 3 holds two more solutions than that of width 1.
+        slot = SlotSpec("A2_1", 4, 2)
+        for bound in (3, 1, 3):
+            monkeypatch.setattr(constructions, "A2_SEARCH_BOUND", bound)
+            assert candidate_perturbations(slot) == perturbations_by_cube(slot, bound)
+            assert len(candidate_perturbations(slot)) == (3 if bound == 3 else 1)
 
 
 class TestRealizePerturbations:

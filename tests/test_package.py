@@ -203,6 +203,15 @@ def test_non_integer_inputs_raise_type_error():
             hassett.CaseId.R4_000, (2, 2, Fraction(4)), (1, 0, 0, 0)
         ),
         "verify_witness targets": lambda: verifier.verify_witness(basis, (14.0,)),
+        "SlotSpec n": lambda: constructions.SlotSpec("U1", 2.5, 2),
+        "SlotSpec residue": lambda: constructions.SlotSpec("U1", 2, 2.0),
+        "SlotSpec _replace": lambda: constructions.SlotSpec("U1", 2, 2)._replace(n=2.5),
+        "factorize integral float": lambda: hassett.factorize(14.0),
+        "factorize float": lambda: hassett.factorize(2.5),
+        "has_associated_k3": lambda: hassett.has_associated_k3(Fraction(26)),
+        "satisfies_star": lambda: hassett.satisfies_star(14.0),
+        "satisfies_double_star": lambda: hassett.satisfies_double_star(26.0),
+        "discriminant_report": lambda: hassett.discriminant_report(14.0),
     }
     for name, call in calls.items():
         try:
