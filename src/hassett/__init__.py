@@ -27,7 +27,6 @@ from .lattice import (
     U_GRAM,
     e_vec,
     gram_of,
-    i3_unit,
     i3_vector,
     inner_product,
     is_saturated,
@@ -55,7 +54,6 @@ from .constructions import (
     SlotSpec,
     build,
     build_generic,
-    candidate_perturbations,
     case_slots,
     check_identity,
     generic_slots,

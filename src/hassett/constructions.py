@@ -19,6 +19,7 @@ of residue 2 additionally receives a perturbation ``p`` from the I3 block with
 ``6n + 2``.  For every slot kind ``p`` solves ``2 g.p + p.p = 1``, g the I3
 part of the bare generator, in the box of half-width ``A2_SEARCH_BOUND``: only
 the I3 unit vectors for U and E8 slots (g = 0), a few more for A2 slots.
+``_generators`` applies this rule once per slot; every search reads it there.
 
 Two realization modes, for named cases (``build``) and target lists
 (``build_generic``) alike:
@@ -91,7 +92,6 @@ from .lattice import (
     H_SQUARED,
     e_vec,
     gram_of,
-    i3_unit,
     i3_vector,
     inner_product,
     t_vec,
@@ -361,16 +361,17 @@ def _r21_all2_gram(params: Sequence[int]) -> IntMatrix:
     return IntMatrix(g)
 
 
+def _named_case(case_id: CaseId, params: Sequence[int]) -> tuple[tuple[SlotSpec, ...], IntMatrix]:
+    """A named case's slots and reference Gram: their ideal Gram, or R21_ALL2's transcribed one."""
+    slots = case_slots(case_id, params)
+    return slots, _r21_all2_gram(params) if case_id == CaseId.R21_ALL2 else ideal_gram(slots)
+
+
 def reference_gram(case_id: CaseId, params: Sequence[int]) -> IntMatrix:
     """Reference Gram matrix of a named case at concrete parameters."""
-    slots = case_slots(case_id, params)
-    return _r21_all2_gram(params) if case_id == CaseId.R21_ALL2 else ideal_gram(slots)
+    return _named_case(case_id, params)[1]
 
 
-_UNITS_SORTED = (i3_unit(3), i3_unit(2), i3_unit(1))  # a U or E8 slot's candidates, in order
-
-
-@lru_cache(maxsize=None)
 def _i3_box(width: int, total: int) -> tuple[tuple[int, int, int], ...]:
     """I3 coordinate triples in [-width, width]^3 with sum ``total``, in lexicographic order."""
     span = range(-width, width + 1)
@@ -384,61 +385,57 @@ def _perturbations(g: tuple[int, int, int], bound: int) -> tuple[AmbientVector, 
     return tuple(i3_vector(*p) for p in sorted(found, key=lambda p: sum(b * b for b in p) != 1))
 
 
-def candidate_perturbations(slot: SlotSpec) -> tuple[AmbientVector, ...]:
-    """Admissible perturbations of one slot, unit vectors first then by coords.
-
-    Residue-0 slots admit none.  Otherwise p solves 2 g.p + p.p = 1, g the
-    I3 part of the bare generator, over the box [-A2_SEARCH_BOUND,
-    A2_SEARCH_BOUND]^3 with coordinate sum 1.  U and E8 generators have no
-    I3 part, so only the unit vectors qualify; an A2 generator m b has
-    g.p = m (b.p), and a unit orthogonal to b solves it for every m, so the
-    first candidate is always a unit.  Solutions are cached per (g, bound).
-    """
-    if slot.residue == 0:
-        return ()
-    return _perturbations(slot.bare_generator().i3_part(), A2_SEARCH_BOUND)
-
-
 def _generators(slot: SlotSpec) -> tuple[AmbientVector, ...]:
-    """Candidate generators of ``slot``: bare plus each candidate perturbation, or bare alone."""
-    g = slot.bare_generator()
-    return tuple(g + p for p in candidate_perturbations(slot)) or (g,)
+    """Candidate generators of ``slot``: its bare generator g alone at residue 0, else g + p.
+
+    p runs over ``_perturbations`` of the I3 part of g, units first.  An A2
+    generator m b has g.p = m (b.p), so a unit orthogonal to b qualifies for
+    every m and the first candidate is a unit, as for U and E8 slots.
+    """
+    bare = slot.bare_generator()
+    if slot.residue == 0:
+        return (bare,)
+    return tuple(bare + p for p in _perturbations(bare.i3_part(), A2_SEARCH_BOUND))
 
 
 def _exact_assignment(
     slots: Sequence[SlotSpec],
     gens: Sequence[Sequence[AmbientVector]],
-    target: IntMatrix,
 ) -> tuple[int, list[int]]:
-    """Least deviation from the ideal Gram ``target`` and its first optimal assignment.
+    """Least deviation from the ideal Gram of ``slots`` and its first optimal assignment.
 
     ``gens[i]`` lists the candidate generators of slot i (``_generators``),
     and the assignment holds one index into each list, 0 for a slot with no
-    perturbation.  Against the ideal target every candidate meets its own h2
+    perturbation.  Against the ideal Gram every candidate meets its own h2
     and diagonal entries, and only I3 parts can deviate.  A residue-2 U or
     E8 slot has no I3 part but the unit vector it takes; with c_u such slots
     on unit u and one generator picked for each A2 slot, the miss is
 
         sum_u C(c_u, 2) + sum_u c_u * w_u + (deviation among the A2 slots),
 
-    where w_u = sum |u.g| over the picked A2 generators g.  Every other entry
-    meets its target.  Every arrangement of one count vector costs the same,
-    and putting unit 0 on the first c0 of those slots, unit 1 on the next c1
-    and unit 2 on the rest is the lexicographically least.  So one pass over
-    the A2 picks and the counts c0 + c1 + c2 = K keeps the least
-    (miss, assignment), which is the first optimal assignment.
+    where w_u = sum |u.g| over the picked A2 generators g, and two A2 slots
+    are compared with their bare pairing (``_bare_pairing``).  Every other
+    entry meets its target.  Every arrangement of one count vector costs
+    the same, and putting unit 0 on the first c0 of those slots, unit 1 on
+    the next c1 and unit 2 on the rest is the lexicographically least.  So
+    one pass over the A2 picks and the counts c0 + c1 + c2 = K keeps the
+    least (miss, assignment), which is the first optimal assignment.  Unit
+    t is entry t of ``_perturbations`` at g = 0, the list that
+    ``_generators`` perturbs every U and E8 slot by, so index t picks unit t.
     """
     a2 = [i for i, s in enumerate(slots) if s.kind in _A2_KINDS]
     units = [i for i, s in enumerate(slots) if s.residue == 2 and s.kind not in _A2_KINDS]
+    unit_vectors = _perturbations((0, 0, 0), A2_SEARCH_BOUND)
+    ideal = {(i, j): _bare_pairing(slots[i], slots[j]) for i, j in itertools.combinations(a2, 2)}
     k = len(units)
     best: tuple[int, list[int]] | None = None
     for picks in itertools.product(*(range(len(gens[i])) for i in a2)):
         chosen = [gens[i][a] for i, a in zip(a2, picks)]
         a2_miss = sum(
-            abs(inner_product(g, h) - target[i + 1][j + 1])
+            abs(inner_product(g, h) - ideal[i, j])
             for (i, g), (j, h) in itertools.combinations(zip(a2, chosen), 2)
         )
-        w = [sum(abs(inner_product(u, g)) for g in chosen) for u in _UNITS_SORTED]
+        w = [sum(abs(inner_product(u, g)) for g in chosen) for u in unit_vectors]
         cost0, cost1, cost2 = ([c * (c - 1) // 2 + c * wu for c in range(k + 1)] for wu in w)
         for c0 in range(k + 1):
             for c1 in range(k + 1 - c0):
@@ -464,15 +461,14 @@ def realize_perturbations(
     ``_generators``.  Returns REALIZED_STRICT on an exact match, otherwise
     NOT_REALIZABLE, whose realized Gram differs from the ideal.
     The basis is certified once, against ``reference``: the ideal Gram unless
-    a named case passes its own.
+    the caller passes one, as ``build`` passes a named case's.
     """
     slots = tuple(slots)
-    ideal = ideal_gram(slots)
     gens = [_generators(s) for s in slots]
-    miss, picks = _exact_assignment(slots, gens, ideal)
+    miss, picks = _exact_assignment(slots, gens)
     basis = (H_SQUARED,) + tuple(g[a] for g, a in zip(gens, picks))
     targets = tuple(s.target_d for s in slots)
-    reference = ideal if reference is None else reference
+    reference = ideal_gram(slots) if reference is None else reference
     return RealizationOutcome(
         status=RealizationStatus.NOT_REALIZABLE if miss else RealizationStatus.REALIZED_STRICT,
         basis=basis,
@@ -507,24 +503,21 @@ def build(case_id: CaseId, params: Sequence[int], mode: Mode = Mode.GOAL) -> Rea
     """Assemble a named witness in the requested realization mode.
 
     A named case is its target list d_i = 6 n_i + r_i (see ``case_slots``),
-    built as ``build_generic`` builds it, with the case's reference Gram as
-    ``reference``.  For every case but ``R21_ALL2`` that
-    is the ideal Gram STRICT already compares with.  STRICT for ``R21_ALL2``
-    keeps the basis of the ideal search and reports NOT_REALIZABLE with the
-    entries of the transcribed Gram that no pair of candidate generators
-    meets (``_unmet_entries``): no assignment reproduces such an entry.  If
-    every entry were met by some pair, that would decide nothing, so
-    ``build`` raises ``RuntimeError`` rather than report a verdict.
+    built as ``build_generic`` builds it, with the case's reference Gram
+    (``_named_case``) as ``reference``.  STRICT for ``R21_ALL2`` keeps the
+    basis of the ideal search and reports NOT_REALIZABLE with the entries of
+    the transcribed Gram that no pair of candidate generators meets
+    (``_unmet_entries``): no assignment reproduces such an entry.  If every
+    entry were met by some pair, that would decide nothing, so ``build``
+    raises ``RuntimeError`` rather than report a verdict.
     """
-    slots = case_slots(case_id, params)
-    # R21_ALL2 is the one case whose reference is not the ideal Gram of its slots.
-    transcribed = _r21_all2_gram(params) if case_id == CaseId.R21_ALL2 else None
+    slots, reference = _named_case(case_id, params)
     if mode == Mode.GOAL:
-        return _glued_search(slots, ideal_gram(slots) if transcribed is None else transcribed)
-    outcome = realize_perturbations(slots, transcribed)
-    if transcribed is None:
+        return _glued_search(slots, reference)
+    outcome = realize_perturbations(slots, reference)
+    if case_id != CaseId.R21_ALL2:
         return outcome
-    unmet = _unmet_entries(slots, transcribed)
+    unmet = _unmet_entries(slots, reference)
     if not unmet:
         raise RuntimeError("every reference entry is met by some candidate pair; no verdict")
     i, j = unmet[0]
@@ -532,7 +525,7 @@ def build(case_id: CaseId, params: Sequence[int], mode: Mode = Mode.GOAL) -> Rea
         status=RealizationStatus.NOT_REALIZABLE,
         detail=(
             f"{len(unmet)} target entries are met by no candidate pair, "
-            f"first ({i}, {j}) = {transcribed[i][j]}"
+            f"first ({i}, {j}) = {reference[i][j]}"
         ),
     )
 

@@ -145,13 +145,6 @@ def e_vec(copy: int, i: int) -> AmbientVector:
     return _unit(_BLOCK_OFFSETS[f"U{copy}"] + i - 1)
 
 
-def i3_unit(i: int) -> AmbientVector:
-    """Unit vector of the I3 block (i in 1..3)."""
-    if i not in (1, 2, 3):
-        raise ValueError("i3_unit expects i in 1..3")
-    return _unit(_BLOCK_OFFSETS["I3"] + i - 1)
-
-
 def i3_vector(x: int, y: int, z: int) -> AmbientVector:
     """Vector (x, y, z) supported in the I3 block."""
     coords = [0] * RANK

@@ -17,7 +17,7 @@ code with it.  They use only public ``hassett`` names.
   against the closed form ``ideal_gram`` reads off its base-pairing table.
 * ``perturbations_by_cube`` and ``i3_parts_by_cube`` walk the whole I3 cube
   with the ambient form, against the cached box that
-  ``candidate_perturbations`` and ``constructions._i3_parts`` filter.
+  ``constructions._generators`` and ``constructions._i3_parts`` filter.
 * ``draw_y_by_sample`` and ``four_squares_by_randint`` make the GOAL draws
   through ``choice``, ``sample`` and ``randint``, against the ``getrandbits``
   stream that ``constructions._draw_y`` reads.

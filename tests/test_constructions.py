@@ -21,7 +21,6 @@ from hassett.constructions import (
     SlotSpec,
     build,
     build_generic,
-    candidate_perturbations,
     case_slots,
     generic_slots,
     ideal_gram,
@@ -36,7 +35,7 @@ from hassett.lattice import (
     H_SQUARED,
     e_vec,
     gram_of,
-    i3_unit,
+    i3_vector,
     inner_product,
 )
 from hassett.linalg import IntMatrix, is_positive_definite
@@ -220,20 +219,28 @@ def test_slot_spec_validates_on_construction_and_replace():
             slot._replace(**dict(zip(SlotSpec._fields, bad)))
 
 
+def perturbations_of(slot):
+    """What ``_generators`` adds to the bare generator of a residue-2 slot, in candidate order."""
+    bare = bare_generator(slot)
+    return tuple(vector_difference(g, bare) for g in constructions._generators(slot))
+
+
+UNITS = (i3_vector(0, 0, 1), i3_vector(0, 1, 0), i3_vector(1, 0, 0))
+
+
 class TestCandidatePerturbations:
     def test_residue_zero_has_none(self):
         slot = SlotSpec(kind="A2_1", n=4, residue=0)
-        assert candidate_perturbations(slot) == ()
+        assert constructions._generators(slot) == (bare_generator(slot),)
 
     def test_u_and_e8_slots_get_units(self):
         for kind in ("U1", "E8_2_5"):
             slot = SlotSpec(kind=kind, n=4 if kind != "U1" else 1, residue=2)
-            cands = candidate_perturbations(slot)
-            assert cands == (i3_unit(3), i3_unit(2), i3_unit(1))
+            assert perturbations_of(slot) == UNITS
 
     def test_a2_slot_box_solutions(self):
         slot = SlotSpec(kind="A2_1", n=4, residue=2)
-        cands = candidate_perturbations(slot)
+        cands = perturbations_of(slot)
         assert [c.i3_part() for c in cands] == [(0, 0, 1), (-1, 0, 2), (0, 3, -2)]
         for p in cands:
             assert inner_product(p, H_SQUARED) == 1
@@ -245,8 +252,8 @@ class TestCandidatePerturbations:
             monkeypatch.setattr(constructions, "A2_SEARCH_BOUND", bound)
             for m in (2, 3, 5, 7):
                 slot = SlotSpec(kind="A2_1", n=m * m, residue=2)
-                cands = candidate_perturbations(slot)
-                assert cands and cands[0] == i3_unit(3)
+                cands = perturbations_of(slot)
+                assert cands and cands[0] == UNITS[0]
 
     def test_matches_the_whole_cube_for_every_kind(self, monkeypatch):
         kinds = ("U1", "U2") + SLOT_POOL
@@ -255,7 +262,7 @@ class TestCandidatePerturbations:
             for kind in kinds:
                 for m in range(2, 16):
                     slot = SlotSpec(kind, m if kind in ("U1", "U2") else m * m, 2)
-                    assert candidate_perturbations(slot) == perturbations_by_cube(slot, bound), slot
+                    assert perturbations_of(slot) == perturbations_by_cube(slot, bound), slot
         for kind in SLOT_POOL:
             for residue in (0, 2):
                 slot = SlotSpec(kind, 4, residue)
@@ -266,8 +273,22 @@ class TestCandidatePerturbations:
         slot = SlotSpec("A2_1", 4, 2)
         for bound in (3, 1, 3):
             monkeypatch.setattr(constructions, "A2_SEARCH_BOUND", bound)
-            assert candidate_perturbations(slot) == perturbations_by_cube(slot, bound)
-            assert len(candidate_perturbations(slot)) == (3 if bound == 3 else 1)
+            assert perturbations_of(slot) == perturbations_by_cube(slot, bound)
+            assert len(perturbations_of(slot)) == (3 if bound == 3 else 1)
+
+    def test_strict_builds_each_bare_generator_once(self, monkeypatch):
+        calls = []
+        inner = SlotSpec.bare_generator
+
+        def counting(slot):
+            calls.append(slot)
+            return inner(slot)
+
+        monkeypatch.setattr(SlotSpec, "bare_generator", counting)
+        # Residue-2 U, A2 and E8 slots, as in the strict benchmark lists, and one of residue 0.
+        slots = generic_slots((14, 20, 26, 56, 98, 152, 24))
+        realize_perturbations(slots)
+        assert calls == list(slots)
 
 
 class TestRealizePerturbations:
@@ -275,7 +296,7 @@ class TestRealizePerturbations:
         slots = case_slots(CaseId.R4_002, (2, 2, 4))
         outcome = realize_perturbations(slots)
         assert outcome.status == RealizationStatus.REALIZED_STRICT
-        assert outcome.basis[3] == 2 * A1 + i3_unit(3)
+        assert outcome.basis[3] == 2 * A1 + i3_vector(0, 0, 1)
         assert outcome.realized_gram == outcome.reference
 
     def test_nothing_to_perturb(self):
@@ -298,11 +319,7 @@ def exhaustive_first_optimum(slots, target):
     as ``realize_perturbations`` reports it.  ``min`` keeps the first of equal
     keys and ``itertools.product`` runs in lexicographic order.
     """
-    cands = [candidate_perturbations(s) or (None,) for s in slots]
-    gens = [
-        [s.bare_generator() if p is None else s.bare_generator() + p for p in row]
-        for s, row in zip(slots, cands)
-    ]
+    gens = [constructions._generators(s) for s in slots]
     k = len(slots)
     own = [
         [
@@ -323,7 +340,7 @@ def exhaustive_first_optimum(slots, target):
             table[choice[j]][choice[i]] for j, i, table in cross
         )
 
-    best = min(itertools.product(*(range(len(row)) for row in cands)), key=miss)
+    best = min(itertools.product(*(range(len(row)) for row in gens)), key=miss)
     basis = (H_SQUARED,) + tuple(row[a] for row, a in zip(gens, best))
     return miss(best) + abs(3 - target[0][0]), basis
 
@@ -361,12 +378,8 @@ class TestUnmetEntries:
             target = IntMatrix(rows)
             entries = set(itertools.combinations_with_replacement(range(len(rows)), 2))
             met = set()
-            for choice in itertools.product(*(candidate_perturbations(s) or (None,) for s in slots)):
-                basis = [H_SQUARED] + [
-                    s.bare_generator() if p is None else s.bare_generator() + p
-                    for s, p in zip(slots, choice)
-                ]
-                gram = gram_of(basis)
+            for choice in itertools.product(*(constructions._generators(s) for s in slots)):
+                gram = gram_of([H_SQUARED, *choice])
                 met |= {(i, j) for i, j in entries if gram[i][j] == target[i][j]}
             unmet = constructions._unmet_entries(slots, target)
             assert unmet == sorted(entries - met), rows
@@ -914,7 +927,7 @@ def test_fallback_basis_is_built_only_when_the_search_is_exhausted(monkeypatch):
     slots = case_slots(CaseId.R21_ALL0, params)
     assert len(calls) == len(slots)
     canonical = (H_SQUARED,) + tuple(
-        s.bare_generator() + (candidate_perturbations(s) or (None,))[0]
+        s.bare_generator() + perturbations_by_cube(s, constructions.A2_SEARCH_BOUND)[0]
         if s.residue
         else s.bare_generator()
         for s in slots

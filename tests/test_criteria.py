@@ -17,7 +17,7 @@ from hassett.criteria import (
     satisfies_double_star,
     satisfies_star,
 )
-from hassett.lattice import A1, H_SQUARED, e_vec, gram_of, i3_unit
+from hassett.lattice import A1, H_SQUARED, e_vec, gram_of, i3_vector
 from hassett.verifier import CriterionReport, criterion_report
 from oracles import conjecture_shape, from_columns, integer_solver
 
@@ -294,7 +294,7 @@ class TestCertifyNonempty:
                 H_SQUARED,
                 e_vec(1, 1) + 2 * e_vec(1, 2),
                 e_vec(2, 1) + 2 * e_vec(2, 2),
-                2 * A1 + i3_unit(3),
+                2 * A1 + i3_vector(0, 0, 1),
             )
         )
         assert report.passed
@@ -334,7 +334,7 @@ class TestCertifyNonempty:
             H_SQUARED,
             e_vec(1, 1) + 2 * e_vec(1, 2),
             e_vec(2, 1) + 2 * e_vec(2, 2),
-            2 * A1 + i3_unit(3),
+            2 * A1 + i3_vector(0, 0, 1),
         )
         for basis, pd, least in ((definite, True, 3), ((H_SQUARED, e_vec(1, 1)), False, None)):
             gram = gram_of(basis)
@@ -384,7 +384,12 @@ class TestCriterionReasons:
         h, sat, pd, two = "MISSING_H_SQUARED", "NOT_SATURATED", "NOT_POSITIVE_DEFINITE", "MIN_NORM_2"
         cases = (
             (
-                (H_SQUARED, e_vec(1, 1) + 2 * e_vec(1, 2), e_vec(2, 1) + 2 * e_vec(2, 2), 2 * A1 + i3_unit(3)),
+                (
+                    H_SQUARED,
+                    e_vec(1, 1) + 2 * e_vec(1, 2),
+                    e_vec(2, 1) + 2 * e_vec(2, 2),
+                    2 * A1 + i3_vector(0, 0, 1),
+                ),
                 3,
                 ((), (h,), (sat,), (h, sat)),
             ),

@@ -20,7 +20,7 @@ from hassett.lattice import (
     _ldl,
     e_vec,
     gram_of,
-    i3_unit,
+    i3_vector,
     inner_product,
     is_saturated,
     minimum,
@@ -243,7 +243,7 @@ class TestSaturation:
             H_SQUARED,
             e_vec(1, 1) + 2 * e_vec(1, 2),
             e_vec(2, 1) + 2 * e_vec(2, 2),
-            2 * A1 + i3_unit(3),
+            2 * A1 + i3_vector(0, 0, 1),
         )
         assert is_saturated(basis)
 

@@ -17,17 +17,17 @@ from hassett import constructions, lattice, linalg, verifier
 # The public API, reviewed in one place.  The test-only reference code
 # (determinant, inertia, integer_solver, invariant_factors, rational_inverse,
 # oracle_short_vectors, conjecture_shape, quadratic_form, mul_vector,
-# gram_delta) lives in tests/oracles.py and is not exported.
+# gram_delta, vector_difference) lives in tests/oracles.py and is not exported.
 PUBLIC_API = (
     "A1", "A2", "AMBIENT_GRAM", "AmbientVector", "COROLLARY_DISCRIMINANTS",
     "CaseId", "Certificate", "CertificateError", "CriterionReport",
     "DiscriminantReport", "E8_GRAM", "H_SQUARED", "IntMatrix", "LabellingCheck",
     "Mode", "RealizationOutcome", "RealizationStatus", "SLOT_POOL", "SlotSpec",
     "U_GRAM", "WitnessReport", "build", "build_generic",
-    "candidate_perturbations", "case_slots", "certificate_for", "check_identity",
+    "case_slots", "certificate_for", "check_identity",
     "conjecture_sweep", "criterion_report",
     "discriminant_report", "e_vec", "factorize", "generic_slots", "gram_of",
-    "has_associated_k3", "i3_unit", "i3_vector", "ideal_gram", "inner_product",
+    "has_associated_k3", "i3_vector", "ideal_gram", "inner_product",
     "is_positive_definite", "is_saturated", "minimum", "norm",
     "realize_perturbations", "reference_gram", "satisfies_double_star",
     "satisfies_star", "short_vectors", "smith_normal_form", "span_membership",

@@ -22,7 +22,7 @@ from hassett.lattice import (
     AmbientVector,
     H_SQUARED,
     e_vec,
-    i3_unit,
+    i3_vector,
     short_vectors,
     t_vec,
 )
@@ -100,7 +100,7 @@ class TestVerifyWitness:
             H_SQUARED,
             e_vec(1, 1) + e_vec(1, 2),  # norm 2
             e_vec(2, 1) + 2 * e_vec(2, 2),
-            2 * A1 + i3_unit(3),
+            2 * A1 + i3_vector(0, 0, 1),
         )
         report = verify_witness(basis, (12, 12, 26))
         assert report.verdict == "FAIL"
@@ -380,7 +380,7 @@ class TestCheckIdentity:
 
 
 def test_ambient_vector_round_trip():
-    v = vector_difference(3 * t_vec(1, 4), 2 * e_vec(2, 1)) + i3_unit(2)
+    v = vector_difference(3 * t_vec(1, 4), 2 * e_vec(2, 1)) + i3_vector(0, 1, 0)
     w = AmbientVector(v.coords)
     assert v == w
 
