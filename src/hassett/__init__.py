@@ -69,7 +69,6 @@ from .verifier import (
     LabellingCheck,
     WitnessReport,
     certificate_for,
-    criterion_report,
     verify_witness,
 )
 

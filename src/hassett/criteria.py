@@ -1,4 +1,4 @@
-"""Arithmetic predicates on discriminants and the nonemptiness criterion.
+"""Arithmetic predicates on discriminants.
 
 Two arithmetic conditions recur throughout the toolkit:
 

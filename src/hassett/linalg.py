@@ -6,10 +6,14 @@ module, one per concept.  ``_ldl`` is the one fraction-free symmetric
 elimination: it decides positive definiteness and feeds the short-vector
 enumeration of ``lattice``.  ``span_membership`` is the one-pass column
 echelon the verifier runs on coordinate rows: it decides independence,
-saturation and membership of one target together, without a Smith form, and
-its cost stays low on hostile coordinates; its column step ``_pivot_row`` also
-brings the GOAL draws of ``constructions`` to a triangle.  ``_smith_in_place``
-is the one Smith normal form kernel.
+saturation and membership of one target together, without a Smith form.  On
+the 197 witnesses of the tests' golden pool (ranks 3 to 21, hostile variants
+included) its intermediate entries stay below 2^38 and it takes at most 72
+Euclid rounds; the corollary witness sets both bounds, with entries up to
+1.45e11 and every pivot +-1.  Nothing bounds the entries on arbitrary
+coordinates.  Its column step ``_pivot_row`` also brings the GOAL draws of
+``constructions`` to a triangle.  ``_smith_in_place`` is the one Smith
+normal form kernel.
 
 The Smith form uses elementary unimodular operations with a smallest-pivot
 strategy (Cohen, A Course in Computational Algebraic Number Theory, 2.4.14).

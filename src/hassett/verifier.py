@@ -9,9 +9,11 @@ certificates can be checked by third parties from the coordinates alone.
 
 The lattice-level certification a witness must pass has four checks:
 contains h2, positive definite, saturated in the ambient lattice, and no
-nonzero vector of norm below 3.  ``criterion_report`` is the one place that
-runs them, for ``verify_witness``; the GOAL builder accepts a draw by the
-verdict of ``certificate_for``, so it never judges a witness itself.
+nonzero vector of norm below 3.  ``verify_witness`` is the one place that
+runs them: one ``linalg.span_membership`` echelon decides the first and the
+third, and the elimination inside ``lattice.minimum`` the other two.  The
+GOAL builder accepts a draw by the verdict of ``certificate_for``, so it
+never judges a witness itself.
 
 ``Certificate.from_json`` reads untrusted text and raises
 ``CertificateError`` on anything it cannot read as a certificate of at least
@@ -92,25 +94,6 @@ class CriterionReport(NamedTuple):
         }
 
 
-def criterion_report(gram: IntMatrix, saturated: bool, has_h: bool) -> CriterionReport:
-    """Run the four lattice checks on a witness of k basis vectors.
-
-    ``gram`` is its k x k Gram matrix, ``saturated`` whether the basis is
-    independent with a torsion-free ambient quotient, and ``has_h`` whether
-    h2 is an integer combination of the basis; ``verify_witness`` decides
-    both in one ``linalg.span_membership`` echelon.  An indefinite Gram is
-    reported (positive_definite False, minimum omitted), never raised.  The
-    elimination inside ``minimum`` decides definiteness, so the Gram is
-    eliminated once.  The report passes iff its ``reasons``, which
-    ``verify_witness`` lists, are empty.
-    """
-    try:
-        min_norm: int | None = minimum(gram)
-    except NotPositiveDefinite:
-        min_norm = None
-    return CriterionReport(has_h, min_norm is not None, saturated, min_norm)
-
-
 class LabellingCheck(NamedTuple):
     target_d: int
     realized_d: int
@@ -188,7 +171,13 @@ def verify_witness(
         reasons.append("DEPENDENT_BASIS")
 
     gram = gram_of(basis)
-    criterion = criterion_report(gram, saturated, h_in_m is not None)
+    # minimum's elimination decides definiteness too, so the Gram is
+    # eliminated once; an indefinite Gram is reported, never raised.
+    try:
+        min_norm: int | None = minimum(gram)
+    except NotPositiveDefinite:
+        min_norm = None
+    criterion = CriterionReport(h_in_m is not None, min_norm is not None, saturated, min_norm)
     reasons += criterion.reasons
 
     labellings = []

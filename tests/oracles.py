@@ -23,6 +23,10 @@ code with it.  They use only public ``hassett`` names.
   stream that ``constructions._draw_y`` reads.
 * ``conjecture_shape`` tries every k in turn, against the bit arithmetic
   that gives ``criteria.conjecture_sweep`` its (k, s).
+* ``oracle_report`` recomputes a whole ``verify_witness`` report from the
+  kernels above: the Gram as a matrix product with ``AMBIENT_GRAM``,
+  ``inertia``, ``integer_solver``, ``oracle_short_vectors`` and the 2 x 2
+  minors of h2's coordinates.
 * ``mul_vector``, ``quadratic_form`` (the value x^T g x), ``gram_delta``
   (the entrywise difference of two Grams) and ``vector_difference`` are
   plain matrix and vector arithmetic that the package does not need.
@@ -42,6 +46,7 @@ from typing import Callable, Sequence
 from hassett import (
     A1,
     A2,
+    AMBIENT_GRAM,
     E8_GRAM,
     H_SQUARED,
     AmbientVector,
@@ -372,3 +377,74 @@ def conjecture_shape(d: int) -> tuple[int, int] | None:
             best = (k, s)
         k += 1
     return best
+
+
+def oracle_report(basis: Sequence[AmbientVector], targets: Sequence[int]) -> dict:
+    """The ``to_dict`` of ``verify_witness(basis, targets)``, from the oracles above.
+
+    The Gram is B AMBIENT_GRAM B^T.  The Smith form of the columns B^T decides
+    independence (k nonzero invariants), saturation (k unit invariants) and
+    h2's coordinates x in M; ``inertia`` decides definiteness, and the least
+    norm is the least value over ``oracle_short_vectors`` bounded by the
+    least diagonal entry, which a basis vector attains.  Labelling i is
+    saturated in M when M is independent, holds h2, and the 2 x 2 minors of
+    [x e_{i+1}] have gcd 1.  The reasons follow the report's order.
+    """
+    k = len(basis)
+    b = IntMatrix([v.coords for v in basis])
+    b_t = from_columns(b.rows)
+    gram = matmul(matmul(b, AMBIENT_GRAM), b_t)
+    h_pairings = matmul(matmul(IntMatrix([H_SQUARED.coords]), AMBIENT_GRAM), b_t)[0]
+    solve, invariants = integer_solver(b_t)
+    independent = len(invariants) == k and all(invariants)
+    saturated = independent and all(d == 1 for d in invariants)
+    x = solve(H_SQUARED.coords)
+    if inertia(gram)[0] == k:
+        least = min(gram[i][i] for i in range(k))
+        min_norm = min(quadratic_form(gram, v) for v in oracle_short_vectors(gram, least))
+    else:
+        min_norm = None
+    criterion = {
+        "containsHSquared": x is not None,
+        "positiveDefinite": min_norm is not None,
+        "saturated": saturated,
+        "minimumNorm": min_norm,
+    }
+    reasons = []
+    if basis[0] != H_SQUARED:
+        reasons.append("FIRST_BASIS_NOT_H_SQUARED")
+    if len(targets) != k - 1:
+        reasons.append("TARGET_COUNT_MISMATCH")
+    if not independent:
+        reasons.append("DEPENDENT_BASIS")
+    failed = [
+        name for name, ok in zip(
+            ("MISSING_H_SQUARED", "NOT_POSITIVE_DEFINITE", "NOT_SATURATED"),
+            (x is not None, min_norm is not None, saturated),
+        ) if not ok
+    ]
+    if min_norm is not None and min_norm < 3:
+        failed.append(f"MIN_NORM_{min_norm}")
+    criterion["pass"] = not failed
+    reasons += failed
+    labellings = []
+    for i, d in enumerate(targets[: k - 1]):
+        realized = 3 * gram[i + 1][i + 1] - h_pairings[i + 1] ** 2
+        in_m = False
+        if independent and x is not None:
+            unit = [int(j == i + 1) for j in range(k)]
+            pairs = itertools.combinations(range(k), 2)
+            in_m = math.gcd(*(x[p] * unit[q] - x[q] * unit[p] for p, q in pairs)) == 1
+        labellings.append({"targetD": d, "realizedD": realized, "saturatedInM": in_m})
+        if realized != d:
+            reasons.append(f"DISC_MISMATCH({i})")
+        if not in_m:
+            reasons.append(f"LABELLING_NOT_SATURATED({i})")
+    return {
+        "criterion": criterion,
+        "labellings": labellings,
+        "gramMatchesReference": None,
+        "realizedGram": gram.to_lists(),
+        "verdict": "FAIL" if reasons else "PASS",
+        "failureReasons": reasons,
+    }

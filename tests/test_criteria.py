@@ -18,8 +18,8 @@ from hassett.criteria import (
     satisfies_star,
 )
 from hassett.lattice import A1, H_SQUARED, e_vec, gram_of, i3_vector
-from hassett.verifier import CriterionReport, criterion_report
-from oracles import conjecture_shape, from_columns, integer_solver
+from hassett.verifier import CriterionReport, verify_witness
+from oracles import conjecture_shape, oracle_report
 
 
 class TestStar:
@@ -281,10 +281,11 @@ class TestDiscriminantReport:
 
 
 def certify(basis):
-    """The four checks on an explicit basis, as ``verify_witness`` runs them."""
-    solve, invariants = integer_solver(from_columns([v.coords for v in basis]))
-    saturated = len(invariants) == len(basis) and all(x == 1 for x in invariants)
-    return criterion_report(gram_of(basis), saturated, solve(H_SQUARED.coords) is not None)
+    """The four checks of ``verify_witness`` on an explicit basis, checked against the oracles."""
+    targets = (0,) * (len(basis) - 1)
+    report = verify_witness(basis, targets)
+    assert report.to_dict() == oracle_report(basis, targets)
+    return report.criterion
 
 
 class TestCertifyNonempty:
@@ -337,9 +338,8 @@ class TestCertifyNonempty:
             2 * A1 + i3_vector(0, 0, 1),
         )
         for basis, pd, least in ((definite, True, 3), ((H_SQUARED, e_vec(1, 1)), False, None)):
-            gram = gram_of(basis)
             calls.update(_ldl=0, is_positive_definite=0)
-            report = criterion_report(gram, True, True)
+            report = verify_witness(basis, (0,) * (len(basis) - 1)).criterion
             assert (report.positive_definite, report.minimum_norm) == (pd, least)
             assert calls == {"_ldl": 1, "is_positive_definite": 0}
 
@@ -378,32 +378,31 @@ class TestCriterionReasons:
                 assert report.passed == (not expected)
 
     def test_criterion_report_passes_exactly_when_no_reason_is_named(self):
-        # Basis 1 passes every lattice check, basis 2 has Gram [[3, 0], [0, 2]]
-        # and basis 3 the semidefinite [[3, 0], [0, 0]].  Each basis lists its
-        # minimum and its reasons for (saturated, has_h) = TT, TF, FT, FF.
+        # Three lattices: one passes every check, one has Gram [[3, 0], [0, 2]]
+        # and one the semidefinite [[3, 0], [0, 0]].  Each is realized with
+        # (contains h2, saturated) = TT, TF, FT and FF: as given, with a
+        # doubled generator, without h2, and with 2 h2 in place of h2.
         h, sat, pd, two = "MISSING_H_SQUARED", "NOT_SATURATED", "NOT_POSITIVE_DEFINITE", "MIN_NORM_2"
+        u1, u2 = e_vec(1, 1) + 2 * e_vec(1, 2), e_vec(2, 1) + 2 * e_vec(2, 2)
+        a, v, z = 2 * A1 + i3_vector(0, 0, 1), e_vec(1, 1) + e_vec(1, 2), e_vec(1, 1)
         cases = (
-            (
-                (
-                    H_SQUARED,
-                    e_vec(1, 1) + 2 * e_vec(1, 2),
-                    e_vec(2, 1) + 2 * e_vec(2, 2),
-                    2 * A1 + i3_vector(0, 0, 1),
-                ),
-                3,
-                ((), (h,), (sat,), (h, sat)),
-            ),
-            ((H_SQUARED, e_vec(1, 1) + e_vec(1, 2)), 2, ((two,), (h, two), (sat, two), (h, sat, two))),
-            ((H_SQUARED, e_vec(1, 1)), None, ((pd,), (h, pd), (pd, sat), (h, pd, sat))),
+            ((H_SQUARED, u1, u2, a), 3, ()),
+            ((H_SQUARED, 2 * u1, u2, a), 3, (sat,)),
+            ((u1, u2, a), 4, (h,)),
+            ((2 * H_SQUARED, u1, u2, a), 4, (h, sat)),
+            ((H_SQUARED, v), 2, (two,)),
+            ((H_SQUARED, v, 2 * u2), 2, (sat, two)),
+            ((v,), 2, (h, two)),
+            ((2 * H_SQUARED, v), 2, (h, sat, two)),
+            ((H_SQUARED, z), None, (pd,)),
+            ((H_SQUARED, 2 * z), None, (pd, sat)),
+            ((z,), None, (h, pd)),
+            ((2 * H_SQUARED, z), None, (h, pd, sat)),
         )
-        verdicts = []
-        for basis, least, reasons in cases:
-            flags = itertools.product((True, False), repeat=2)
-            for (saturated, has_h), expected in zip(flags, reasons, strict=True):
-                report = criterion_report(gram_of(basis), saturated, has_h)
-                assert report.minimum_norm == least
-                assert report.reasons == expected, (basis, saturated, has_h)
-                verdicts.append(report.passed)
-        assert gram_of(cases[1][0]).rows == ((3, 0), (0, 2))
-        assert gram_of(cases[2][0]).rows == ((3, 0), (0, 0))
-        assert verdicts.count(True) == 1
+        for basis, least, expected in cases:
+            criterion = verify_witness(basis, (0,) * (len(basis) - 1)).criterion
+            assert criterion.minimum_norm == least
+            assert criterion.reasons == expected, basis
+            assert criterion.to_dict()["pass"] is (not expected)
+        assert gram_of((H_SQUARED, v)).rows == ((3, 0), (0, 2))
+        assert gram_of((H_SQUARED, z)).rows == ((3, 0), (0, 0))

@@ -25,7 +25,7 @@ PUBLIC_API = (
     "Mode", "RealizationOutcome", "RealizationStatus", "SLOT_POOL", "SlotSpec",
     "U_GRAM", "WitnessReport", "build", "build_generic",
     "case_slots", "certificate_for", "check_identity",
-    "conjecture_sweep", "criterion_report",
+    "conjecture_sweep",
     "discriminant_report", "e_vec", "factorize", "generic_slots", "gram_of",
     "has_associated_k3", "i3_vector", "ideal_gram", "inner_product",
     "is_positive_definite", "is_saturated", "minimum", "norm",

@@ -37,6 +37,7 @@ from hassett.verifier import (
 from oracles import (
     from_columns,
     invariant_factors,
+    oracle_report,
     oracle_short_vectors,
     quadratic_form,
     slipped_all2_value,
@@ -222,6 +223,17 @@ def golden_digest():
 
 def test_golden_reports():
     assert golden_digest() == GOLDEN_DIGEST
+
+
+def test_reports_match_the_oracle_report():
+    # Every variant of ten seeded lists of rank at most 19, and the corollary.
+    # The oracle walks its whole enumeration box: about 10^6 points on the
+    # rank-20 list and 10^15 on the rank-21 one, but 405 on the corollary.
+    pool = list(golden_pool())
+    lists = [pool[i : i + 7] for i in range(0, len(pool) - 1, 7)]
+    chosen = random.Random(34).sample([l for l in lists if len(l[0][0]) <= 19], 10)
+    for basis, targets, _ in [*itertools.chain(*chosen), pool[-1]]:
+        assert verify_witness(basis, targets).to_dict() == oracle_report(basis, targets)
 
 
 class TestCorollary20:
