@@ -25,14 +25,16 @@ Two realization modes, for named cases (``build``) and target lists
 (``build_generic``) alike:
 
 * STRICT picks the perturbation assignment whose full Gram deviates least,
-  entry for entry, from the ideal Gram of the slots, and reports the delta
-  when no assignment reproduces it.  Only I3 parts deviate, and the miss is
-  a closed form in how many residue-2 U and E8 slots take each I3 unit and
-  which candidates the A2 slots take, so one exact pass over those choices
-  keeps the least miss and its first assignment, an index into each
-  slot's candidate generators (see ``_exact_assignment``).  The transcribed
-  ``R21_ALL2`` Gram is decided by the entries that no pair of candidate
-  generators meets (see ``build``).
+  entry for entry, from the ideal Gram of the slots, and notes the least
+  miss when no assignment reproduces it.  Only I3 parts deviate, and the
+  miss is a closed form in how many residue-2 U and E8 slots take each I3
+  unit and which candidates the A2 slots take, so one exact pass over those
+  choices keeps the least miss and its first assignment, an index into each
+  slot's candidate generators (see ``_exact_assignment``).  The status is
+  the verifier's comparison of the witness's Gram with the reference Gram,
+  so REALIZED_STRICT means the certificate records an exact match.  The
+  transcribed ``R21_ALL2`` Gram is not met, and ``build`` notes the entries
+  that no pair of candidate generators meets.
   STRICT reproduces the scaled reference Grams, so its witnesses can fail
   saturation: a residue-0 column ``m * b`` has content m.
 * GOAL keeps only the per-slot discriminants and builds a glued witness,
@@ -214,22 +216,16 @@ class SlotSpec(_SlotFields):
 
 
 class RealizationOutcome(NamedTuple):
-    """A built witness and the ``reference`` Gram (ideal or named) it was judged against.
+    """A build's status, the certificate it was decided by, and a note.
 
-    ``certificate`` is ``certificate_for(basis, targets, reference)``, computed
-    once by the builder; ``realized_gram`` reads its report.
+    ``certificate`` is the one ``certificate_for`` the builder ran: its
+    ``basis``, ``targets`` and report, whose realized Gram was compared with
+    the reference Gram (ideal or named) when the build had one.
     """
 
     status: RealizationStatus
-    basis: tuple[AmbientVector, ...]
-    targets: tuple[int, ...]
     certificate: Certificate
     detail: str = ""
-    reference: IntMatrix | None = None  # None: a GOAL target list, judged by no Gram
-
-    @property
-    def realized_gram(self) -> IntMatrix:
-        return self.certificate.report.realized_gram
 
 
 def case_slots(case_id: CaseId, params: Sequence[int]) -> tuple[SlotSpec, ...]:
@@ -458,23 +454,22 @@ def realize_perturbations(
     which candidates the A2 slots take, and ``_exact_assignment`` keeps its
     least value and the first assignment that attains it, in candidate
     order, in one pass over those few choices; the basis takes the picked
-    ``_generators``.  Returns REALIZED_STRICT on an exact match, otherwise
-    NOT_REALIZABLE, whose realized Gram differs from the ideal.
-    The basis is certified once, against ``reference``: the ideal Gram unless
-    the caller passes one, as ``build`` passes a named case's.
+    ``_generators``.  The basis is certified once, against ``reference``:
+    the ideal Gram unless the caller passes one, as ``build`` passes a named
+    case's.  The status is the verifier's Gram comparison: REALIZED_STRICT
+    when the realized Gram equals ``reference``, otherwise NOT_REALIZABLE.
+    A nonzero least deviation is noted in ``detail``.
     """
     slots = tuple(slots)
     gens = [_generators(s) for s in slots]
     miss, picks = _exact_assignment(slots, gens)
     basis = (H_SQUARED,) + tuple(g[a] for g, a in zip(gens, picks))
-    targets = tuple(s.target_d for s in slots)
     reference = ideal_gram(slots) if reference is None else reference
+    certificate = certificate_for(basis, tuple(s.target_d for s in slots), reference)
+    matched = certificate.report.gram_matches_reference
     return RealizationOutcome(
-        status=RealizationStatus.NOT_REALIZABLE if miss else RealizationStatus.REALIZED_STRICT,
-        basis=basis,
-        targets=targets,
-        certificate=certificate_for(basis, targets, reference),
-        reference=reference,
+        status=RealizationStatus.REALIZED_STRICT if matched else RealizationStatus.NOT_REALIZABLE,
+        certificate=certificate,
         detail=f"optimal assignment misses target by {miss}" if miss else "",
     )
 
@@ -505,11 +500,11 @@ def build(case_id: CaseId, params: Sequence[int], mode: Mode = Mode.GOAL) -> Rea
     A named case is its target list d_i = 6 n_i + r_i (see ``case_slots``),
     built as ``build_generic`` builds it, with the case's reference Gram
     (``_named_case``) as ``reference``.  STRICT for ``R21_ALL2`` keeps the
-    basis of the ideal search and reports NOT_REALIZABLE with the entries of
-    the transcribed Gram that no pair of candidate generators meets
-    (``_unmet_entries``): no assignment reproduces such an entry.  If every
-    entry were met by some pair, that would decide nothing, so ``build``
-    raises ``RuntimeError`` rather than report a verdict.
+    basis of the ideal search, which the verifier finds NOT_REALIZABLE against
+    the transcribed Gram, and notes the entries of that Gram that no pair of
+    candidate generators meets (``_unmet_entries``): no assignment reproduces
+    such an entry.  If every entry were met by some pair, that would decide
+    nothing, so ``build`` raises ``RuntimeError`` rather than report a verdict.
     """
     slots, reference = _named_case(case_id, params)
     if mode == Mode.GOAL:
@@ -522,7 +517,6 @@ def build(case_id: CaseId, params: Sequence[int], mode: Mode = Mode.GOAL) -> Rea
         raise RuntimeError("every reference entry is met by some candidate pair; no verdict")
     i, j = unmet[0]
     return outcome._replace(
-        status=RealizationStatus.NOT_REALIZABLE,
         detail=(
             f"{len(unmet)} target entries are met by no candidate pair, "
             f"first ({i}, {j}) = {reference[i][j]}"
@@ -819,21 +813,12 @@ def _glued_search(
         basis = head + tuple(ys)
         certificate = certificate_for(basis, targets, reference)
         if certificate.report.verdict == "PASS":
-            return RealizationOutcome(
-                status=RealizationStatus.REALIZED_GOAL,
-                basis=basis,
-                targets=targets,
-                certificate=certificate,
-                reference=reference,
-            )
+            return RealizationOutcome(RealizationStatus.REALIZED_GOAL, certificate)
     # Only an exhausted search reports the basis of first candidates.
     canonical = head + tuple(_generators(s)[0] for s in slots[2:])
     return RealizationOutcome(
         status=RealizationStatus.NOT_REALIZABLE,
-        basis=canonical,
-        targets=targets,
         certificate=certificate_for(canonical, targets, reference),
-        reference=reference,
         detail=(
             f"search exhausted: none of {attempts} seeded glued witnesses passed "
             "every check; this does not show that the targets are impossible"
@@ -894,13 +879,9 @@ COROLLARY_DISCRIMINANTS = (
 
 
 @lru_cache(maxsize=1)
-def _corollary_build() -> RealizationOutcome:
-    return build_generic(COROLLARY_DISCRIMINANTS, Mode.GOAL)
-
-
 def corollary20_certificate() -> Certificate:
-    """Certificate for the bundled 20-divisor configuration: that of its cached build."""
-    return _corollary_build().certificate
+    """Certificate for the bundled 20-divisor configuration: that of its build, cached."""
+    return build_generic(COROLLARY_DISCRIMINANTS, Mode.GOAL).certificate
 
 
 def check_identity(case_id: CaseId, params: Sequence[int]) -> bool:

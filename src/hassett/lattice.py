@@ -275,7 +275,6 @@ def _enumerate(
                 found.append((tuple(x), below))
                 if shrink:
                     c = below - 1
-        x[i] = 0
 
     descend(n - 1, 0, True)
     return found

@@ -11,9 +11,10 @@ The lattice-level certification a witness must pass has four checks:
 contains h2, positive definite, saturated in the ambient lattice, and no
 nonzero vector of norm below 3.  ``verify_witness`` is the one place that
 runs them: one ``linalg.span_membership`` echelon decides the first and the
-third, and the elimination inside ``lattice.minimum`` the other two.  The
-GOAL builder accepts a draw by the verdict of ``certificate_for``, so it
-never judges a witness itself.
+third, and the elimination inside ``lattice.minimum`` the other two.  No
+builder judges a witness itself: the GOAL builder accepts a draw by the
+verdict of ``certificate_for``, and STRICT's status is that certificate's
+comparison of the realized Gram with the reference Gram.
 
 ``Certificate.from_json`` reads untrusted text and raises
 ``CertificateError`` on anything it cannot read as a certificate of at least
@@ -250,11 +251,12 @@ class Certificate(NamedTuple):
     """Self-contained, re-verifiable record of one witness check.
 
     Build one with ``certificate_for`` or ``from_json``; both carry the report
-    that ``verify_witness`` computed from ``basis`` and ``targets``.  Every
-    build outcome carries the one its builder accepted or rejected it by.
+    that ``verify_witness`` computed from ``basis``, the vectors themselves,
+    and ``targets``.  Every build outcome carries the one its status was
+    decided by.
     """
 
-    basis: tuple[tuple[int, ...], ...]
+    basis: tuple[AmbientVector, ...]
     targets: tuple[int, ...]
     report: WitnessReport
     tool_version: str = __version__
@@ -262,7 +264,7 @@ class Certificate(NamedTuple):
     def to_dict(self) -> dict:
         return {
             "ambient": AMBIENT_ID,
-            "basis": [list(row) for row in self.basis],
+            "basis": [list(v.coords) for v in self.basis],
             "targets": list(self.targets),
             "report": self.report.to_dict(),
             "toolVersion": self.tool_version,
@@ -323,7 +325,7 @@ def certificate_for(
 ) -> Certificate:
     """Certificate of ``basis`` and ``targets`` carrying the report ``verify_witness`` computes."""
     return Certificate(
-        basis=tuple(v.coords for v in basis),
+        basis=tuple(basis),
         targets=tuple(targets),
         report=verify_witness(basis, targets, reference),
     )

@@ -98,23 +98,24 @@ def test_criterion_2_rank4_cases():
         outcome = build(case_id, params, Mode.GOAL)
         if outcome.status != RealizationStatus.REALIZED_GOAL:
             return False
-        report = verify_witness(outcome.basis, outcome.targets)
+        report = verify_witness(outcome.certificate.basis, outcome.certificate.targets)
         return report.verdict == "PASS" and tuple(
             l.realized_d for l in report.labellings
         ) == expected_ds
 
     checks = {
         "case 000 strict Gram": strict1.status == RealizationStatus.REALIZED_STRICT
-        and strict1.realized_gram == IntMatrix([[3, 0, 0, 0], [0, 4, 0, 0], [0, 0, 4, 0], [0, 0, 0, 8]]),
+        and strict1.certificate.report.realized_gram
+        == IntMatrix([[3, 0, 0, 0], [0, 4, 0, 0], [0, 0, 4, 0], [0, 0, 0, 8]]),
         "case 002 strict Gram": strict2.status == RealizationStatus.REALIZED_STRICT
-        and strict2.realized_gram
+        and strict2.certificate.report.realized_gram
         == IntMatrix([[3, 0, 0, 1], [0, 4, 0, 0], [0, 0, 4, 0], [1, 0, 0, 9]]),
         "case 022 strict not realizable": strict3.status
         == RealizationStatus.NOT_REALIZABLE
-        and strict3.realized_gram != strict3.reference,
+        and strict3.certificate.report.realized_gram != reference_gram(CaseId.R4_022, (2, 2, 4)),
         "case 222 strict not realizable": strict4.status
         == RealizationStatus.NOT_REALIZABLE
-        and strict4.realized_gram != strict4.reference,
+        and strict4.certificate.report.realized_gram != reference_gram(CaseId.R4_222, (1, 1, 4)),
         "goal (12,12,26)": goal_passes(CaseId.R4_002, (2, 2, 4), (12, 12, 26)),
         "goal (12,14,26)": goal_passes(CaseId.R4_022, (2, 2, 4), (12, 14, 26)),
         "goal (14,14,26)": goal_passes(CaseId.R4_222, (2, 2, 4), (14, 14, 26)),
@@ -236,7 +237,7 @@ def test_criterion_7_generic_intersections():
             targets = [rng.choice(STAR_POOL), rng.choice(STAR_POOL)]
             targets += [rng.choice(DOUBLE_STAR_POOL) for _ in range(n - 2)]
             outcome = build_generic(targets, Mode.GOAL)
-            report = verify_witness(outcome.basis, targets)
+            report = verify_witness(outcome.certificate.basis, targets)
             total += 1
             if any(l.realized_d != l.target_d for l in report.labellings):
                 discs_exact = False
@@ -265,7 +266,7 @@ def test_criterion_8_certificate_round_trip():
         targets = [rng.choice(STAR_POOL), rng.choice(STAR_POOL)]
         targets += [rng.choice(DOUBLE_STAR_POOL) for _ in range(n - 2)]
         outcome = build_generic(targets, Mode.GOAL)
-        certs.append(certificate_for(outcome.basis, tuple(targets)))
+        certs.append(certificate_for(outcome.certificate.basis, tuple(targets)))
     byte_identical = verdict_identical = True
     for cert in certs:
         text = cert.to_json()

@@ -182,7 +182,7 @@ class TestCorollary20:
         import hassett.lattice as lattice
         import hassett.verifier as verifier
 
-        constructions._corollary_build.cache_clear()
+        constructions.corollary20_certificate.cache_clear()
         originals = {
             "verify_witness": verifier.verify_witness,
             "gram_of": lattice.gram_of,

@@ -121,10 +121,11 @@ def named_build_digests():
     for case_id, params in NAMED_CASE_PARAMS:
         for mode in (Mode.STRICT, Mode.GOAL):
             o = build(case_id, params, mode)
-            basis = None if o.basis is None else tuple(v.coords for v in o.basis)
-            delta = None if o.reference is None else gram_delta(o.realized_gram, o.reference)
-            grams = [None if m is None else m.rows for m in (o.realized_gram, delta)]
-            record = repr((o.status.value, basis, *grams, o.targets, o.detail)).encode()
+            cert = o.certificate
+            basis = tuple(v.coords for v in cert.basis)
+            realized = cert.report.realized_gram
+            delta = gram_delta(realized, reference_gram(case_id, params))
+            record = repr((o.status.value, basis, realized.rows, delta.rows, cert.targets, o.detail)).encode()
             digests[case_id.value, params, mode.value] = hashlib.sha256(record).hexdigest()
     return digests
 
@@ -296,8 +297,8 @@ class TestRealizePerturbations:
         slots = case_slots(CaseId.R4_002, (2, 2, 4))
         outcome = realize_perturbations(slots)
         assert outcome.status == RealizationStatus.REALIZED_STRICT
-        assert outcome.basis[3] == 2 * A1 + i3_vector(0, 0, 1)
-        assert outcome.realized_gram == outcome.reference
+        assert outcome.certificate.basis[3] == 2 * A1 + i3_vector(0, 0, 1)
+        assert outcome.certificate.report.realized_gram == ideal_gram(slots)
 
     def test_nothing_to_perturb(self):
         slots = case_slots(CaseId.R4_000, (2, 2, 4))
@@ -309,7 +310,23 @@ class TestRealizePerturbations:
         slots = case_slots(CaseId.R5_0022, (2, 2, 4, 4))
         outcome = realize_perturbations(slots)
         assert outcome.status == RealizationStatus.NOT_REALIZABLE
-        assert outcome.realized_gram != outcome.reference
+        assert outcome.certificate.report.realized_gram != ideal_gram(slots)
+
+    def test_status_is_the_verifiers_comparison_with_the_given_reference(self):
+        # The ideal Gram is met, so the least miss is 0, but the reference
+        # passed in differs from it in one entry: the verifier's comparison
+        # with that reference decides the status, not the miss.
+        slots = case_slots(CaseId.R4_002, (2, 2, 4))
+        exact = realize_perturbations(slots)
+        assert exact.status == RealizationStatus.REALIZED_STRICT
+        rows = ideal_gram(slots).to_lists()
+        rows[1][2] = rows[2][1] = rows[1][2] + 1
+        outcome = realize_perturbations(slots, IntMatrix(rows))
+        assert outcome.status == RealizationStatus.NOT_REALIZABLE
+        assert outcome.certificate.report.gram_matches_reference is False
+        assert outcome.certificate.report.to_dict()["gramMatchesReference"] is False
+        assert outcome.certificate.basis == exact.certificate.basis
+        assert outcome.detail == ""
 
 
 def exhaustive_first_optimum(slots, target):
@@ -405,8 +422,8 @@ class TestExactStrictSearch:
             target = ideal_gram(slots)
             miss, basis = exhaustive_first_optimum(slots, target)
             outcome = realize_perturbations(slots)
-            assert outcome.basis == basis, targets
-            assert upper_miss(gram_delta(outcome.realized_gram, outcome.reference)) == miss, targets
+            assert outcome.certificate.basis == basis, targets
+            assert upper_miss(gram_delta(outcome.certificate.report.realized_gram, target)) == miss, targets
             if miss:
                 assert outcome.status == RealizationStatus.NOT_REALIZABLE
                 assert outcome.detail == f"optimal assignment misses target by {miss}"
@@ -428,7 +445,8 @@ class TestExactStrictSearch:
         outcome = build_generic(targets, Mode.STRICT)
         assert outcome.status == RealizationStatus.NOT_REALIZABLE
         assert outcome.detail == f"optimal assignment misses target by {optimum}"
-        assert upper_miss(gram_delta(outcome.realized_gram, outcome.reference)) == optimum
+        reference = ideal_gram(generic_slots(targets))
+        assert upper_miss(gram_delta(outcome.certificate.report.realized_gram, reference)) == optimum
 
     @pytest.mark.parametrize(
         "head,top,digest",
@@ -443,7 +461,7 @@ class TestExactStrictSearch:
         # Lists too long for the exhaustive oracle: a sha256 of the basis
         # coordinates pins which of the optimal assignments is kept.
         targets = list(head) + [6 * m * m + 2 for m in range(5, top + 1)]
-        basis = build_generic(targets, Mode.STRICT).basis
+        basis = build_generic(targets, Mode.STRICT).certificate.basis
         assert hashlib.sha256(repr(tuple(v.coords for v in basis)).encode()).hexdigest() == digest
 
 
@@ -485,30 +503,32 @@ class TestBuildStrict:
     def test_rank4_case1_exact(self):
         outcome = build(CaseId.R4_000, (2, 2, 4), Mode.STRICT)
         assert outcome.status == RealizationStatus.REALIZED_STRICT
-        assert outcome.basis == (
+        assert outcome.certificate.basis == (
             H_SQUARED,
             e_vec(1, 1) + 2 * e_vec(1, 2),
             e_vec(2, 1) + 2 * e_vec(2, 2),
             2 * A1,
         )
-        assert outcome.realized_gram == IntMatrix([[3, 0, 0, 0], [0, 4, 0, 0], [0, 0, 4, 0], [0, 0, 0, 8]])
+        assert outcome.certificate.report.realized_gram == IntMatrix(
+            [[3, 0, 0, 0], [0, 4, 0, 0], [0, 0, 4, 0], [0, 0, 0, 8]]
+        )
 
     def test_rank4_case2_exact(self):
         outcome = build(CaseId.R4_002, (2, 2, 4), Mode.STRICT)
         assert outcome.status == RealizationStatus.REALIZED_STRICT
-        assert outcome.realized_gram == reference_gram(CaseId.R4_002, (2, 2, 4))
+        assert outcome.certificate.report.realized_gram == reference_gram(CaseId.R4_002, (2, 2, 4))
 
     def test_rank4_cases_3_and_4_not_realizable(self):
         for case_id, params in ((CaseId.R4_022, (2, 2, 4)), (CaseId.R4_222, (1, 1, 4))):
             outcome = build(case_id, params, Mode.STRICT)
             assert outcome.status == RealizationStatus.NOT_REALIZABLE
-            assert outcome.realized_gram != outcome.reference
+            assert outcome.certificate.report.realized_gram != reference_gram(case_id, params)
 
     def test_rank21_all_zero_exact_with_diagram_cross_terms(self):
         params = (2, 2) + (4,) * 18
         outcome = build(CaseId.R21_ALL0, params, Mode.STRICT)
         assert outcome.status == RealizationStatus.REALIZED_STRICT
-        g = outcome.realized_gram
+        g = outcome.certificate.report.realized_gram
         # slots 5 and 11 sit on adjacent E8 nodes: cross term -m5*m11.
         assert g[5][11] == -4
         assert g[3][4] == 4  # the A2 pair
@@ -517,8 +537,12 @@ class TestBuildStrict:
         params = (1, 1) + (4,) * 18
         outcome = build(CaseId.R21_ALL2, params, Mode.STRICT)
         assert outcome.status == RealizationStatus.NOT_REALIZABLE
-        assert outcome.realized_gram != outcome.reference
-        assert outcome.reference == reference_gram(CaseId.R21_ALL2, params)
+        cert = outcome.certificate
+        reference = reference_gram(CaseId.R21_ALL2, params)
+        assert cert.report.realized_gram != reference
+        # The status is the verifier's comparison with the transcribed Gram.
+        assert cert.report == verify_witness(cert.basis, cert.targets, reference)
+        assert cert.report.gram_matches_reference is False
         # The verdict is computed: entries of the transcribed Gram that no
         # pair of candidate generators meets.
         assert outcome.detail == "26 target entries are met by no candidate pair, first (1, 3) = 0"
@@ -548,7 +572,7 @@ class TestBuildStrict:
         # Pairs that each meet their entry do not prove that one assignment
         # meets them all, so build raises rather than report a verdict.
         params = (1, 1) + (4,) * 18
-        realized = build(CaseId.R21_ALL2, params, Mode.STRICT).realized_gram
+        realized = build(CaseId.R21_ALL2, params, Mode.STRICT).certificate.report.realized_gram
         monkeypatch.setattr(constructions, "_r21_all2_gram", lambda params: realized)
         with pytest.raises(RuntimeError, match="no verdict"):
             build(CaseId.R21_ALL2, params, Mode.STRICT)
@@ -567,8 +591,8 @@ class TestBuildGoal:
     def test_rank4_goal_witnesses(self, case_id, params, expected_ds):
         outcome = build(case_id, params, Mode.GOAL)
         assert outcome.status == RealizationStatus.REALIZED_GOAL
-        assert outcome.targets == expected_ds
-        for v, d in zip(outcome.basis[1:], expected_ds):
+        assert outcome.certificate.targets == expected_ds
+        for v, d in zip(outcome.certificate.basis[1:], expected_ds):
             hv = inner_product(H_SQUARED, v)
             assert 3 * inner_product(v, v) - hv * hv == d
 
@@ -577,7 +601,7 @@ class TestBuildGoal:
         # use it: GOAL passes at (12, 12, 24).
         outcome = build(CaseId.R4_000, (2, 2, 4), Mode.GOAL)
         assert outcome.status == RealizationStatus.REALIZED_GOAL
-        report = verify_witness(outcome.basis, outcome.targets)
+        report = verify_witness(outcome.certificate.basis, outcome.certificate.targets)
         assert report.verdict == "PASS", report.failure_reasons
         assert [l.realized_d for l in report.labellings] == [12, 12, 24]
 
@@ -590,8 +614,8 @@ class TestBuildGoal:
         ):
             outcome = build(case_id, params, Mode.GOAL)
             assert outcome.status == RealizationStatus.REALIZED_GOAL
-            assert outcome.targets == ds
-            report = verify_witness(outcome.basis, outcome.targets)
+            assert outcome.certificate.targets == ds
+            report = verify_witness(outcome.certificate.basis, outcome.certificate.targets)
             assert report.verdict == "PASS", report.failure_reasons
 
     def test_slot_norm_and_pairing_invariants(self):
@@ -601,7 +625,7 @@ class TestBuildGoal:
             outcome = build(case_id, params, Mode.GOAL)
             assert outcome.status == RealizationStatus.REALIZED_GOAL, (case_id, params)
             slots = case_slots(case_id, params)
-            for slot, v in zip(slots, outcome.basis[1:]):
+            for slot, v in zip(slots, outcome.certificate.basis[1:]):
                 hv = inner_product(H_SQUARED, v)
                 vv = inner_product(v, v)
                 assert 3 * vv - hv * hv == slot.target_d
@@ -618,9 +642,10 @@ class TestBuildGoal:
         assert {case_id for case_id, _ in NAMED_CASE_PARAMS} == set(CaseId)
         for case_id, params in NAMED_CASE_PARAMS:
             outcome = build(case_id, params, Mode.GOAL)
-            assert outcome.reference == reference_gram(case_id, params)
+            cert = outcome.certificate
+            assert cert.report == verify_witness(cert.basis, cert.targets, reference_gram(case_id, params))
             if outcome.status == RealizationStatus.REALIZED_GOAL:
-                report = verify_witness(outcome.basis, outcome.targets)
+                report = verify_witness(outcome.certificate.basis, outcome.certificate.targets)
                 assert report.verdict == "PASS", (case_id, report.failure_reasons)
             else:
                 # A truncated search is never reported as a proof of impossibility.
@@ -630,37 +655,46 @@ class TestBuildGoal:
 
 
 def _carried_report_outcomes():
-    """(mode, outcome) of seeded GOAL and STRICT lists, then of every named build in both modes.
+    """(mode, targets, reference, outcome) of seeded GOAL and STRICT lists, then of every named build.
 
-    The named builds include the exhausted ``R21_ALL0`` GOAL search and the
-    STRICT ``R21_ALL2`` build judged against its transcribed Gram.
+    ``reference`` is the Gram a build is judged against: none for a GOAL
+    list, the ideal Gram of a STRICT list's slots, a named case's reference
+    Gram in both modes.  The named builds include the exhausted ``R21_ALL0``
+    GOAL search and the STRICT ``R21_ALL2`` build judged against its
+    transcribed Gram.
     """
     rng = random.Random(24)
     for mode in (Mode.GOAL, Mode.STRICT):
         for n in range(2, 21 if mode == Mode.GOAL else 11):
             targets = [rng.choice((8, 12, 14, 20, 24, 26)) for _ in range(2)]
             targets += [6 * m * m + rng.choice((0, 2)) for m in rng.sample(range(2, 30), n - 2)]
-            yield mode, build_generic(targets, mode)
+            reference = ideal_gram(generic_slots(targets)) if mode == Mode.STRICT else None
+            yield mode, tuple(targets), reference, build_generic(targets, mode)
     for case_id, params in NAMED_CASE_PARAMS:
+        targets = tuple(s.target_d for s in case_slots(case_id, params))
         for mode in (Mode.GOAL, Mode.STRICT):
-            yield mode, build(case_id, params, mode)
+            yield mode, targets, reference_gram(case_id, params), build(case_id, params, mode)
 
 
 def test_carried_report_is_the_verifiers():
-    # A stale reference, basis or target list would show as a report that
-    # verify_witness does not give for the outcome's own fields.
-    exhausted = 0
-    for mode, outcome in _carried_report_outcomes():
+    # A stale reference or target list would show as a report that
+    # verify_witness does not give for the certificate's own basis.  Each
+    # status is the carried report's: GOAL's verdict, STRICT's Gram comparison.
+    exhausted = strict_realized = 0
+    for mode, targets, reference, outcome in _carried_report_outcomes():
         cert = outcome.certificate
-        report = verify_witness(outcome.basis, outcome.targets, outcome.reference)
-        assert cert.report == report, (outcome.targets, outcome.status)
-        assert cert.basis == tuple(v.coords for v in outcome.basis)
-        assert cert.targets == outcome.targets
+        report = verify_witness(cert.basis, targets, reference)
+        assert cert.report == report, (targets, outcome.status)
+        assert cert.targets == targets
         if mode == Mode.GOAL:
             realized = outcome.status == RealizationStatus.REALIZED_GOAL
             exhausted += outcome.detail.startswith("search exhausted")
-            assert realized == (report.verdict == "PASS"), (outcome.targets, outcome.detail)
-    assert exhausted >= 1
+            assert realized == (report.verdict == "PASS"), (targets, outcome.detail)
+        else:
+            realized = outcome.status == RealizationStatus.REALIZED_STRICT
+            strict_realized += realized
+            assert realized == report.gram_matches_reference, (targets, outcome.detail)
+    assert exhausted >= 1 and strict_realized >= 1
 
 
 class TestGenericBuilds:
@@ -671,12 +705,14 @@ class TestGenericBuilds:
     def test_equivalent_to_rank4_case1(self):
         outcome = build_generic((12, 12, 24), Mode.STRICT)
         assert outcome.status == RealizationStatus.REALIZED_STRICT
-        assert outcome.realized_gram == IntMatrix([[3, 0, 0, 0], [0, 4, 0, 0], [0, 0, 4, 0], [0, 0, 0, 8]])
+        assert outcome.certificate.report.realized_gram == IntMatrix(
+            [[3, 0, 0, 0], [0, 4, 0, 0], [0, 0, 4, 0], [0, 0, 0, 8]]
+        )
 
     def test_two_targets_need_only_hyperbolic_slots(self):
         outcome = build_generic((8, 8), Mode.GOAL)
         assert outcome.status == RealizationStatus.REALIZED_GOAL
-        assert len(outcome.basis) == 3
+        assert len(outcome.certificate.basis) == 3
 
     def test_flagship_slot_parameters(self):
         slots = generic_slots(COROLLARY_DISCRIMINANTS)
@@ -710,7 +746,7 @@ class TestGenericBuilds:
         def discs(outcome, ds):
             return sorted(
                 (d, 3 * inner_product(v, v) - inner_product(H_SQUARED, v) ** 2)
-                for d, v in zip(ds, outcome.basis[1:])
+                for d, v in zip(ds, outcome.certificate.basis[1:])
             )
 
         assert discs(base, targets) == discs(other, shuffled)
@@ -726,7 +762,7 @@ class TestGenericBuilds:
     def test_goal_passes_where_scaled_slots_cannot(self, targets):
         outcome = build_generic(targets, Mode.GOAL)
         assert outcome.status == RealizationStatus.REALIZED_GOAL
-        report = verify_witness(outcome.basis, targets)
+        report = verify_witness(outcome.certificate.basis, targets)
         assert report.verdict == "PASS", report.failure_reasons
         assert [l.realized_d for l in report.labellings] == list(targets)
 
@@ -741,17 +777,17 @@ class TestGenericBuilds:
         assert outcome.status == RealizationStatus.REALIZED_GOAL
         quotient = [
             v.coords[:16] + (v.coords[21] - v.coords[20], v.coords[22] - v.coords[20])
-            for v in outcome.basis[3:]
+            for v in outcome.certificate.basis[3:]
         ]
         invariants = invariant_factors(from_columns(quotient))
         assert [d for d in invariants if d > 1] == [2, 6]
         # v_j = y_j + s_j f1 + u_j f2, and e_i . f_i = 1 reads off the glue.
         glue = [
             (inner_product(e_vec(1, 1), v), inner_product(e_vec(2, 1), v))
-            for v in outcome.basis[3:]
+            for v in outcome.certificate.basis[3:]
         ]
         assert any(s for s, _ in glue) and any(u for _, u in glue)
-        report = verify_witness(outcome.basis, targets)
+        report = verify_witness(outcome.certificate.basis, targets)
         assert report.verdict == "PASS", report.failure_reasons
 
     def test_exhausted_search_is_not_reported_realized(self, monkeypatch):
@@ -764,12 +800,12 @@ class TestGenericBuilds:
         outcome = build_generic((12, 12, 26), Mode.GOAL)
         assert outcome.status == RealizationStatus.NOT_REALIZABLE
         assert "exhausted" in outcome.detail and "impossible" in outcome.detail
-        assert outcome.basis is not None
+        assert outcome.certificate.basis is not None
 
     def test_goal_output_is_identical_across_processes(self):
         script = (
             "from hassett.constructions import Mode, build_generic\n"
-            "print(build_generic((14, 38, 26, 98, 218, 294), Mode.GOAL).basis)\n"
+            "print(build_generic((14, 38, 26, 98, 218, 294), Mode.GOAL).certificate.basis)\n"
         )
         src = str(Path(constructions.__file__).resolve().parents[1])
         outs = [
@@ -791,7 +827,7 @@ class TestGenericBuilds:
             targets = [rng.choice((8, 12, 14, 20, 24, 26)) for _ in range(2)]
             targets += [rng.choice((24, 26, 54, 56, 96, 98)) for _ in range(n - 2)]
             outcome = build_generic(targets, Mode.GOAL)
-            for v in outcome.basis[1:]:
+            for v in outcome.certificate.basis[1:]:
                 hv = inner_product(H_SQUARED, v)
                 assert (3 * inner_product(v, v) - hv * hv) % 6 in (0, 2)
 
@@ -874,7 +910,7 @@ def test_goal_reads_the_generator_only_through_getrandbits(monkeypatch):
     with pytest.raises(AssertionError, match="past getrandbits"):
         constructions.random.Random(1).choice((1, -1))
     for targets, outcome in zip(lists, expected):
-        assert build_generic(targets, Mode.GOAL).basis == outcome.basis
+        assert build_generic(targets, Mode.GOAL).certificate.basis == outcome.certificate.basis
 
 
 def _oracle_slot_lists():
@@ -932,8 +968,8 @@ def test_fallback_basis_is_built_only_when_the_search_is_exhausted(monkeypatch):
         else s.bare_generator()
         for s in slots
     )
-    assert outcome.basis == canonical
-    assert outcome.realized_gram == gram_of(canonical)
+    assert outcome.certificate.basis == canonical
+    assert outcome.certificate.report.realized_gram == gram_of(canonical)
 
 
 def _glue_candidates(k):

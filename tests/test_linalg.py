@@ -423,9 +423,9 @@ def _seeded_rows(rng: random.Random, kind: str) -> list[list[int]]:
 
 def _scrambled_corollary():
     """The corollary basis after 1000 moves v_i += c v_j on v_1..v_20, h2 kept first."""
-    from hassett.constructions import _corollary_build
+    from hassett.constructions import corollary20_certificate
 
-    rows = [list(v.coords) for v in _corollary_build().basis]
+    rows = [list(v.coords) for v in corollary20_certificate().basis]
     rng = random.Random(11)
     for _ in range(1000):
         i = rng.randint(1, 20)

@@ -7,13 +7,14 @@ import pytest
 
 from hassett.constructions import (
     COROLLARY_DISCRIMINANTS,
-    _corollary_build,
     CaseId,
     Mode,
     build,
     build_generic,
     check_identity,
     corollary20_certificate,
+    generic_slots,
+    ideal_gram,
 )
 import hassett.constructions as constructions
 from hassett.criteria import discriminant_report, satisfies_star
@@ -81,7 +82,7 @@ class TestOracle:
 class TestVerifyWitness:
     def test_rank4_case1_checks(self):
         outcome = build(CaseId.R4_000, (2, 2, 4), Mode.STRICT)
-        report = verify_witness(outcome.basis, (12, 12, 24))
+        report = verify_witness(outcome.certificate.basis, (12, 12, 24))
         assert [l.realized_d for l in report.labellings] == [12, 12, 24]
         assert all(l.saturated_in_m for l in report.labellings)
         assert report.criterion.minimum_norm == 3
@@ -92,7 +93,7 @@ class TestVerifyWitness:
 
     def test_rank4_case2_passes(self):
         outcome = build(CaseId.R4_002, (2, 2, 4), Mode.GOAL)
-        report = verify_witness(outcome.basis, outcome.targets)
+        report = verify_witness(outcome.certificate.basis, outcome.certificate.targets)
         assert report.verdict == "PASS"
         assert report.failure_reasons == ()
 
@@ -110,7 +111,7 @@ class TestVerifyWitness:
 
     def test_disc_mismatch_is_positional(self):
         outcome = build(CaseId.R4_002, (2, 2, 4), Mode.GOAL)
-        report = verify_witness(outcome.basis, (12, 14, 26))
+        report = verify_witness(outcome.certificate.basis, (12, 14, 26))
         assert "DISC_MISMATCH(1)" in report.failure_reasons
 
     def test_wrong_first_vector(self):
@@ -139,11 +140,12 @@ class TestVerifyWitness:
 
         monkeypatch.setattr(verifier, "inner_product", counting)
         outcome = build_generic((12, 14, 26, 98, 56), Mode.GOAL)
-        report = verify_witness(outcome.basis, outcome.targets)
+        report = verify_witness(outcome.certificate.basis, outcome.certificate.targets)
         assert calls == [] and report.verdict == "PASS"
         # Without h2 first, every labelling still pairs h2 with its vector.
-        swapped = (outcome.basis[1], outcome.basis[0]) + outcome.basis[2:]
-        report = verify_witness(swapped, outcome.targets)
+        basis = outcome.certificate.basis
+        swapped = (basis[1], basis[0]) + basis[2:]
+        report = verify_witness(swapped, outcome.certificate.targets)
         assert calls == list(swapped[1:])
         assert "FIRST_BASIS_NOT_H_SQUARED" in report.failure_reasons
         realized = [3 * inner(v, v) - inner(H_SQUARED, v) ** 2 for v in swapped[1:]]
@@ -151,8 +153,8 @@ class TestVerifyWitness:
 
     def test_bit_for_bit_determinism(self):
         outcome = build(CaseId.R4_022, (2, 2, 4), Mode.GOAL)
-        r1 = verify_witness(outcome.basis, outcome.targets)
-        r2 = verify_witness(outcome.basis, outcome.targets)
+        r1 = verify_witness(outcome.certificate.basis, outcome.certificate.targets)
+        r2 = verify_witness(outcome.certificate.basis, outcome.certificate.targets)
         assert r1 == r2
         assert json.dumps(r1.to_dict()) == json.dumps(r2.to_dict())
 
@@ -199,19 +201,19 @@ def golden_pool():
     for mode, n in lists:
         targets = tuple(rng.sample(star, 2) + rng.sample(double_star, n - 2))
         outcome = build_generic(targets, mode)
-        basis = outcome.basis
+        basis = outcome.certificate.basis
         doubled = rng.randrange(len(basis))
         repeated = rng.randrange(1, len(basis))
         shuffled = list(basis[1:])
         rng.shuffle(shuffled)
-        yield basis, targets, outcome.reference
+        yield basis, targets, ideal_gram(generic_slots(targets)) if mode == Mode.STRICT else None
         yield (basis[0] + basis[1],) + basis[1:], targets, None
         yield basis[1:] + basis[:1], targets, None
         yield basis[:doubled] + (2 * basis[doubled],) + basis[doubled + 1 :], targets, None
         yield basis[:repeated] + (basis[repeated - 1],) + basis[repeated + 1 :], targets, None
         yield (basis[0],) + tuple(shuffled), targets, None
         yield basis, targets[:-1], None
-    yield build_generic(COROLLARY_DISCRIMINANTS, Mode.GOAL).basis, COROLLARY_DISCRIMINANTS, None
+    yield build_generic(COROLLARY_DISCRIMINANTS, Mode.GOAL).certificate.basis, COROLLARY_DISCRIMINANTS, None
 
 
 def golden_digest():
@@ -255,7 +257,7 @@ class TestCorollary20:
     def test_verification_runs_no_smith_form(self, monkeypatch):
         import hassett.linalg as linalg
 
-        basis = _corollary_build().basis
+        basis = corollary20_certificate().basis
         expected = verify_witness(basis, COROLLARY_DISCRIMINANTS)
 
         def refuse(*args):
@@ -285,13 +287,13 @@ class TestCertificates:
 
     def test_round_trip_passing_certificate(self):
         outcome = build_generic((12, 12, 26), Mode.GOAL)
-        cert = certificate_for(outcome.basis, outcome.targets)
+        cert = certificate_for(outcome.certificate.basis, outcome.certificate.targets)
         again = Certificate.from_json(cert.to_json())
         assert again.report.verdict == "PASS"
 
     def test_tampered_basis_detected(self):
         outcome = build_generic((12, 12, 26), Mode.GOAL)
-        cert = certificate_for(outcome.basis, outcome.targets)
+        cert = certificate_for(outcome.certificate.basis, outcome.certificate.targets)
         doc = json.loads(cert.to_json())
         doc["basis"][1] = [2 * x for x in doc["basis"][1]]
         tampered = Certificate.from_json(json.dumps(doc))
@@ -329,13 +331,13 @@ class TestCertificates:
         # a 1 x 3 Gram and unknown keys: it parses, and its report is the
         # verifier's, not the file's.
         outcome = build_generic((12, 12, 26), Mode.GOAL)
-        doc = json.loads(certificate_for(outcome.basis, outcome.targets).to_json())
+        doc = json.loads(certificate_for(outcome.certificate.basis, outcome.certificate.targets).to_json())
         doc["extra"] = 1
         doc["report"]["criterion"]["bogus"] = True
         doc["report"]["labellings"] = []
         doc["report"]["realizedGram"] = [[1, 2, 3]]
         parsed = Certificate.from_json(json.dumps(doc))
-        assert parsed.report == verify_witness(outcome.basis, outcome.targets)
+        assert parsed.report == verify_witness(outcome.certificate.basis, outcome.certificate.targets)
         assert [l.realized_d for l in parsed.report.labellings] == [12, 12, 26]
 
     def test_truncated_json_rejected(self):
