@@ -3,8 +3,8 @@
 A witness is built for a target list of 2 to 20 discriminants
 d_i = 6 n_i + r_i with r_i in {0, 2}.  The named rank-4, rank-5 and rank-21
 cases (``CaseId``) are such lists, with the residues read off the case
-value, so they take the same slots as any other list (``case_slots``); what
-sets them apart is their reference Gram.
+value, so they take the slots of any other list (``case_slots``) and build
+as it does; only ``R21_ALL2`` has a reference Gram of its own.
 
 Every slot witness here is spanned by h2 together with one generator per
 "slot":
@@ -33,17 +33,17 @@ Two realization modes, for named cases (``build``) and target lists
   slot's candidate generators (see ``_exact_assignment``).  The status is
   the verifier's comparison of the witness's Gram with the reference Gram,
   so REALIZED_STRICT means the certificate records an exact match.  The
-  transcribed ``R21_ALL2`` Gram is not met, and ``build`` notes the entries
+  transcribed ``R21_ALL2`` Gram is not met, and the note names its entries
   that no pair of candidate generators meets.
   STRICT reproduces the scaled reference Grams, so its witnesses can fail
   saturation: a residue-0 column ``m * b`` has content m.
 * GOAL keeps only the per-slot discriminants and builds a glued witness,
-  saturated by construction, that must also pass the remaining checks.
+  saturated by construction, that must also pass the remaining checks; it is
+  compared with no reference Gram.
 
-STRICT compares a named case with its reference Gram and a target list with
-the ideal Gram of its slots, a closed form in the slot parameters and the A2
-and E8 Gram entries (``ideal_gram``), so STRICT computes one Gram, that of
-its witness, in the verifier.  The glued GOAL witness is built as follows.
+The ideal Gram is a closed form in the slot parameters and the A2 and E8 Gram
+entries (``ideal_gram``), so STRICT computes one Gram, that of its witness,
+in the verifier.  The glued GOAL witness is built as follows.
 Write P = E8+E8+I3, so L = P+U1+U2 with U_i spanned by the isotropic pair
 e_i = e_vec(i, 1), f_i = e_vec(i, 2).  The basis is h2, the U-slot
 generators v1 = e1 + n1*f1 (+p1) and v2 = e2 + n2*f2 (+p2) exactly as above,
@@ -219,8 +219,9 @@ class RealizationOutcome(NamedTuple):
     """A build's status, the certificate it was decided by, and a note.
 
     ``certificate`` is the one ``certificate_for`` the builder ran: its
-    ``basis``, ``targets`` and report, whose realized Gram was compared with
-    the reference Gram (ideal or named) when the build had one.
+    ``basis``, ``targets`` and report, which compares the realized Gram with
+    the reference Gram in STRICT and with none in GOAL.  The status is read
+    off the report, and ``detail`` is evidence only.
     """
 
     status: RealizationStatus
@@ -357,15 +358,10 @@ def _r21_all2_gram(params: Sequence[int]) -> IntMatrix:
     return IntMatrix(g)
 
 
-def _named_case(case_id: CaseId, params: Sequence[int]) -> tuple[tuple[SlotSpec, ...], IntMatrix]:
-    """A named case's slots and reference Gram: their ideal Gram, or R21_ALL2's transcribed one."""
-    slots = case_slots(case_id, params)
-    return slots, _r21_all2_gram(params) if case_id == CaseId.R21_ALL2 else ideal_gram(slots)
-
-
 def reference_gram(case_id: CaseId, params: Sequence[int]) -> IntMatrix:
-    """Reference Gram matrix of a named case at concrete parameters."""
-    return _named_case(case_id, params)[1]
+    """A named case's reference Gram: its slots' ideal Gram, or R21_ALL2's transcribed one."""
+    slots = case_slots(case_id, params)
+    return _r21_all2_gram(params) if case_id == CaseId.R21_ALL2 else ideal_gram(slots)
 
 
 def _i3_box(width: int, total: int) -> tuple[tuple[int, int, int], ...]:
@@ -454,36 +450,44 @@ def realize_perturbations(
     which candidates the A2 slots take, and ``_exact_assignment`` keeps its
     least value and the first assignment that attains it, in candidate
     order, in one pass over those few choices; the basis takes the picked
-    ``_generators``.  The basis is certified once, against ``reference``:
-    the ideal Gram unless the caller passes one, as ``build`` passes a named
-    case's.  The status is the verifier's Gram comparison: REALIZED_STRICT
-    when the realized Gram equals ``reference``, otherwise NOT_REALIZABLE.
-    A nonzero least deviation is noted in ``detail``.
+    ``_generators``.  The basis is certified once, against ``reference``,
+    else the ideal Gram.  The status is the verifier's Gram comparison:
+    REALIZED_STRICT on a match, else NOT_REALIZABLE, noting the least
+    deviation, or for a given reference its entries that no candidate
+    pair meets (``_unmet_entries``), if any.
     """
     slots = tuple(slots)
     gens = [_generators(s) for s in slots]
     miss, picks = _exact_assignment(slots, gens)
     basis = (H_SQUARED,) + tuple(g[a] for g, a in zip(gens, picks))
-    reference = ideal_gram(slots) if reference is None else reference
-    certificate = certificate_for(basis, tuple(s.target_d for s in slots), reference)
-    matched = certificate.report.gram_matches_reference
-    return RealizationOutcome(
-        status=RealizationStatus.REALIZED_STRICT if matched else RealizationStatus.NOT_REALIZABLE,
-        certificate=certificate,
-        detail=f"optimal assignment misses target by {miss}" if miss else "",
-    )
+    against = ideal_gram(slots) if reference is None else reference
+    certificate = certificate_for(basis, tuple(s.target_d for s in slots), against)
+    if certificate.report.gram_matches_reference:
+        return RealizationOutcome(RealizationStatus.REALIZED_STRICT, certificate)
+    detail = ""
+    if reference is None:
+        detail = f"optimal assignment misses target by {miss}"
+    elif unmet := _unmet_entries(gens, reference):
+        i, j = unmet[0]
+        detail = (
+            f"{len(unmet)} target entries are met by no candidate pair, "
+            f"first ({i}, {j}) = {reference[i][j]}"
+        )
+    return RealizationOutcome(RealizationStatus.NOT_REALIZABLE, certificate, detail)
 
 
-def _unmet_entries(slots: Sequence[SlotSpec], target: IntMatrix) -> list[tuple[int, int]]:
+def _unmet_entries(
+    gens: Sequence[Sequence[AmbientVector]], target: IntMatrix
+) -> list[tuple[int, int]]:
     """Entries (i, j), i <= j, of ``target`` that no pair of candidate generators meets.
 
-    Row and column 0 belong to h2; entry (i, j) is met when some candidate of
-    slot i pairs to ``target[i][j]`` with some candidate of slot j, where on
-    the diagonal a candidate pairs only with itself.  Every witness the slots
-    can give misses each such entry, so one of them proves the target
-    unrealizable.
+    ``gens`` holds each slot's ``_generators``, and row and column 0 of
+    ``target`` belong to h2; entry (i, j) is met when some candidate of slot
+    i pairs to ``target[i][j]`` with some candidate of slot j, where on the
+    diagonal a candidate pairs only with itself.  Every witness the slots can
+    give misses each such entry, so one of them proves the target unrealizable.
     """
-    gens = [(H_SQUARED,)] + [_generators(s) for s in slots]
+    gens = [(H_SQUARED,), *gens]
     return [
         (i, j)
         for i, j in itertools.combinations_with_replacement(range(len(gens)), 2)
@@ -498,30 +502,15 @@ def build(case_id: CaseId, params: Sequence[int], mode: Mode = Mode.GOAL) -> Rea
     """Assemble a named witness in the requested realization mode.
 
     A named case is its target list d_i = 6 n_i + r_i (see ``case_slots``),
-    built as ``build_generic`` builds it, with the case's reference Gram
-    (``_named_case``) as ``reference``.  STRICT for ``R21_ALL2`` keeps the
-    basis of the ideal search, which the verifier finds NOT_REALIZABLE against
-    the transcribed Gram, and notes the entries of that Gram that no pair of
-    candidate generators meets (``_unmet_entries``): no assignment reproduces
-    such an entry.  If every entry were met by some pair, that would decide
-    nothing, so ``build`` raises ``RuntimeError`` rather than report a verdict.
+    built as ``build_generic`` builds it, except that STRICT ``R21_ALL2`` is
+    certified against its transcribed Gram (``_r21_all2_gram``), which its
+    witness misses, and notes that Gram's entries no candidate pair meets.
     """
-    slots, reference = _named_case(case_id, params)
+    slots = case_slots(case_id, params)
     if mode == Mode.GOAL:
-        return _glued_search(slots, reference)
-    outcome = realize_perturbations(slots, reference)
-    if case_id != CaseId.R21_ALL2:
-        return outcome
-    unmet = _unmet_entries(slots, reference)
-    if not unmet:
-        raise RuntimeError("every reference entry is met by some candidate pair; no verdict")
-    i, j = unmet[0]
-    return outcome._replace(
-        detail=(
-            f"{len(unmet)} target entries are met by no candidate pair, "
-            f"first ({i}, {j}) = {reference[i][j]}"
-        ),
-    )
+        return _glued_search(slots)
+    transcribed = _r21_all2_gram(params) if case_id == CaseId.R21_ALL2 else None
+    return realize_perturbations(slots, transcribed)
 
 
 def generic_slots(targets: Sequence[int]) -> tuple[SlotSpec, ...]:
@@ -787,13 +776,11 @@ def _glue(ys: Sequence[AmbientVector]) -> tuple[int, ...] | None:
     return None
 
 
-def _glued_search(
-    slots: Sequence[SlotSpec], reference: IntMatrix | None = None
-) -> RealizationOutcome:
+def _glued_search(slots: Sequence[SlotSpec]) -> RealizationOutcome:
     """GOAL witness: v1, v2 from the U slots, v_j = y_j plus f1 or f2 where ``_glue`` names j.
 
-    A draw is accepted when its certificate, ``certificate_for`` against
-    ``reference``, has verdict PASS.  Saturation, h2 and the discriminants
+    A draw is accepted when its certificate, ``certificate_for`` with no
+    reference Gram, has verdict PASS.  Saturation, h2 and the discriminants
     hold by construction (see the module docstring), so in effect the verdict
     decides definiteness and the minimum; it checks the rest all the same.
     An exhausted search certifies its basis of first candidates once.
@@ -811,14 +798,14 @@ def _glued_search(
         for j, f in zip(glue, (e_vec(1, 2), e_vec(2, 2))):
             ys[j] = ys[j] + f
         basis = head + tuple(ys)
-        certificate = certificate_for(basis, targets, reference)
+        certificate = certificate_for(basis, targets)
         if certificate.report.verdict == "PASS":
             return RealizationOutcome(RealizationStatus.REALIZED_GOAL, certificate)
     # Only an exhausted search reports the basis of first candidates.
     canonical = head + tuple(_generators(s)[0] for s in slots[2:])
     return RealizationOutcome(
         status=RealizationStatus.NOT_REALIZABLE,
-        certificate=certificate_for(canonical, targets, reference),
+        certificate=certificate_for(canonical, targets),
         detail=(
             f"search exhausted: none of {attempts} seeded glued witnesses passed "
             "every check; this does not show that the targets are impossible"

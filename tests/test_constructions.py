@@ -315,7 +315,8 @@ class TestRealizePerturbations:
     def test_status_is_the_verifiers_comparison_with_the_given_reference(self):
         # The ideal Gram is met, so the least miss is 0, but the reference
         # passed in differs from it in one entry: the verifier's comparison
-        # with that reference decides the status, not the miss.
+        # with that reference decides the status, and the note names the
+        # entry, which the two U generators pair to 0 whatever they take.
         slots = case_slots(CaseId.R4_002, (2, 2, 4))
         exact = realize_perturbations(slots)
         assert exact.status == RealizationStatus.REALIZED_STRICT
@@ -326,6 +327,20 @@ class TestRealizePerturbations:
         assert outcome.certificate.report.gram_matches_reference is False
         assert outcome.certificate.report.to_dict()["gramMatchesReference"] is False
         assert outcome.certificate.basis == exact.certificate.basis
+        assert outcome.detail == "1 target entries are met by no candidate pair, first (1, 2) = 1"
+
+    def test_reference_met_entry_by_entry_but_missed_has_an_empty_note(self):
+        # Both U slots on the first I3 unit pair to 1, so the candidate pair
+        # (0, 0) meets every entry of this reference; the search puts them on
+        # different units, and its witness misses the cross entry.
+        slots = generic_slots((14, 14))
+        gens = [constructions._generators(s) for s in slots]
+        reference = gram_of([H_SQUARED, gens[0][0], gens[1][0]])
+        assert constructions._unmet_entries(gens, reference) == []
+        outcome = realize_perturbations(slots, reference)
+        assert outcome.status == RealizationStatus.NOT_REALIZABLE
+        assert outcome.certificate.report.realized_gram[1][2] == 0 != reference[1][2]
+        assert outcome.certificate.report.gram_matches_reference is False
         assert outcome.detail == ""
 
 
@@ -398,7 +413,7 @@ class TestUnmetEntries:
             for choice in itertools.product(*(constructions._generators(s) for s in slots)):
                 gram = gram_of([H_SQUARED, *choice])
                 met |= {(i, j) for i, j in entries if gram[i][j] == target[i][j]}
-            unmet = constructions._unmet_entries(slots, target)
+            unmet = constructions._unmet_entries([constructions._generators(s) for s in slots], target)
             assert unmet == sorted(entries - met), rows
             assert exhaustive_first_optimum(slots, target)[0] >= len(unmet)
             moved_and_met += len(moved - set(unmet))
@@ -408,7 +423,8 @@ class TestUnmetEntries:
         slots = generic_slots((14, 14))
         rows = ideal_gram(slots).to_lists()
         rows[1][1] -= 1
-        assert constructions._unmet_entries(slots, IntMatrix(rows)) == [(1, 1)]
+        gens = [constructions._generators(s) for s in slots]
+        assert constructions._unmet_entries(gens, IntMatrix(rows)) == [(1, 1)]
 
 
 class TestExactStrictSearch:
@@ -496,7 +512,23 @@ def test_named_build_makes_slots_and_ideal_gram_once(mode, monkeypatch):
 
         monkeypatch.setattr(constructions, name, counting)
     build(CaseId.R5_0222, (2, 2, 4, 4), mode)
-    assert calls == {"case_slots": 1, "ideal_gram": 1}
+    # GOAL is judged against no reference, so it needs no ideal Gram.
+    assert calls == {"case_slots": 1, "ideal_gram": int(mode == Mode.STRICT)}
+
+
+def test_strict_r21_all2_builds_its_candidate_table_once(monkeypatch):
+    # The search and the note read one table: one _generators call per slot.
+    calls = []
+    inner = constructions._generators
+
+    def counting(slot):
+        calls.append(slot)
+        return inner(slot)
+
+    monkeypatch.setattr(constructions, "_generators", counting)
+    outcome = build(CaseId.R21_ALL2, (2, 2) + (9,) * 18, Mode.STRICT)
+    assert re.fullmatch(r"\d+ target entries are met by no candidate pair, .*", outcome.detail)
+    assert len(calls) == 20
 
 
 class TestBuildStrict:
@@ -569,13 +601,16 @@ class TestBuildStrict:
         assert 0 < definite < len(tuples)
 
     def test_reference_met_entry_by_entry_gets_no_verdict(self, monkeypatch):
-        # Pairs that each meet their entry do not prove that one assignment
-        # meets them all, so build raises rather than report a verdict.
+        # The note is evidence, not a verdict: with the realized Gram as
+        # reference every entry is met, and the verifier's comparison alone
+        # makes the build REALIZED_STRICT, with an empty note.
         params = (1, 1) + (4,) * 18
         realized = build(CaseId.R21_ALL2, params, Mode.STRICT).certificate.report.realized_gram
         monkeypatch.setattr(constructions, "_r21_all2_gram", lambda params: realized)
-        with pytest.raises(RuntimeError, match="no verdict"):
-            build(CaseId.R21_ALL2, params, Mode.STRICT)
+        outcome = build(CaseId.R21_ALL2, params, Mode.STRICT)
+        assert outcome.status == RealizationStatus.REALIZED_STRICT
+        assert outcome.certificate.report.gram_matches_reference is True
+        assert outcome.detail == ""
 
 
 class TestBuildGoal:
@@ -643,25 +678,31 @@ class TestBuildGoal:
         for case_id, params in NAMED_CASE_PARAMS:
             outcome = build(case_id, params, Mode.GOAL)
             cert = outcome.certificate
-            assert cert.report == verify_witness(cert.basis, cert.targets, reference_gram(case_id, params))
+            assert cert.report == verify_witness(cert.basis, cert.targets)
             if outcome.status == RealizationStatus.REALIZED_GOAL:
-                report = verify_witness(outcome.certificate.basis, outcome.certificate.targets)
-                assert report.verdict == "PASS", (case_id, report.failure_reasons)
+                assert cert.report.verdict == "PASS", (case_id, cert.report.failure_reasons)
             else:
                 # A truncated search is never reported as a proof of impossibility.
                 assert outcome.status == RealizationStatus.NOT_REALIZABLE
                 assert outcome.detail.startswith("search exhausted"), outcome.detail
                 assert "does not show that the targets are impossible" in outcome.detail
 
+    def test_named_goal_certificates_compare_with_no_reference(self):
+        # GOAL never tries to meet a reference Gram, R21_ALL2's indefinite
+        # transcribed one included, so its certificates record no comparison.
+        for case_id, params in NAMED_CASE_PARAMS:
+            report = build(case_id, params, Mode.GOAL).certificate.report
+            assert report.gram_matches_reference is None, case_id
+            assert report.to_dict()["gramMatchesReference"] is None
+
 
 def _carried_report_outcomes():
     """(mode, targets, reference, outcome) of seeded GOAL and STRICT lists, then of every named build.
 
-    ``reference`` is the Gram a build is judged against: none for a GOAL
-    list, the ideal Gram of a STRICT list's slots, a named case's reference
-    Gram in both modes.  The named builds include the exhausted ``R21_ALL0``
-    GOAL search and the STRICT ``R21_ALL2`` build judged against its
-    transcribed Gram.
+    ``reference`` is the Gram a build is judged against: none in GOAL, the
+    ideal Gram of a STRICT list's slots, a named case's reference Gram in
+    STRICT.  The named builds include the exhausted ``R21_ALL0`` GOAL search
+    and the STRICT ``R21_ALL2`` build judged against its transcribed Gram.
     """
     rng = random.Random(24)
     for mode in (Mode.GOAL, Mode.STRICT):
@@ -672,8 +713,8 @@ def _carried_report_outcomes():
             yield mode, tuple(targets), reference, build_generic(targets, mode)
     for case_id, params in NAMED_CASE_PARAMS:
         targets = tuple(s.target_d for s in case_slots(case_id, params))
-        for mode in (Mode.GOAL, Mode.STRICT):
-            yield mode, targets, reference_gram(case_id, params), build(case_id, params, mode)
+        yield Mode.GOAL, targets, None, build(case_id, params, Mode.GOAL)
+        yield Mode.STRICT, targets, reference_gram(case_id, params), build(case_id, params, Mode.STRICT)
 
 
 def test_carried_report_is_the_verifiers():
