@@ -9,18 +9,19 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parent / "src"))
 
-# Wall-clock limit of each phase of one test: set-up, call and teardown.
-# The slowest test takes under 2 s, so a phase that runs this long is
-# looping, and the test fails rather than hang the suite.  Skipped where the
-# platform has no SIGALRM.  A hang at collection is not covered.
+# Wall-clock limit of each phase of one test, set-up, call and teardown, and
+# of each collector's collection, which imports the test modules.  The
+# slowest test takes under 2 s, so a phase that runs this long is looping,
+# and the test or collector fails rather than hang the suite.  Skipped where
+# the platform has no SIGALRM.
 TEST_TIME_LIMIT_S = 30
 
 if hasattr(signal, "SIGALRM"):
 
-    def _time_limited(item, phase):
+    def _time_limited(node, phase):
         def expire(signum, frame):
             pytest.fail(
-                f"{item.nodeid} {phase} ran past the {TEST_TIME_LIMIT_S} s limit", pytrace=False
+                f"{node.nodeid} {phase} ran past the {TEST_TIME_LIMIT_S} s limit", pytrace=False
             )
 
         previous = signal.signal(signal.SIGALRM, expire)
@@ -42,3 +43,7 @@ if hasattr(signal, "SIGALRM"):
     @pytest.hookimpl(hookwrapper=True)
     def pytest_runtest_teardown(item):
         yield from _time_limited(item, "teardown")
+
+    @pytest.hookimpl(hookwrapper=True)
+    def pytest_make_collect_report(collector):
+        yield from _time_limited(collector, "collection")

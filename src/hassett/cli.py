@@ -122,7 +122,11 @@ def cmd_sweep_conjecture(args) -> int:
     limit = args.limit
     if not 1 <= limit <= MAX_D:
         return _fail_usage(f"limit must lie in [1, {MAX_D}], got {limit}")
-    rows = conjecture_sweep(limit)
+    try:
+        rows = conjecture_sweep(limit)
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     lines = ["d,k,s,admissible"]
     lines += [f"{d},{k},{s},{'true' if ok else 'false'}" for d, k, s, ok in rows]
     text = "\n".join(lines) + "\n"

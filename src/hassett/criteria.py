@@ -13,19 +13,17 @@ A divisor admits an associated polarized K3 surface when ``4 ∤ d``,
 decides this by trial division alone, complete for d <= ``MAX_D`` = 10**12.
 
 Every conjecture-shaped d = 6 * 4^k * s^2 + 2 (k >= 1, s >= 2) is
-K3-admissible.  Write d = 2(3x^2 + 1) with x = 2^k s.  As x is even,
-3x^2 + 1 is odd, so 4 ∤ d, and it is 1 (mod 3), so 9 ∤ d.  An odd prime p
-dividing 3x^2 + 1 has (3x)^2 = -3 (mod p), so -3 is a square mod p and
-p = 1 (mod 3).  ``conjecture_sweep`` therefore never finds a counterexample.
-It factors every row with a sieve over the family d = 2(12t^2 + 1).  An odd
-prime p divides 12t^2 + 1 iff (6t)^2 = -3 (mod p).  For a cube root of unity
-w != 1, (2w + 1)^2 = 4(w^2 + w + 1) - 3 = -3, so the roots are
-t = +-(2w + 1)/6 with 6^-1 = (5p + 1)/6 mod p, and they exist iff
-p = 1 (mod 3) (Ireland-Rosen, *A Classical Introduction to Modern Number
-Theory*, 9.1).  The sieve divides each such p out of its two root classes
-and decides each verdict from the resulting factorization with the same
-predicate as ``has_associated_k3``; the lemma's conclusion serves only as a
-test oracle.
+K3-admissible.  Write d = 2 n with n = 3x^2 + 1 and x = 2^k s, so
+n = 12t^2 + 1 for x = 2t, and n = 1 (mod 12): 2 divides d once and 3 never.
+A prime p >= 5 divides 12t^2 + 1 iff (6t)^2 = -3 (mod p), so only when -3
+is a square mod p.  For every prime p = 2 (mod 3) up to B = isqrt(n) of its
+last row, ``conjecture_sweep`` checks Euler's criterion (Ireland-Rosen, *A
+Classical Introduction to Modern Number Theory*, ch. 5): (-3)^((p-1)/2) = -1
+(mod p), so -3 is no square and p divides no row.  Then each row's
+prime factors up to B are 1 (mod 3), their product m is 1 (mod 3), and n/m,
+which is 1 or the one prime factor above B, is 1 (mod 3) too.  So
+``_k3_allows`` admits every prime power of every row.  A check that fails
+raises ``ArithmeticError`` naming its prime instead of giving a verdict.
 
 This module is the arithmetic of d alone and imports no other part of the
 package; the lattice checks a witness must pass live in ``verifier``.
@@ -122,49 +120,29 @@ def _primes_upto(n: int) -> list[int]:
     return list(compress(range(n + 1), flags))
 
 
-def _family_root(p: int) -> int:
-    """One root r of 12 t^2 = -1 (mod p) for a prime p = 1 (mod 3); p - r is the other.
+def _divides_no_row(p: int) -> bool:
+    """Whether Euler's criterion proves the prime p >= 5 divides no 12 t^2 + 1.
 
-    For a cube root of unity w != 1, (2w + 1)^2 = 4(w^2 + w + 1) - 3 = -3,
-    so t = (2w + 1)/6 has (6t)^2 = -3.  Such a w is a^((p - 1)/3) for the
-    first a >= 2 that is not a cube, and 6^-1 = (5p + 1)/6 as p = 1 (mod 6).
+    True iff (-3)^((p - 1)/2) = -1 (mod p), that is, -3 is not a square mod
+    p, so (6t)^2 = -3 has no root.
     """
-    a, w = 2, 1
-    while w == 1:
-        w, a = pow(a, (p - 1) // 3, p), a + 1
-    return (2 * w + 1) * ((5 * p + 1) // 6) % p
+    return pow(p - 3, (p - 1) // 2, p) == p - 1
 
 
-def _sieve_family(count: int) -> tuple[list[int], bytearray]:
-    """Factor d_t = 2 n_t, n_t = 12 t^2 + 1, for t = 2 .. count + 1 at once.
+def _certify_family(count: int) -> list[int]:
+    """The primes proved to divide no n_t = 12 t^2 + 1, t = 2 .. count + 1.
 
-    Returns, per row, the residual of n_t after every prime up to
-    isqrt(n_last) is divided out, which is 1 or a prime, and a flag that
-    stays 1 while ``_k3_allows`` accepts every prime power divided out of
-    d_t.  n_t is odd and 1 (mod 3), so 2 divides d_t exactly once and 3
-    never.  Only primes p = 1 (mod 3) divide an n_t (see the module
-    docstring); each is divided out of the rows in its two root classes
-    t = +-(2w + 1)/6 from ``_family_root``.  A row in a class that p does not
-    divide raises ArithmeticError.
+    These are all primes p = 2 (mod 3) with 5 <= p <= isqrt(n_last), each
+    checked by ``_divides_no_row``; a prime that fails raises
+    ArithmeticError.  With them excluded every prime factor of every n_t is
+    1 (mod 3) (see the module docstring).
     """
-    rest = [12 * t * t + 1 for t in range(2, count + 2)]
-    ok = bytearray([_k3_allows(2, 1)]) * count
-    for p in _primes_upto(math.isqrt(12 * (count + 1) ** 2 + 1)):
-        if p % 3 != 1:
-            continue
-        r, allowed = _family_root(p), _k3_allows(p, 1)
-        for root in (r, p - r):
-            for i in range((root - 2) % p, count, p):
-                q, m = divmod(rest[i], p)
-                if m:
-                    raise ArithmeticError(f"{p} does not divide 12*{i + 2}^2 + 1")
-                e = 1
-                while q % p == 0:
-                    q, e = q // p, e + 1
-                rest[i] = q
-                if not (allowed if e == 1 else _k3_allows(p, e)):
-                    ok[i] = 0
-    return rest, ok
+    bound = math.isqrt(12 * (count + 1) ** 2 + 1)
+    primes = [p for p in _primes_upto(bound)[2:] if p % 3 == 2]
+    for p in primes:
+        if not _divides_no_row(p):
+            raise ArithmeticError(f"-3 is a square mod {p}, so {p} may divide some 12t^2 + 1")
+    return primes
 
 
 def conjecture_sweep(limit: int) -> list[tuple[int, int, int, bool]]:
@@ -174,24 +152,25 @@ def conjecture_sweep(limit: int) -> list[tuple[int, int, int, bool]]:
     6 * 4^k * s^2 + 2 = 6 x^2 + 2 = 24 t^2 + 2 for x = 2^k s = 2t.
     (k, s) is the decomposition with maximal k, which makes s = 2 or s odd:
     k is the 2-adic valuation of x, one less when x is a power of two (then
-    s = 2).  Every
-    row is factored by ``_sieve_family``, so the verdict is computed, not
-    read off the lemma in the module docstring.  Rows are (d, k, s,
-    admissible) in ascending d order.  Limits below the smallest shaped
-    value (98) give an empty list.
+    s = 2).  The verdicts rest on ``_certify_family``, which checks every
+    prime that could make a row inadmissible and raises ArithmeticError,
+    returning no row, when one check fails.  Rows are (d, k, s, admissible)
+    in ascending d order.  Limits below the smallest shaped value (98) give
+    an empty list.
     """
     if limit < 1:
         raise ValueError("sweep limit must be positive")
-    count = max(math.isqrt(max(limit - 2, 0) // 24) - 1, 0)
-    rest, ok = _sieve_family(count)
+    count = math.isqrt(max(limit - 2, 0) // 24) - 1
+    _certify_family(count)
+    # d = 2 n_t: 2 divides it once, and every prime factor of n_t is
+    # 1 (mod 3), which _k3_allows always admits.
+    admissible = _k3_allows(2, 1)
     rows = []
-    for i in range(count):
-        t = i + 2
+    for t in range(2, count + 2):
         k = (t & -t).bit_length()
         s = 2 * t >> k
         if s == 1:
             k, s = k - 1, 2
-        admissible = bool(ok[i]) and (rest[i] == 1 or _k3_allows(rest[i], 1))
         rows.append((24 * t * t + 2, k, s, admissible))
     return rows
 

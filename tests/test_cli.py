@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hassett.cli as cli
+import hassett.criteria as criteria
 from hassett import __version__
 from hassett.cli import main
 from hassett.verifier import Certificate
@@ -178,7 +179,6 @@ class TestCorollary20:
         # a call is seen whichever module makes it.  The corollary build is
         # cached, so its cache is cleared to count the build's own work.
         import hassett.constructions as constructions
-        import hassett.criteria as criteria
         import hassett.lattice as lattice
         import hassett.verifier as verifier
 
@@ -266,6 +266,20 @@ class TestSweepConjecture:
         assert len(lines) == 204123 + 1
         assert lines[1] == "98,1,2,true"
         assert lines[-1] == "999998577026,3,51031,true"
+
+    def test_failed_certificate_is_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(criteria, "_divides_no_row", lambda p: p != 5)
+        code, out, err = run(capsys, "sweep-conjecture", "--limit", "300")
+        assert code == 1 and out == ""
+        assert err == "error: -3 is a square mod 5, so 5 may divide some 12t^2 + 1\n"
+
+    def test_counterexample_exits_1_and_names_it(self, capsys, monkeypatch):
+        rows = [(98, 1, 2, True), (218, 1, 3, False)]
+        monkeypatch.setattr(cli, "conjecture_sweep", lambda limit: rows)
+        code, out, err = run(capsys, "sweep-conjecture", "--limit", "300")
+        assert code == 1
+        assert out == "d,k,s,admissible\n98,1,2,true\n218,1,3,false\n"
+        assert err == "counterexamples found: [218]\n"
 
 
 class TestVerifyFile:

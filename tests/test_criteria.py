@@ -186,27 +186,24 @@ class TestConjectureSweep:
             assert (d, k, s, ok) == (d, *conjecture_shape(d), has_associated_k3(d))
 
     def test_sieve_matches_factorize_on_sampled_rows(self):
-        # At 10^10 the sieve bound (70709) exceeds the row count, so many
-        # primes meet at most one row per root class.
+        # At 10^10 the certificate's bound (70709) exceeds the row count, so
+        # the sample holds rows with and without a prime factor above it.
         limit = 10**10
         count = math.isqrt((limit - 2) // 24) - 1
         rows = conjecture_sweep(limit)
         assert len(rows) == count == 20411
         # The module docstring's lemma: every shaped d is admissible.
         assert all(ok for _, _, _, ok in rows)
-        rest, flags = criteria._sieve_family(count)
         bound = math.isqrt(12 * (count + 1) ** 2 + 1)
-        residuals = set()
+        above_bound = set()
         for i in range(0, count, count // 300):
             t = i + 2
             d = 24 * t * t + 2
             factors = factorize(d)
             assert rows[i][0] == d
             assert rows[i][3] == all(criteria._k3_allows(p, e) for p, e in factors)
-            assert rest[i] == math.prod(p**e for p, e in factors if p > bound)
-            assert flags[i] == 1
-            residuals.add(rest[i] == 1)
-        assert residuals == {True, False}
+            above_bound.add(factors[-1][0] > bound)
+        assert above_bound == {True, False}
 
     def test_sweep_factors_no_row_one_by_one(self, monkeypatch):
         def refuse(n):
@@ -224,23 +221,34 @@ class TestSieveKernels:
         for n in (0, 1, 2, 3, 4, 25, 2000):
             assert criteria._primes_upto(n) == [q for q in range(n + 1) if is_prime(q)]
 
-    def test_family_root_matches_brute_force_below_2000(self):
+    def test_divides_no_row_matches_root_search_below_2000(self):
         for p in criteria._primes_upto(1999)[2:]:  # p >= 5
             squares = {x * x % p for x in range(p)}
             roots = {t for t in range(p) if (12 * t * t + 1) % p == 0}
             # -1/12 is a square mod p iff p = 1 (mod 3).
             assert (-pow(12, -1, p) % p in squares) == (p % 3 == 1)
-            if p % 3 == 1:
-                r = criteria._family_root(p)
-                assert {r, p - r} == roots
-            else:
-                assert roots == set()
+            assert criteria._divides_no_row(p) == (not roots) == (p % 3 == 2)
 
-    def test_wrong_root_raises_instead_of_spinning(self, monkeypatch):
-        right = criteria._family_root
-        monkeypatch.setattr(criteria, "_family_root", lambda p: right(p) + 1)
-        with pytest.raises(ArithmeticError):
-            criteria._sieve_family(100)
+    @pytest.mark.parametrize("limit", [97, 98, 300, 10**6, 10**8])
+    def test_certificate_checks_every_prime_2_mod_3_up_to_the_bound(self, limit, monkeypatch):
+        count = math.isqrt((limit - 2) // 24) - 1
+        bound = math.isqrt(12 * (count + 1) ** 2 + 1)
+        expected = [p for p in range(5, bound + 1, 3) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+        checked = []
+        check = criteria._divides_no_row
+        monkeypatch.setattr(criteria, "_divides_no_row", lambda p: checked.append(p) or check(p))
+        conjecture_sweep(limit)
+        assert checked == expected
+        checked.clear()
+        assert criteria._certify_family(count) == checked == expected
+
+    def test_failed_check_raises_and_returns_no_row(self, monkeypatch):
+        # The largest prime 2 (mod 3) up to the bound of the 10^6 sweep (706).
+        check = criteria._divides_no_row
+        monkeypatch.setattr(criteria, "_divides_no_row", lambda p: p != 701 and check(p))
+        with pytest.raises(ArithmeticError, match=r"\b701\b"):
+            conjecture_sweep(10**6)
+        assert len(conjecture_sweep(10**5)) == 63  # bound 221: only 701 fails
 
 
 class TestDiscriminantReport:

@@ -24,6 +24,7 @@ TARGETS = {
     "verifier": ("verify_witness",),
     "linalg": ("span_membership", "_pivot_row", "_fold", "_ldl"),
     "lattice": ("_enumerate", "minimum"),
+    "criteria": ("_divides_no_row", "_certify_family", "conjecture_sweep"),
 }
 TIMEOUT = 90
 SWAPS = {
