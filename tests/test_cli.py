@@ -71,6 +71,12 @@ class TestIntersect:
         assert code == 2
         assert "d=40" in err and "(**)" in err
 
+    @pytest.mark.parametrize("d", [0, criteria.MAX_D + 1])
+    def test_d_outside_the_range_exits_2(self, capsys, d):
+        code, out, err = run(capsys, "intersect", "8", str(d))
+        assert code == 2 and out == ""
+        assert err == f"error: d must lie in [1, {criteria.MAX_D}], got {d}\n"
+
     def test_json_certificate_round_trip(self, capsys):
         code, out, _ = run(capsys, "intersect", "12", "12", "26", "--json")
         assert code == 0
@@ -247,6 +253,12 @@ class TestSweepConjecture:
         assert code == 0 and out == ""
         assert path.read_text() == "d,k,s,admissible\n98,1,2,true\n218,1,3,true\n"
 
+    def test_unwritable_csv_path_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "rows.csv"
+        code, out, err = run(capsys, "sweep-conjecture", "--limit", "300", "--csv", str(path))
+        assert code == 2 and out == "" and not path.exists()
+        assert err.startswith("error: cannot write CSV: ") and err.count("\n") == 1
+
     def test_csv_at_ten_to_the_ten(self, capsys, tmp_path):
         path = tmp_path / "rows.csv"
         code, out, err = run(
@@ -347,6 +359,19 @@ class TestVerifyFile:
         path.write_bytes(b"\xff\xfe" + out.encode())
         code, out2, err = run(capsys, "verify-file", str(path))
         assert self._one_error_line(code, out2, err) and "cannot read" in err
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [("basis", "field 'basis' must be a nonempty list of rows"), ("realizedGram", "at least one row")],
+    )
+    def test_empty_basis_or_realized_gram_exits_2(self, capsys, tmp_path, field, message):
+        _, out, _ = run(capsys, "intersect", "12", "12", "26", "--json")
+        doc = json.loads(out)
+        (doc if field == "basis" else doc["report"])[field] = []
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code, out2, err = run(capsys, "verify-file", str(path))
+        assert self._one_error_line(code, out2, err) and message in err
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_json_number_constants_exit_2(self, capsys, tmp_path, constant):

@@ -110,9 +110,9 @@ NAMED_BUILD_DIGESTS = {
     ("r5-2222", (1, 1, 4, 9), "strict"): "b863dc60d7e209a8a2398a083716cea10ed0812e500a47bf6c6e986d49001dea",
     ("r5-2222", (1, 1, 4, 9), "goal"): "a8dc558a9f4ea5d4e7d9ab563b83cfafc523a181a68b90320097cde6d9c9c681",
     ("r21-all0", (2, 2) + (4,) * 18, "strict"): "b3ff7bc9b3bad536b67947b968380506c5f68b9c5d66e8785aae5959277c1d02",
-    ("r21-all0", (2, 2) + (4,) * 18, "goal"): "32d02a9a400efb1fd08075b04d038f1a9bfdbe3b43c28173cafc45945d785ad0",
+    ("r21-all0", (2, 2) + (4,) * 18, "goal"): "54511c4bf8ea3b0b57bf4c679dd7884ed7e60e6015f2f4720d6fa96d265e960e",
     ("r21-all2", (1, 1) + (4,) * 18, "strict"): "2608dfb0ae32dcf5a49912ed080fb63719fcff8dc788fea252ca0a9ffe17800a",
-    ("r21-all2", (1, 1) + (4,) * 18, "goal"): "5e74c2e885af528ba460976456d193598c311909c2ae1aa1a2933cddf76b4b19",
+    ("r21-all2", (1, 1) + (4,) * 18, "goal"): "50c3c87b0c972ed21fcf94cf386f9e949c053c6648503580feb64f0b2cf2c271",
 }
 
 
@@ -1042,9 +1042,8 @@ def _first_saturating_glue(ys):
     return None
 
 
-def _with_quotient(q):
-    # A vector of E8+E8+I3 whose coordinates modulo h2 are q.
-    return lattice.AmbientVector(tuple(q[:16]) + (0,) * 5 + tuple(q[16:]))
+def _glue_of(ys):
+    return constructions._glue([constructions._quotient_coords(y) for y in ys])
 
 
 def _torsion_kind(ys):
@@ -1076,27 +1075,13 @@ def _glue_draws():
 
 
 class TestGlue:
-    def test_glue_is_the_first_saturating_candidate(self, monkeypatch):
+    def test_glue_is_the_first_saturating_candidate(self):
         kinds = collections.Counter()
-        pivots = []
-        inner = constructions._pivot_row
-
-        def counting(*args):
-            pivots.append(args)
-            return inner(*args)
-
-        monkeypatch.setattr(constructions, "_pivot_row", counting)
-        rejected = []  # kinds of the draws that the 2-rank test turns away before the echelon
         for ys in _glue_draws():
-            kind = _torsion_kind(ys)
-            kinds[kind] += 1
-            pivots.clear()
-            assert constructions._glue(ys) == _first_saturating_glue(ys), len(ys)
-            if not pivots:
-                rejected.append(kind)
+            kinds[_torsion_kind(ys)] += 1
+            assert _glue_of(ys) == _first_saturating_glue(ys), len(ys)
         assert kinds["dependent"] and kinds[0] and kinds[1] and kinds[2], kinds
         assert any(isinstance(kind, int) and kind > 2 for kind in kinds), kinds
-        assert rejected and all(kind == "dependent" or kind > 2 for kind in rejected), rejected
 
     def test_glue_is_the_first_candidate_whose_unglued_rows_are_saturated(self):
         # f1 and f2 on the y_j of g saturate M iff h2 and the other y_l span
@@ -1111,7 +1096,7 @@ class TestGlue:
                     if linalg.span_membership(rest, [0] * 18)[1]:
                         first = glue
                         break
-            assert constructions._glue(ys) == first, len(ys)
+            assert _glue_of(ys) == first, len(ys)
 
     def test_glue_is_invariant_under_unimodular_quotient_changes(self):
         # The glue saturates M or not whatever basis the quotient Z^18 has,
@@ -1119,7 +1104,7 @@ class TestGlue:
         rng = random.Random(31)
         glued = 0
         for ys in _glue_draws():
-            glue = constructions._glue(ys)
+            glue = _glue_of(ys)
             glued += bool(glue)
             for _ in range(2):
                 rows = [list(constructions._quotient_coords(y)) for y in ys]
@@ -1131,7 +1116,7 @@ class TestGlue:
                         row[i] += q * row[j]
                 for row in rows:
                     row[0], row[17] = -row[17], row[0]
-                assert constructions._glue([_with_quotient(q) for q in rows]) == glue
+                assert constructions._glue(rows) == glue
         assert glued > 20
 
     def test_smith_kernel_runs_once_on_the_small_block(self, monkeypatch):
@@ -1146,13 +1131,11 @@ class TestGlue:
         blocks = 0
         for ys in _glue_draws():
             calls.clear()
-            constructions._glue(ys)
+            _glue_of(ys)
             kind = _torsion_kind(ys)
             invariants = invariant_factors(from_columns([constructions._quotient_coords(y) for y in ys]))
             index = math.prod(invariants)
-            # dim T/2T: the 2-rank test turns the draw away when it exceeds 2.
-            even = sum(d % 2 == 0 for d in invariants)
-            if kind == "dependent" or index == 1 or even > 2:
+            if kind == "dependent" or index == 1:
                 assert calls == []
                 continue
             ((block, rest),) = calls
@@ -1165,6 +1148,110 @@ class TestGlue:
                 assert row[w:] == [index * (r == c) for c in range(w)]
             blocks += 1
         assert blocks > 20
+
+
+def _f2_deficit(ys):
+    """k minus the rank over F2 of the quotient rows of ``ys``, by elimination mod 2."""
+    rows = [[c % 2 for c in constructions._quotient_coords(y)] for y in ys]
+    rank = 0
+    for col in range(18):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                rows[r] = [a ^ b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return len(ys) - rank
+
+
+def _whole_draw_search(slots):
+    """The basis of the first seeded draw of every y_j that glues and passes, or None.
+
+    Each draw makes all of its y_j before any test, so a y_j is never redrawn.
+    """
+    targets = tuple(s.target_d for s in slots)
+    rng = random.Random(",".join(map(str, targets)))
+    head = (H_SQUARED,) + tuple(constructions._generators(s)[0] for s in slots[:2])
+    for _ in range(constructions.GOAL_ATTEMPTS):
+        ys = [constructions._draw_y(s, rng) for s in slots[2:]]
+        glue = _glue_of(ys)
+        if glue is None:
+            continue
+        for j, f in zip(glue, (e_vec(1, 2), e_vec(2, 2))):
+            ys[j] = ys[j] + f
+        if verify_witness(head + tuple(ys), targets).verdict == "PASS":
+            return head + tuple(ys)
+    return None
+
+
+class TestGluedSearch:
+    def test_a_third_row_to_reduce_to_zero_is_redrawn_before_the_echelon(self, monkeypatch):
+        # Seeded 15-20-target lists, the corollary and the exhausted named
+        # rank-21 searches.  Every y_j that would make three quotient rows
+        # reduce to zero mod 2 is redrawn at once, for the same slot;
+        # _pivot_row and _smith_in_place run only inside _glue; every ys
+        # handed to _glue has at most two such rows and holds exactly the
+        # kept draws; each redraw, glue None and failed certificate counts
+        # one of GOAL_ATTEMPTS failures; and a search with no redraw gives
+        # the witness of drawing all y_j before any test.
+        events = []
+
+        def spy(name, record):
+            inner = getattr(constructions, name)
+
+            def wrapper(*args):
+                if name != "_draw_y":
+                    events.append(record(args, None))
+                    return inner(*args)
+                result = inner(*args)
+                events.append(record(args, result))
+                return result
+
+            monkeypatch.setattr(constructions, name, wrapper)
+
+        spy("_draw_y", lambda args, y: ("draw", args[0], y))
+        spy("_glue", lambda args, _: ("glue", list(args[0])))
+        spy("_pivot_row", lambda args, _: ("pivot",))
+        spy("_smith_in_place", lambda args, _: ("smith",))
+        rng = random.Random(39)
+        lists = [generic_slots(_goal_targets(rng, n)) for n in range(15, 21) for _ in range(4)]
+        lists.append(generic_slots(COROLLARY_DISCRIMINANTS))
+        lists += [case_slots(CaseId.R21_ALL0, (2, 2) + (4,) * 18), case_slots(CaseId.R21_ALL2, (1, 1) + (4,) * 18)]
+        searches = collections.Counter()
+        for slots in lists:
+            events.clear()
+            outcome = constructions._glued_search(slots)
+            log = list(events)
+            realized = outcome.status == RealizationStatus.REALIZED_GOAL
+            kept, redrawn, glued, in_glue = [], 0, 0, False
+            for i, event in enumerate(log):
+                if event[0] == "draw":
+                    _, slot, y = event
+                    assert slot == slots[2 + len(kept)]
+                    if _f2_deficit(kept + [y]) > 2:
+                        redrawn += 1
+                        after = log[i + 1] if i + 1 < len(log) else None
+                        assert after is None or after[:2] == ("draw", slot), after[0]
+                    else:
+                        kept.append(y)
+                    in_glue = False
+                elif event[0] == "glue":
+                    assert event[1] == [constructions._quotient_coords(y) for y in kept]
+                    assert _f2_deficit(kept) <= 2
+                    kept, glued, in_glue = [], glued + 1, True
+                else:
+                    assert in_glue, event
+            failures = redrawn + glued - realized
+            assert failures < constructions.GOAL_ATTEMPTS if realized else failures == constructions.GOAL_ATTEMPTS
+            searches["redrawn" if redrawn else "whole"] += 1
+            if not redrawn:
+                events.clear()
+                whole = _whole_draw_search(slots)
+                assert (whole is not None) == realized
+                assert whole is None or outcome.certificate.basis == whole
+        assert searches["redrawn"] >= 5 and searches["whole"] >= 5, searches
 
 
 class TestIdentities:

@@ -185,7 +185,7 @@ class TestConjectureSweep:
         for d, k, s, ok in rows:
             assert (d, k, s, ok) == (d, *conjecture_shape(d), has_associated_k3(d))
 
-    def test_sieve_matches_factorize_on_sampled_rows(self):
+    def test_rows_match_factorize_on_a_sample(self):
         # At 10^10 the certificate's bound (70709) exceeds the row count, so
         # the sample holds rows with and without a prime factor above it.
         limit = 10**10
@@ -257,6 +257,13 @@ class TestDiscriminantReport:
         assert r.star and r.double_star and r.double_star_witness == 2
         assert r.k3_admissible
         assert r.factorization == ((2, 1), (13, 1))
+
+    @pytest.mark.parametrize("n", [0, -26])
+    def test_nonpositive_input_raises(self, n):
+        with pytest.raises(ValueError, match="factorize expects a positive integer"):
+            factorize(n)
+        with pytest.raises(ValueError, match="discriminant must be positive"):
+            discriminant_report(n)
 
     def test_factors_once(self, monkeypatch):
         calls = []

@@ -79,6 +79,14 @@ class TestAmbient:
     def test_h_squared_norm(self):
         assert inner_product(H_SQUARED, H_SQUARED) == 3
 
+    def test_unit_vectors_reject_indices_outside_their_block(self):
+        for copy, i in [(0, 1), (3, 1), (1, 0), (1, 3), (2, 9)]:
+            with pytest.raises(ValueError, match="e_vec expects"):
+                e_vec(copy, i)
+        for copy, i in [(0, 1), (3, 1), (1, 0), (2, 9)]:
+            with pytest.raises(ValueError, match="t_vec expects"):
+                t_vec(copy, i)
+
     def test_hyperbolic_pairings(self):
         for copy in (1, 2):
             assert inner_product(e_vec(copy, 1), e_vec(copy, 2)) == 1
@@ -173,6 +181,10 @@ class TestGramOf:
     def test_single_h_squared(self):
         assert gram_of([H_SQUARED]) == IntMatrix([[3]])
 
+    def test_rejects_an_empty_basis(self):
+        with pytest.raises(ValueError, match="at least one vector"):
+            gram_of([])
+
     def test_scaling_law(self):
         assert gram_of([2 * A1]) == IntMatrix([[8]])
         rng = random.Random(3)
@@ -264,6 +276,10 @@ class TestShortVectors:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             short_vectors(IntMatrix([[0, 1], [1, 0]]), 2)
+
+    def test_rejects_a_negative_bound(self):
+        with pytest.raises(ValueError, match="nonnegative bound"):
+            short_vectors(IntMatrix([[2]]), -1)
 
     def test_canonical_representatives(self):
         for v in short_vectors(E8_GRAM, 4):

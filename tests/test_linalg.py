@@ -30,6 +30,21 @@ from oracles import (
 A2_GRAM = IntMatrix([[2, 1], [1, 2]])
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: IntMatrix([]), "at least one row"),
+        (lambda: IntMatrix([[]]), "at least one row"),
+        (lambda: IntMatrix([[1, 2], [3]]), "ragged rows"),
+        (lambda: IntMatrix.block_diagonal([A2_GRAM, IntMatrix([[1, 2]])]), "square blocks"),
+    ],
+    ids=["no-rows", "no-columns", "ragged", "non-square-block"],
+)
+def test_int_matrix_rejects_malformed_shapes(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def small_matrices(max_dim=4, max_entry=10):
     dims = st.integers(1, max_dim)
     return dims.flatmap(

@@ -128,6 +128,10 @@ class TestVerifyWitness:
         report = verify_witness((H_SQUARED, 2 * A1), (24, 24))
         assert "TARGET_COUNT_MISMATCH" in report.failure_reasons
 
+    def test_empty_basis_raises(self):
+        with pytest.raises(ValueError, match="witness basis must be nonempty"):
+            verify_witness((), ())
+
     def test_h2_pairing_is_read_off_the_gram_row(self, monkeypatch):
         import hassett.verifier as verifier
 
@@ -185,7 +189,7 @@ class TestLabellingSaturation:
 
 # sha256 of the concatenated certificate JSON of ``golden_pool``.  Any change
 # to a verdict, a reason, a labelling or a realized Gram changes it.
-GOLDEN_DIGEST = "83dbff3c3ff80d450dfda90ea847b15933eb60d85fab526315173c8873ce2fc9"
+GOLDEN_DIGEST = "f7e1e434e3f6b45e86c1f0055e896ba4b479964a66c53689869a7cb222dc1aca"
 
 
 def golden_pool():

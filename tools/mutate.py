@@ -25,6 +25,7 @@ TARGETS = {
     "linalg": ("span_membership", "_pivot_row", "_fold", "_ldl"),
     "lattice": ("_enumerate", "minimum"),
     "criteria": ("_divides_no_row", "_certify_family", "conjecture_sweep"),
+    "constructions": ("_glued_search",),
 }
 TIMEOUT = 90
 SWAPS = {
