@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hassett.lattice import AMBIENT_GRAM, E8_GRAM, U_GRAM
+import hassett.linalg as linalg
+from hassett.lattice import AMBIENT_GRAM, E8_GRAM, H_SQUARED, U_GRAM
 from hassett.linalg import (
     IntMatrix,
     _smith_in_place,
@@ -26,6 +27,8 @@ from oracles import (
     quadratic_form,
     rational_inverse,
 )
+from pivot_spy import PivotSpy
+from test_verifier import golden_pool
 
 A2_GRAM = IntMatrix([[2, 1], [1, 2]])
 
@@ -526,6 +529,65 @@ class TestSpanMembership:
         # Doubling one row leaves an index-2 sublattice that no longer holds the old row.
         doubled = rows[:5] + [[2 * e for e in rows[5]]] + rows[6:]
         assert span_membership(doubled, tuple(rows[5])) == (True, False, None)
+
+    def test_column_order_does_not_change_the_verdicts(self):
+        # Permuting the coordinates of the rows and the target alike changes
+        # the echelon's column transform but not M, so independence,
+        # saturation and membership stay, and so does x whenever it is
+        # unique, that is, whenever the rows are independent.
+        rng = random.Random(40)
+        cases = []
+        for basis, _, _ in golden_pool():
+            rows = [v.coords for v in basis]
+            inside = _combination([rng.randint(-2, 2) for _ in rows], rows)
+            i = rng.randrange(len(inside))
+            cases += [(rows, H_SQUARED.coords), (rows, tuple(e + (j == i) for j, e in enumerate(inside)))]
+        scrambled = _scrambled_corollary()
+        cases += [(scrambled, tuple(scrambled[0])), (scrambled[:20] + [scrambled[0]], tuple(scrambled[20]))]
+        for trial in range(400):
+            rows = _seeded_rows(rng, ("deficient", "tall", "wide")[trial % 3])
+            if trial % 3 == 2:  # a wide matrix with a combination of its rows added
+                rows.append(list(_combination([rng.randint(-2, 2) for _ in rows], rows)))
+            k, n = len(rows), len(rows[0])
+            inside = _combination([rng.randint(-3, 3) for _ in range(k)], rows)
+            cases += [(rows, inside), (rows, tuple(rng.randint(-3, 3) for _ in range(n)))]
+        outcomes = set()
+        for rows, target in cases:
+            independent, saturated, x = span_membership(rows, target)
+            n = len(target)
+            for _ in range(2):
+                perm = rng.sample(range(n), n)
+                moved = span_membership([[row[j] for j in perm] for row in rows], [target[j] for j in perm])
+                assert moved[:2] == (independent, saturated), (rows, perm)
+                assert (moved[2] is None) == (x is None), (rows, target, perm)
+                if independent:
+                    assert moved[2] == x
+                elif x is not None:
+                    assert _combination(moved[2], rows) == tuple(target)
+            outcomes.add((independent, saturated, x is not None))
+        verdicts = ((True, True), (True, False), (False, False))
+        assert outcomes == {(i, s, e) for i, s in verdicts for e in (True, False)}
+
+
+def test_echelon_growth_stays_within_the_documented_bounds(monkeypatch):
+    # The bounds of the module docstring: over the golden pool the echelon's
+    # entries stay below 2^44 in at most 69 Euclid rounds, and the corollary,
+    # the pool's last witness, sets both; the corollary's 1000-move scramble
+    # reaches 217 bits.
+    spy = PivotSpy(linalg._pivot_row)
+    monkeypatch.setattr(linalg, "_pivot_row", spy)
+    work = []
+    for basis, _, _ in golden_pool():
+        spy.reset()
+        span_membership([v.coords for v in basis], H_SQUARED.coords)
+        work.append((spy.counts["bits"], spy.counts["rounds"]))
+    assert max(bits for bits, _ in work) <= 44
+    assert max(rounds for _, rounds in work) <= 69
+    assert work[-1] == (44, 69)
+    scrambled = _scrambled_corollary()
+    spy.reset()
+    span_membership(scrambled, scrambled[0])
+    assert spy.counts["bits"] == 217
 
 
 class TestRationalInverse:
