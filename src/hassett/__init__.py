@@ -11,12 +11,6 @@ arbitrary-precision integers, no rationals and no floating point.
 from types import ModuleType as _ModuleType
 
 from ._version import __version__
-from .linalg import (
-    IntMatrix,
-    is_positive_definite,
-    smith_normal_form,
-    span_membership,
-)
 from .lattice import (
     A1,
     A2,
@@ -24,6 +18,7 @@ from .lattice import (
     AmbientVector,
     E8_GRAM,
     H_SQUARED,
+    IntMatrix,
     U_GRAM,
     e_vec,
     gram_of,
@@ -33,8 +28,10 @@ from .lattice import (
     minimum,
     norm,
     short_vectors,
+    span_membership,
     t_vec,
 )
+from .linalg import is_positive_definite, smith_normal_form
 from .criteria import (
     DiscriminantReport,
     conjecture_sweep,

@@ -95,13 +95,15 @@ from .lattice import (
     E8_GRAM,
     AmbientVector,
     H_SQUARED,
+    IntMatrix,
+    _pivot_row,
     e_vec,
     gram_of,
     i3_vector,
     inner_product,
     t_vec,
 )
-from .linalg import IntMatrix, _pivot_row, _smith_in_place
+from .linalg import _smith_in_place
 from .verifier import Certificate, certificate_for
 
 # Half-width of the I3 box in which residue-2 slots look for perturbations.
@@ -786,18 +788,21 @@ def _glued_search(slots: Sequence[SlotSpec]) -> RealizationOutcome:
     minimum; it checks the rest all the same.  A redrawn y_j, a full draw
     that ``_glue`` returns None for and a failed certificate each count as
     one failure, and after ``GOAL_ATTEMPTS`` failures the search certifies
-    its basis of first candidates once.
+    its basis of first candidates once.  Two targets draw no y_j, and their
+    first certificate passes: v1 and v2 take the same first I3 unit when
+    r_i = 2, so with a_i = r_i / 2 the form of h2, v1, v2 is
+    2 x0^2 + (x0 + a1 x1 + a2 x2)^2 + 2 n1 x1^2 + 2 n2 x2^2, at least 3 off
+    0 because n_i >= 1 and n_i = 1 forces a_i = 1 (d = 6 fails (*)).
     """
     slots = tuple(slots)
     targets = tuple(s.target_d for s in slots)
     head = (H_SQUARED,) + tuple(_generators(s)[0] for s in slots[:2])
     rng = random.Random(",".join(map(str, targets)))
-    attempts = GOAL_ATTEMPTS if len(slots) > 2 else 1
     failed = 0
     ys: list[AmbientVector] = []
     rows: list[tuple[int, ...]] = []  # the quotient coordinates of ys
     masks: list[int] = []  # the rows mod 2 as an XOR basis with distinct leading bits
-    while failed < attempts:
+    while failed < GOAL_ATTEMPTS:
         if len(ys) < len(slots) - 2:
             y = _draw_y(slots[2 + len(ys)], rng)
             q = _quotient_coords(y)
@@ -829,7 +834,7 @@ def _glued_search(slots: Sequence[SlotSpec]) -> RealizationOutcome:
         status=RealizationStatus.NOT_REALIZABLE,
         certificate=certificate_for(canonical, targets),
         detail=(
-            f"search exhausted: {attempts} seeded draws failed; "
+            f"search exhausted: {GOAL_ATTEMPTS} seeded draws failed; "
             "this does not show that the targets are impossible"
         ),
     )

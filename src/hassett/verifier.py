@@ -1,16 +1,17 @@
 """Independent certification of candidate witnesses and certificates.
 
-This module alone decides a verdict and owns every certificate key; it
-imports no builder.  ``verify_witness`` recomputes everything from the raw
-basis vectors: the Gram matrix, positive definiteness, saturation in the
-ambient lattice, the lattice minimum, and per-labelling discriminants and
-saturation.  It never trusts the builder that produced the basis, so
-certificates can be checked by third parties from the coordinates alone.
+This module alone decides a verdict and owns every certificate key; of the
+package it imports only ``lattice``, which holds every kernel a verdict runs.
+``verify_witness`` recomputes everything from the raw basis vectors: the
+Gram matrix, positive definiteness, saturation in the ambient lattice, the
+lattice minimum, and per-labelling discriminants and saturation.  It never
+trusts the builder that produced the basis, so certificates can be checked
+by third parties from the coordinates alone.
 
 The lattice-level certification a witness must pass has four checks:
 contains h2, positive definite, saturated in the ambient lattice, and no
 nonzero vector of norm below 3.  ``verify_witness`` is the one place that
-runs them: one ``linalg.span_membership`` echelon decides the first and the
+runs them: one ``lattice.span_membership`` echelon decides the first and the
 third, and the elimination inside ``lattice.minimum`` the other two.  No
 builder judges a witness itself: the GOAL builder accepts a draw by the
 verdict of ``certificate_for``, and STRICT's status is that certificate's
@@ -35,9 +36,9 @@ from operator import index
 from typing import NamedTuple
 
 from .lattice import (
-    RANK, AmbientVector, H_SQUARED, NotPositiveDefinite, gram_of, inner_product, minimum,
+    RANK, AmbientVector, H_SQUARED, IntMatrix, NotPositiveDefinite, gram_of, inner_product,
+    minimum, span_membership,
 )
-from .linalg import IntMatrix, span_membership
 from ._version import __version__
 
 AMBIENT_ID = "E8+E8+U+U+I3"

@@ -1,4 +1,4 @@
-"""A spy that measures the work of ``linalg._pivot_row``, the echelon's column step.
+"""A spy that measures the work of ``lattice._pivot_row``, the echelon's column step.
 
 ``PivotSpy(inner)`` is called like ``inner(rest, p)`` and returns what it
 returns, with the same effect on the rows.  Its ``counts`` dict adds up,

@@ -24,9 +24,8 @@ from hassett.constructions import (
     reference_gram,
 )
 from hassett.criteria import conjecture_sweep, discriminant_report, factorize, has_associated_k3
-from hassett.lattice import E8_GRAM, short_vectors
-from hassett.linalg import IntMatrix, is_positive_definite
-from hassett.lattice import AMBIENT_GRAM
+from hassett.lattice import AMBIENT_GRAM, E8_GRAM, IntMatrix, short_vectors
+from hassett.linalg import is_positive_definite
 from hassett.verifier import Certificate, certificate_for, verify_witness
 from oracles import (
     determinant,

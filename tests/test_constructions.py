@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import hassett.constructions as constructions
+from hassett.criteria import satisfies_star
 from hassett.constructions import (
     COROLLARY_DISCRIMINANTS,
     CaseId,
@@ -33,12 +34,13 @@ import hassett.linalg as linalg
 from hassett.lattice import (
     A1,
     H_SQUARED,
+    IntMatrix,
     e_vec,
     gram_of,
     i3_vector,
     inner_product,
 )
-from hassett.linalg import IntMatrix, is_positive_definite
+from hassett.linalg import is_positive_definite
 import hassett.verifier as verifier
 from hassett.verifier import certificate_for, verify_witness
 from oracles import (
@@ -1031,13 +1033,13 @@ def _first_saturating_glue(ys):
     some combination of the v_j lies in the isotropic span of f1 and f2.
     """
     quotient = [constructions._quotient_coords(y) for y in ys]
-    if not linalg.span_membership(quotient, [0] * 18)[0]:
+    if not lattice.span_membership(quotient, [0] * 18)[0]:
         return None
     for glue in _glue_candidates(len(ys)):
         lam = [[0, 0] for _ in ys]  # (s_j, u_j)
         for col, j in enumerate(glue):
             lam[j][col] = 1
-        if linalg.span_membership([q + tuple(g) for q, g in zip(quotient, lam)], [0] * 20)[1]:
+        if lattice.span_membership([q + tuple(g) for q, g in zip(quotient, lam)], [0] * 20)[1]:
             return glue
     return None
 
@@ -1090,10 +1092,10 @@ class TestGlue:
         for ys in _glue_draws():
             quotient = [constructions._quotient_coords(y) for y in ys]
             first = None
-            if linalg.span_membership(quotient, [0] * 18)[0]:
+            if lattice.span_membership(quotient, [0] * 18)[0]:
                 for glue in _glue_candidates(len(ys)):
                     rest = [q for j, q in enumerate(quotient) if j not in glue]
-                    if linalg.span_membership(rest, [0] * 18)[1]:
+                    if lattice.span_membership(rest, [0] * 18)[1]:
                         first = glue
                         break
             assert _glue_of(ys) == first, len(ys)
@@ -1252,6 +1254,25 @@ class TestGluedSearch:
                 assert (whole is not None) == realized
                 assert whole is None or outcome.certificate.basis == whole
         assert searches["redrawn"] >= 5 and searches["whole"] >= 5, searches
+
+    def test_every_two_target_list_passes_on_its_first_certificate(self, monkeypatch):
+        # The proof in _glued_search's docstring: h2, v1, v2 has minimum 3
+        # for every pair of (*) values, so the search certifies once.
+        calls = []
+
+        def spy(basis, targets):
+            calls.append(targets)
+            return certificate_for(basis, targets)
+
+        monkeypatch.setattr(constructions, "certificate_for", spy)
+        star = [d for d in range(300) if satisfies_star(d)]
+        assert len(star) == 97
+        for pair in itertools.product(star, repeat=2):
+            calls.clear()
+            outcome = constructions._glued_search(generic_slots(pair))
+            assert outcome.status == RealizationStatus.REALIZED_GOAL, pair
+            assert calls == [pair]
+            assert outcome.certificate.report.criterion.minimum_norm == 3
 
 
 class TestIdentities:

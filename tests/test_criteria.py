@@ -213,7 +213,7 @@ class TestConjectureSweep:
         assert len(conjecture_sweep(10**8)) == 2040
 
 
-class TestSieveKernels:
+class TestFamilyCertificate:
     def test_primes_upto_matches_trial_division(self):
         def is_prime(n):
             return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))

@@ -16,6 +16,7 @@ from hassett.lattice import (
     E8_EDGES,
     E8_GRAM,
     H_SQUARED,
+    IntMatrix,
     RANK,
     _ldl,
     e_vec,
@@ -28,7 +29,7 @@ from hassett.lattice import (
     short_vectors,
     t_vec,
 )
-from hassett.linalg import IntMatrix, is_positive_definite
+from hassett.linalg import is_positive_definite
 from oracles import (
     determinant,
     from_columns,

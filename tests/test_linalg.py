@@ -1,3 +1,8 @@
+"""Tests of the exact integer kernels.
+
+The echelon and the elimination live in ``lattice``, the Smith form in ``linalg``.
+"""
+
 import math
 import random
 from fractions import Fraction
@@ -6,16 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hassett.linalg as linalg
-from hassett.lattice import AMBIENT_GRAM, E8_GRAM, H_SQUARED, U_GRAM
-from hassett.linalg import (
-    IntMatrix,
-    _smith_in_place,
-    integer_rank,
-    is_positive_definite,
-    smith_normal_form,
-    span_membership,
-)
+import hassett.lattice as lattice
+from hassett.lattice import AMBIENT_GRAM, E8_GRAM, H_SQUARED, U_GRAM, IntMatrix, span_membership
+from hassett.linalg import _smith_in_place, integer_rank, is_positive_definite, smith_normal_form
 from oracles import (
     determinant,
     from_columns,
@@ -570,12 +568,12 @@ class TestSpanMembership:
 
 
 def test_echelon_growth_stays_within_the_documented_bounds(monkeypatch):
-    # The bounds of the module docstring: over the golden pool the echelon's
-    # entries stay below 2^44 in at most 69 Euclid rounds, and the corollary,
-    # the pool's last witness, sets both; the corollary's 1000-move scramble
-    # reaches 217 bits.
-    spy = PivotSpy(linalg._pivot_row)
-    monkeypatch.setattr(linalg, "_pivot_row", spy)
+    # The bounds of the lattice module docstring: over the golden pool the
+    # echelon's entries stay below 2^44 in at most 69 Euclid rounds, and the
+    # corollary, the pool's last witness, sets both; the corollary's 1000-move
+    # scramble reaches 217 bits.
+    spy = PivotSpy(lattice._pivot_row)
+    monkeypatch.setattr(lattice, "_pivot_row", spy)
     work = []
     for basis, _, _ in golden_pool():
         spy.reset()

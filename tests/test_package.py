@@ -1,4 +1,5 @@
 import ast
+import gc
 import importlib
 import importlib.util
 import inspect
@@ -10,9 +11,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hassett
-from hassett import constructions, lattice, linalg, verifier
+from hassett import constructions, lattice, verifier
 
 # The public API, reviewed in one place.  The test-only reference code
 # (determinant, inertia, integer_solver, invariant_factors, rational_inverse,
@@ -145,12 +148,14 @@ def _package_imports(path: Path) -> set[str]:
     return found
 
 
-# The verdict is decided by verifier over lattice and linalg alone, and
-# criteria is the arithmetic of d alone; no builder feeds either.
+# The verdict is decided by verifier over lattice alone, and criteria is the
+# arithmetic of d alone; no builder feeds either.  linalg, the builder's Smith
+# kernel, lies outside the verdict core: it may import lattice, never the
+# reverse, so no verdict can run a Smith normal form.
 ALLOWED_IMPORTS = {
-    "verifier": {"lattice", "linalg", "_version"},
-    "lattice": {"linalg"},
-    "linalg": set(),
+    "verifier": {"lattice", "_version"},
+    "lattice": set(),
+    "linalg": {"lattice"},
     "criteria": set(),
 }
 
@@ -161,6 +166,108 @@ def test_verdict_modules_import_no_builder():
     assert imports["cli"] >= {"constructions", "criteria", "verifier"}  # the scan sees imports
     for module, allowed in ALLOWED_IMPORTS.items():
         assert imports[module] <= allowed, (module, imports[module] - allowed)
+
+
+# Functions of the verdict core that no verdict enters, each with its reason.
+# Every other function of verifier and lattice must run, under
+# Certificate.from_json or verify_witness, on the inputs of the test below.
+CORE_NOT_ENTERED = {
+    "lattice.IntMatrix.__init__": "constants at import; parsed and computed rows use _unchecked",
+    "lattice.IntMatrix.identity": "a constant built at import: I3_GRAM",
+    "lattice.IntMatrix.block_diagonal": "a constant built at import: AMBIENT_GRAM",
+    "lattice.IntMatrix.to_lists": "serialisation (realizedGram) and the tracer-bound Smith forms",
+    "lattice.IntMatrix.__hash__": "a dunder",
+    "lattice.IntMatrix.__repr__": "a dunder",
+    "lattice.AmbientVector.__init__": "a builder's constructor; parsed rows use _unchecked",
+    "lattice.AmbientVector.__add__": "a builder's constructor: glue and perturbation",
+    "lattice.AmbientVector.__rmul__": "a builder's constructor: scaled generators",
+    "lattice.AmbientVector.i3_part": "a builder's constructor: the perturbation search",
+    "lattice.AmbientVector.__setattr__": "a dunder",
+    "lattice.AmbientVector.__delattr__": "a dunder",
+    "lattice.AmbientVector.__reduce__": "a dunder",
+    "lattice.AmbientVector.__hash__": "a dunder",
+    "lattice.AmbientVector.__repr__": "a dunder",
+    "lattice._unit": "a builder's constructor, under t_vec and e_vec",
+    "lattice.t_vec": "a builder's constructor",
+    "lattice.e_vec": "a builder's constructor",
+    "lattice.i3_vector": "constants at import (H_SQUARED, A1, A2); a builder's constructor",
+    "lattice.norm": "a public helper that no verdict needs",
+    "lattice.is_saturated": "tracer-bound (ROADMAP item 2)",
+    "lattice.short_vectors": "tracer-bound (ROADMAP item 2)",
+    "lattice._canonical": "serves only the tracer-bound short_vectors",
+    "verifier.CriterionReport.passed": "serialisation: read only by to_dict",
+    "verifier.CriterionReport.to_dict": "serialisation",
+    "verifier.LabellingCheck.to_dict": "serialisation",
+    "verifier.WitnessReport.to_dict": "serialisation",
+    "verifier.Certificate.to_dict": "serialisation",
+    "verifier.Certificate.to_json": "serialisation",
+}
+
+
+def _defined_functions(node: ast.AST, prefix: str = ""):
+    """(first line, name, qualified name) of every def under node; decorators count."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _defined_functions(child, f"{prefix}{child.name}.")
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+            yield first, child.name, prefix + child.name
+            yield from _defined_functions(child, f"{prefix}{child.name}.<locals>.")
+        else:
+            yield from _defined_functions(child, prefix)
+
+
+def test_every_core_function_runs_in_some_verdict(tmp_path_factory, monkeypatch):
+    # The trace gate of the verdict core: new dead code in verifier or lattice
+    # fails here.  Inputs: the golden pool, the corollary certificate and
+    # every input of TestVerifyFileMutations.
+    from test_cli import TestVerifyFileMutations
+    from test_verifier import golden_pool
+
+    core = {}
+    for module in (lattice, verifier):
+        path = module.__file__
+        tree = ast.parse(Path(path).read_text(), filename=path)
+        stem = module.__name__.rsplit(".", 1)[1]
+        for first, name, qualname in _defined_functions(tree):
+            core[path, first, name] = f"{stem}.{qualname}"
+    files = {path for path, _, _ in core}
+    entered = set()
+
+    def on_call(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename in files:
+            entered.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+    def traced(fn):
+        # fn and every call under it are seen; the caller's frames are not.
+        # The trace makes frame objects, so a collection could run a
+        # finalizer inside the deepest JSON nesting, past the recursion limit,
+        # and print "Exception ignored" to stderr; no collection runs here.
+        def run(*args):
+            previous = sys.gettrace()
+            gc.disable()
+            sys.settrace(on_call)
+            try:
+                return fn(*args)
+            finally:
+                sys.settrace(previous)
+                gc.enable()
+
+        return run
+
+    from_json = traced(verifier.Certificate.from_json.__func__)
+    monkeypatch.setattr(verifier.Certificate, "from_json", classmethod(from_json))
+    for basis, targets, reference in golden_pool():
+        traced(verifier.verify_witness)(basis, targets, reference)
+    verifier.Certificate.from_json(constructions.corollary20_certificate().to_json())
+    # The mutation test's own function under a fresh @given draws the same
+    # inputs (the seed is a digest of that function), and the original keeps
+    # pytest's instance as its one executor.
+    test = TestVerifyFileMutations.test_every_mutation_ends_in_a_report_or_one_error_line
+    given(st.data())(test.hypothesis.inner_test)(TestVerifyFileMutations(), tmp_path_factory)
+    not_entered = {qualname for key, qualname in core.items() if key not in entered}
+    assert not_entered == CORE_NOT_ENTERED.keys()
 
 
 def test_float_scan_flags_each_kind():
@@ -187,10 +294,10 @@ def test_int_scan_flags_truncating_coercion_only():
 def test_non_integer_inputs_raise_type_error():
     basis = (lattice.H_SQUARED, lattice.e_vec(1, 1) + 2 * lattice.e_vec(1, 2))
     calls = {
-        "IntMatrix float": lambda: linalg.IntMatrix([[2.9, 0], [0, 3.5]]),
-        "IntMatrix str": lambda: linalg.IntMatrix([["3"]]),
-        "span_membership row": lambda: linalg.span_membership([[1.5, 0]], [0, 0]),
-        "span_membership target": lambda: linalg.span_membership([[1, 0]], ["1", 0]),
+        "IntMatrix float": lambda: lattice.IntMatrix([[2.9, 0], [0, 3.5]]),
+        "IntMatrix str": lambda: lattice.IntMatrix([["3"]]),
+        "span_membership row": lambda: lattice.span_membership([[1.5, 0]], [0, 0]),
+        "span_membership target": lambda: lattice.span_membership([[1, 0]], ["1", 0]),
         "AmbientVector": lambda: lattice.AmbientVector((2.7,) * 23),
         "i3_vector": lambda: lattice.i3_vector(1, 1, Fraction(1)),
         "generic_slots": lambda: constructions.generic_slots([14.0, 20]),

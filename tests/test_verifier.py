@@ -22,12 +22,12 @@ from hassett.lattice import (
     A1,
     AmbientVector,
     H_SQUARED,
+    IntMatrix,
     e_vec,
     i3_vector,
     short_vectors,
     t_vec,
 )
-from hassett.linalg import IntMatrix
 from hassett.verifier import (
     _labelling_saturated,
     Certificate,

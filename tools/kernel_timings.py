@@ -23,6 +23,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 import hassett.constructions as constructions  # noqa: E402
+import hassett.lattice as lattice  # noqa: E402
 import hassett.linalg as linalg  # noqa: E402
 from hassett.constructions import (  # noqa: E402
     COROLLARY_DISCRIMINANTS,
@@ -50,19 +51,25 @@ RANKS = {
 
 
 def _record_echelon_work(benchmark, monkeypatch, module, run) -> None:
-    """Run ``run`` once with ``module._pivot_row`` spied and store the counts."""
+    """Run ``run`` once with ``module._pivot_row`` spied and store the counts.
+
+    ``module`` must be the one whose global ``_pivot_row`` the code under
+    ``run`` calls; a spy that saw no call fails the case rather than store
+    zeros.
+    """
     spy = PivotSpy(module._pivot_row)
     with monkeypatch.context() as patch:
         patch.setattr(module, "_pivot_row", spy)
         run()
+    assert spy.counts["calls"] > 0, f"{module.__name__}._pivot_row was never called"
     benchmark.extra_info.update(spy.counts)
 
 
 @pytest.mark.parametrize("name", ECHELONS)
 def test_span_membership(benchmark, monkeypatch, name):
     rows, target = ECHELONS[name]
-    assert benchmark(linalg.span_membership, rows, target)[:2] == (True, True)
-    _record_echelon_work(benchmark, monkeypatch, linalg, lambda: linalg.span_membership(rows, target))
+    assert benchmark(lattice.span_membership, rows, target)[:2] == (True, True)
+    _record_echelon_work(benchmark, monkeypatch, lattice, lambda: lattice.span_membership(rows, target))
 
 
 def test_glue_rank21_draws(benchmark, monkeypatch):
@@ -82,7 +89,7 @@ def test_glue_rank21_draws(benchmark, monkeypatch):
 
 @pytest.mark.parametrize("name", ["rank4", "rank21"])
 def test_ldl(benchmark, name):
-    assert benchmark(linalg._ldl, gram_of(RANKS[name])) is not None
+    assert benchmark(lattice._ldl, gram_of(RANKS[name])) is not None
 
 
 @pytest.mark.parametrize("name", ["rank4", "rank21"])

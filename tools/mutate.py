@@ -22,8 +22,7 @@ from pathlib import Path
 
 TARGETS = {
     "verifier": ("verify_witness",),
-    "linalg": ("span_membership", "_pivot_row", "_fold", "_ldl"),
-    "lattice": ("_enumerate", "minimum"),
+    "lattice": ("span_membership", "_pivot_row", "_fold", "_ldl", "_enumerate", "minimum"),
     "criteria": ("_divides_no_row", "_certify_family", "conjecture_sweep"),
     "constructions": ("_glued_search",),
 }
