@@ -12,24 +12,19 @@ from types import ModuleType as _ModuleType
 
 from ._version import __version__
 from .lattice import (
-    A1,
-    A2,
     AMBIENT_GRAM,
     AmbientVector,
     E8_GRAM,
     H_SQUARED,
     IntMatrix,
     U_GRAM,
-    e_vec,
     gram_of,
-    i3_vector,
     inner_product,
     is_saturated,
     minimum,
     norm,
     short_vectors,
     span_membership,
-    t_vec,
 )
 from .linalg import is_positive_definite, smith_normal_form
 from .criteria import (
@@ -42,6 +37,8 @@ from .criteria import (
     satisfies_star,
 )
 from .constructions import (
+    A1,
+    A2,
     COROLLARY_DISCRIMINANTS,
     CaseId,
     Mode,
@@ -53,11 +50,14 @@ from .constructions import (
     build_generic,
     case_slots,
     check_identity,
+    e_vec,
     generic_slots,
+    i3_vector,
     ideal_gram,
     realize_perturbations,
     reference_gram,
     squares_value,
+    t_vec,
 )
 from .verifier import (
     Certificate,

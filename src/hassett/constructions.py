@@ -75,7 +75,9 @@ from a generator seeded by the target list, so the output is the same in
 every process, and read only through ``getrandbits`` (see ``_four_squares``).
 The flagship corollary (``corollary20_certificate``) and the exact check
 of the completed-squares identities (``check_identity``) are built here
-too; a verdict comes from ``verifier`` alone.
+too; a verdict comes from ``verifier`` alone.  So do the vector
+constructors ``t_vec``, ``e_vec`` and ``i3_vector`` and the A2 generators
+``A1``, ``A2``: the verdict core, ``verifier`` over ``lattice``, builds none.
 """
 
 from __future__ import annotations
@@ -90,18 +92,15 @@ from typing import NamedTuple, Sequence
 
 from .criteria import satisfies_double_star, satisfies_star
 from .lattice import (
-    A1,
-    A2,
     E8_GRAM,
+    RANK,
     AmbientVector,
     H_SQUARED,
     IntMatrix,
+    _BLOCK_OFFSETS,
     _pivot_row,
-    e_vec,
     gram_of,
-    i3_vector,
     inner_product,
-    t_vec,
 )
 from .linalg import _smith_in_place
 from .verifier import Certificate, certificate_for
@@ -137,6 +136,40 @@ class RealizationStatus(str, Enum):
     NOT_REALIZABLE = "NOT_REALIZABLE"
 
 
+def _unit(position: int) -> AmbientVector:
+    coords = [0] * RANK
+    coords[position] = 1
+    return AmbientVector(tuple(coords))
+
+
+def t_vec(copy: int, i: int) -> AmbientVector:
+    """Basis vector t^copy_i of one of the two E8 blocks (copy in {1,2}, i in 1..8)."""
+    if copy not in (1, 2) or not 1 <= i <= 8:
+        raise ValueError("t_vec expects copy in {1,2} and i in 1..8")
+    return _unit(_BLOCK_OFFSETS[f"E8_{copy}"] + i - 1)
+
+
+def e_vec(copy: int, i: int) -> AmbientVector:
+    """Basis vector e^copy_i of one of the two hyperbolic planes (i in {1,2})."""
+    if copy not in (1, 2) or i not in (1, 2):
+        raise ValueError("e_vec expects copy in {1,2} and i in {1,2}")
+    return _unit(_BLOCK_OFFSETS[f"U{copy}"] + i - 1)
+
+
+def i3_vector(x: int, y: int, z: int) -> AmbientVector:
+    """Vector (x, y, z) supported in the I3 block."""
+    coords = [0] * RANK
+    coords[20], coords[21], coords[22] = x, y, z
+    return AmbientVector(tuple(coords))
+
+
+# The generators a1, a2 of the hexagonal plane A2 inside the orthogonal
+# complement of h2 in I3.  Every integer triple with zero coordinate sum and
+# norm 2 is one of the six roots of this plane; this pair realizes the Gram
+# [[2,1],[1,2]].
+A1 = i3_vector(1, -1, 0)
+A2 = i3_vector(0, -1, 1)
+
 _SCALED_BASES = {"A2_1": A1, "A2_2": A2}
 for _copy in (1, 2):
     for _i in range(1, 9):
@@ -145,9 +178,8 @@ for _copy in (1, 2):
 U_KINDS = ("U1", "U2")
 _A2_KINDS = ("A2_1", "A2_2")
 
-# <b, b'> for the scaled slot bases in ``_SCALED_BASES`` order: the Gram of
-# a1, a2, then the two E8 blocks, which pair with nothing outside themselves.
-_BASE_PAIRING = IntMatrix.block_diagonal([gram_of([A1, A2]), E8_GRAM, E8_GRAM]).rows
+# <b, b'> for the scaled slot bases in ``_SCALED_BASES`` order.
+_BASE_PAIRING = gram_of(list(_SCALED_BASES.values())).rows
 _BASE_INDEX = {kind: i for i, kind in enumerate(_SCALED_BASES)}
 
 # Scaled-slot assignment order for generic builds: the two A2 generators, then

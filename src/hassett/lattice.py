@@ -8,12 +8,10 @@ in that fixed coordinate order, where E8 is the even unimodular rank-8 root
 lattice, U is the hyperbolic plane with Gram [[0,1],[1,0]], and I3 is the
 standard odd unimodular rank-3 lattice diag(1,1,1).  The distinguished class
 ``h2`` (the square of the hyperplane class of a cubic fourfold) sits in the
-I3 block with coordinates (1,1,1) and has norm 3.
-
-The two generators ``a1``, ``a2`` of the hexagonal plane A2 inside the
-orthogonal complement of ``h2`` in I3 are pinned to (1,-1,0) and (0,-1,1).
-Every integer triple with zero coordinate sum and norm 2 is one of the six
-roots of this plane; the chosen pair realizes the Gram [[2,1],[1,2]].
+I3 block with coordinates (1,1,1) and has norm 3.  A verdict builds no
+vector: the builders' constructors (``t_vec``, ``e_vec``, ``i3_vector``, the
+A2 generators) live in ``constructions``, and ``AmbientVector``'s ``+``,
+``*`` and ``i3_part`` serve those builders only.
 
 Everything here runs on arbitrary-precision Python integers, with no
 rationals and no floating point, and ``verifier`` imports no other module
@@ -209,37 +207,7 @@ class AmbientVector:
         return "AmbientVector(" + (" + ".join(named) if named else "0") + ")"
 
 
-def _unit(position: int) -> AmbientVector:
-    coords = [0] * RANK
-    coords[position] = 1
-    return AmbientVector(tuple(coords))
-
-
-def t_vec(copy: int, i: int) -> AmbientVector:
-    """Basis vector t^copy_i of one of the two E8 blocks (copy in {1,2}, i in 1..8)."""
-    if copy not in (1, 2) or not 1 <= i <= 8:
-        raise ValueError("t_vec expects copy in {1,2} and i in 1..8")
-    return _unit(_BLOCK_OFFSETS[f"E8_{copy}"] + i - 1)
-
-
-def e_vec(copy: int, i: int) -> AmbientVector:
-    """Basis vector e^copy_i of one of the two hyperbolic planes (i in {1,2})."""
-    if copy not in (1, 2) or i not in (1, 2):
-        raise ValueError("e_vec expects copy in {1,2} and i in {1,2}")
-    return _unit(_BLOCK_OFFSETS[f"U{copy}"] + i - 1)
-
-
-def i3_vector(x: int, y: int, z: int) -> AmbientVector:
-    """Vector (x, y, z) supported in the I3 block."""
-    coords = [0] * RANK
-    coords[20], coords[21], coords[22] = x, y, z
-    return AmbientVector(tuple(coords))
-
-
-H_SQUARED = i3_vector(1, 1, 1)
-
-A1 = i3_vector(1, -1, 0)
-A2 = i3_vector(0, -1, 1)
+H_SQUARED = AmbientVector((0,) * 20 + (1, 1, 1))
 
 
 def _form_image(c: tuple[int, ...]) -> list[int]:

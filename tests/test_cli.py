@@ -16,7 +16,9 @@ import hassett.cli as cli
 import hassett.criteria as criteria
 from hassett import __version__
 from hassett.cli import main
-from hassett.verifier import Certificate
+from hassett.constructions import e_vec
+from hassett.lattice import H_SQUARED
+from hassett.verifier import Certificate, certificate_for
 
 
 def run(capsys, *argv):
@@ -373,6 +375,19 @@ class TestVerifyFile:
         code, out2, err = run(capsys, "verify-file", str(path))
         assert self._one_error_line(code, out2, err) and message in err
 
+    @pytest.mark.parametrize(
+        "rows, message", [([[], [1]], "at least one row"), ([[1], []], "ragged rows")]
+    )
+    def test_realized_gram_faults_are_named_in_check_order(self, capsys, tmp_path, rows, message):
+        # An empty first row is named before ragged rows: both grams are ragged.
+        _, out, _ = run(capsys, "intersect", "12", "12", "26", "--json")
+        doc = json.loads(out)
+        doc["report"]["realizedGram"] = rows
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code, out2, err = run(capsys, "verify-file", str(path))
+        assert self._one_error_line(code, out2, err) and message in err
+
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_json_number_constants_exit_2(self, capsys, tmp_path, constant):
         # Python's json module accepts these by default; RFC 8259 does not.
@@ -425,6 +440,8 @@ class TestVerifyFile:
             ("report.realizedGram", [[True]]),
             ("report.gramMatchesReference", "maybe"),
             ("toolVersion", 1),
+            ("toolVersion", None),
+            ("report.criterion.pass", None),
         ],
         ids=str,
     )
@@ -489,6 +506,17 @@ class TestVerifyFile:
         path.write_text(json.dumps(doc))
         code, out2, err = run(capsys, "verify-file", str(path))
         assert code == 0 and "PASS" in out2 and err == ""
+
+    def test_indefinite_witness_with_null_minimum_is_verified(self, capsys, tmp_path):
+        # A witness that is not positive definite has no minimum: its report
+        # holds minimumNorm null, which is of the schema's form.
+        cert = certificate_for((H_SQUARED, e_vec(1, 1)), (12,))
+        path = tmp_path / "cert.json"
+        path.write_text(cert.to_json())
+        assert json.loads(path.read_text())["report"]["criterion"]["minimumNorm"] is None
+        code, out, err = run(capsys, "verify-file", str(path), "--json")
+        assert code == 1 and err == ""
+        assert "NOT_POSITIVE_DEFINITE" in json.loads(out)["failureReasons"]
 
 
 class _Obj(list):

@@ -14,6 +14,7 @@ import pytest
 import hassett.constructions as constructions
 from hassett.criteria import satisfies_star
 from hassett.constructions import (
+    A1,
     COROLLARY_DISCRIMINANTS,
     CaseId,
     Mode,
@@ -23,7 +24,9 @@ from hassett.constructions import (
     build,
     build_generic,
     case_slots,
+    e_vec,
     generic_slots,
+    i3_vector,
     ideal_gram,
     realize_perturbations,
     reference_gram,
@@ -31,15 +34,7 @@ from hassett.constructions import (
 )
 import hassett.lattice as lattice
 import hassett.linalg as linalg
-from hassett.lattice import (
-    A1,
-    H_SQUARED,
-    IntMatrix,
-    e_vec,
-    gram_of,
-    i3_vector,
-    inner_product,
-)
+from hassett.lattice import H_SQUARED, IntMatrix, gram_of, inner_product
 from hassett.linalg import is_positive_definite
 import hassett.verifier as verifier
 from hassett.verifier import certificate_for, verify_witness

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import hassett.criteria as criteria
 import hassett.lattice as lattice
 import hassett.linalg as linalg
-from hassett.constructions import COROLLARY_DISCRIMINANTS
+from hassett.constructions import A1, COROLLARY_DISCRIMINANTS, e_vec, i3_vector
 from hassett.criteria import (
     conjecture_sweep,
     discriminant_report,
@@ -17,7 +17,7 @@ from hassett.criteria import (
     satisfies_double_star,
     satisfies_star,
 )
-from hassett.lattice import A1, H_SQUARED, e_vec, gram_of, i3_vector
+from hassett.lattice import H_SQUARED, gram_of
 from hassett.verifier import CriterionReport, verify_witness
 from oracles import conjecture_shape, oracle_report
 

@@ -8,9 +8,8 @@ import pytest
 
 import hassett.lattice as lattice
 import hassett.linalg as linalg
+from hassett.constructions import A1, A2, e_vec, i3_vector, t_vec
 from hassett.lattice import (
-    A1,
-    A2,
     AMBIENT_GRAM,
     AmbientVector,
     E8_EDGES,
@@ -19,15 +18,12 @@ from hassett.lattice import (
     IntMatrix,
     RANK,
     _ldl,
-    e_vec,
     gram_of,
-    i3_vector,
     inner_product,
     is_saturated,
     minimum,
     norm,
     short_vectors,
-    t_vec,
 )
 from hassett.linalg import is_positive_definite
 from oracles import (

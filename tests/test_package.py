@@ -178,19 +178,15 @@ CORE_NOT_ENTERED = {
     "lattice.IntMatrix.to_lists": "serialisation (realizedGram) and the tracer-bound Smith forms",
     "lattice.IntMatrix.__hash__": "a dunder",
     "lattice.IntMatrix.__repr__": "a dunder",
-    "lattice.AmbientVector.__init__": "a builder's constructor; parsed rows use _unchecked",
-    "lattice.AmbientVector.__add__": "a builder's constructor: glue and perturbation",
-    "lattice.AmbientVector.__rmul__": "a builder's constructor: scaled generators",
-    "lattice.AmbientVector.i3_part": "a builder's constructor: the perturbation search",
+    "lattice.AmbientVector.__init__": "H_SQUARED at import and the builders; parsed rows use _unchecked",
+    "lattice.AmbientVector.__add__": "the builders' arithmetic: glue and perturbation",
+    "lattice.AmbientVector.__rmul__": "the builders' arithmetic: scaled generators",
+    "lattice.AmbientVector.i3_part": "the builders' arithmetic: the perturbation search",
     "lattice.AmbientVector.__setattr__": "a dunder",
     "lattice.AmbientVector.__delattr__": "a dunder",
     "lattice.AmbientVector.__reduce__": "a dunder",
     "lattice.AmbientVector.__hash__": "a dunder",
     "lattice.AmbientVector.__repr__": "a dunder",
-    "lattice._unit": "a builder's constructor, under t_vec and e_vec",
-    "lattice.t_vec": "a builder's constructor",
-    "lattice.e_vec": "a builder's constructor",
-    "lattice.i3_vector": "constants at import (H_SQUARED, A1, A2); a builder's constructor",
     "lattice.norm": "a public helper that no verdict needs",
     "lattice.is_saturated": "tracer-bound (ROADMAP item 2)",
     "lattice.short_vectors": "tracer-bound (ROADMAP item 2)",
@@ -270,6 +266,29 @@ def test_every_core_function_runs_in_some_verdict(tmp_path_factory, monkeypatch)
     assert not_entered == CORE_NOT_ENTERED.keys()
 
 
+def test_mutation_targets_are_the_core_the_trace_gate_defines():
+    # tools/mutate.py mutates every core function above that a verdict runs,
+    # and rewrites one module-level statement per mutant; unmutated, the
+    # rewrite must give back the module, decorators included.
+    path = Path(__file__).resolve().parents[1] / "tools" / "mutate.py"
+    spec = importlib.util.spec_from_file_location("mutate", path)
+    mutate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutate)
+    src = Path(hassett.__file__).resolve().parent
+    plan = mutate.targets(src)
+    assert not {"verifier", "lattice"} & mutate.NAMED.keys()
+    for module, names in plan.items():
+        source = (src / f"{module}.py").read_text()
+        tree = ast.parse(source)
+        if module in ("verifier", "lattice"):
+            defs = {f"{module}.{q}" for _, _, q in _defined_functions(tree)}
+            assert {f"{module}.{q}" for q in names} == defs - CORE_NOT_ENTERED.keys()
+        original = ast.dump(tree)
+        for name in names:
+            assert ast.dump(ast.parse(mutate.splice(source, tree, name))) == original
+    assert {"Certificate.from_json", "CriterionReport.reasons"} <= set(plan["verifier"])
+
+
 def test_float_scan_flags_each_kind():
     def flagged(snippet):
         return any(_float_use(node) for node in ast.walk(ast.parse(snippet)))
@@ -292,14 +311,14 @@ def test_int_scan_flags_truncating_coercion_only():
 
 
 def test_non_integer_inputs_raise_type_error():
-    basis = (lattice.H_SQUARED, lattice.e_vec(1, 1) + 2 * lattice.e_vec(1, 2))
+    basis = (lattice.H_SQUARED, constructions.e_vec(1, 1) + 2 * constructions.e_vec(1, 2))
     calls = {
         "IntMatrix float": lambda: lattice.IntMatrix([[2.9, 0], [0, 3.5]]),
         "IntMatrix str": lambda: lattice.IntMatrix([["3"]]),
         "span_membership row": lambda: lattice.span_membership([[1.5, 0]], [0, 0]),
         "span_membership target": lambda: lattice.span_membership([[1, 0]], ["1", 0]),
         "AmbientVector": lambda: lattice.AmbientVector((2.7,) * 23),
-        "i3_vector": lambda: lattice.i3_vector(1, 1, Fraction(1)),
+        "i3_vector": lambda: constructions.i3_vector(1, 1, Fraction(1)),
         "generic_slots": lambda: constructions.generic_slots([14.0, 20]),
         "case_slots": lambda: constructions.case_slots(hassett.CaseId.R4_000, (2, 2, "4")),
         "_r21_all2_gram": lambda: constructions._r21_all2_gram((4.0,) * 20),

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from hassett.constructions import (
+    A1,
     COROLLARY_DISCRIMINANTS,
     CaseId,
     Mode,
@@ -13,21 +14,15 @@ from hassett.constructions import (
     build_generic,
     check_identity,
     corollary20_certificate,
+    e_vec,
     generic_slots,
+    i3_vector,
     ideal_gram,
+    t_vec,
 )
 import hassett.constructions as constructions
 from hassett.criteria import discriminant_report, satisfies_star
-from hassett.lattice import (
-    A1,
-    AmbientVector,
-    H_SQUARED,
-    IntMatrix,
-    e_vec,
-    i3_vector,
-    short_vectors,
-    t_vec,
-)
+from hassett.lattice import AmbientVector, H_SQUARED, IntMatrix, short_vectors
 from hassett.verifier import (
     _labelling_saturated,
     Certificate,
