@@ -19,11 +19,13 @@ A prime p >= 5 divides 12t^2 + 1 iff (6t)^2 = -3 (mod p), so only when -3
 is a square mod p.  For every prime p = 2 (mod 3) up to B = isqrt(n) of its
 last row, ``conjecture_sweep`` checks Euler's criterion (Ireland-Rosen, *A
 Classical Introduction to Modern Number Theory*, ch. 5): (-3)^((p-1)/2) = -1
-(mod p), so -3 is no square and p divides no row.  Then each row's
-prime factors up to B are 1 (mod 3), their product m is 1 (mod 3), and n/m,
-which is 1 or the one prime factor above B, is 1 (mod 3) too.  So
-``_k3_allows`` admits every prime power of every row.  A check that fails
-raises ``ArithmeticError`` naming its prime instead of giving a verdict.
+(mod p), so -3 is no square and p divides no row.  These primes, all >= 5,
+are the primes 5 (mod 6), so the sieve up to B is read at 5, 11, 17, ...
+only.  Then each row's prime factors up to B are 1 (mod 3), their product
+m is 1 (mod 3), and n/m, which is 1 or the one prime factor above B, is
+1 (mod 3) too.  So ``_k3_allows`` admits every prime power of every row.
+A check that fails raises ``ArithmeticError`` naming its prime instead of
+giving a verdict.
 
 This module is the arithmetic of d alone and imports no other part of the
 package; the lattice checks a witness must pass live in ``verifier``.
@@ -108,16 +110,14 @@ def has_associated_k3(d: int) -> bool:
     return discriminant_report(d).k3_admissible
 
 
-def _primes_upto(n: int) -> list[int]:
-    """The primes p <= n (sieve of Eratosthenes)."""
-    if n < 2:
-        return []
+def _sieve(n: int) -> bytearray:
+    """Eratosthenes' flags for 0 .. n: entry i is 1 iff i is prime."""
     flags = bytearray([1]) * (n + 1)
-    flags[:2] = b"\0\0"
+    flags[:2] = bytes(min(n + 1, 2))
     for p in range(2, math.isqrt(n) + 1):
         if flags[p]:
             flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return list(compress(range(n + 1), flags))
+    return flags
 
 
 def _divides_no_row(p: int) -> bool:
@@ -134,11 +134,13 @@ def _certify_family(count: int) -> list[int]:
 
     These are all primes p = 2 (mod 3) with 5 <= p <= isqrt(n_last), each
     checked by ``_divides_no_row``; a prime that fails raises
-    ArithmeticError.  With them excluded every prime factor of every n_t is
-    1 (mod 3) (see the module docstring).
+    ArithmeticError.  Every prime p >= 5 that is 2 (mod 3) is 5 (mod 6), so
+    the walk reads the sieve's flags at 5, 11, 17, ... only.  With these
+    primes excluded every prime factor of every n_t is 1 (mod 3) (see the
+    module docstring).
     """
     bound = math.isqrt(12 * (count + 1) ** 2 + 1)
-    primes = [p for p in _primes_upto(bound)[2:] if p % 3 == 2]
+    primes = list(compress(range(5, bound + 1, 6), _sieve(bound)[5::6]))
     for p in primes:
         if not _divides_no_row(p):
             raise ArithmeticError(f"-3 is a square mod {p}, so {p} may divide some 12t^2 + 1")

@@ -23,6 +23,8 @@ code with it.  They use only public ``hassett`` names.
   stream that ``constructions._draw_y`` reads.
 * ``conjecture_shape`` tries every k in turn, against the bit arithmetic
   that gives ``criteria.conjecture_sweep`` its (k, s).
+* ``primes_by_trial_division`` tests each integer by every divisor up to its
+  square root, against the sieve that ``criteria._certify_family`` walks.
 * ``oracle_report`` recomputes a whole ``verify_witness`` report from the
   kernels above: the Gram as a matrix product with ``AMBIENT_GRAM``,
   ``inertia``, ``integer_solver``, ``oracle_short_vectors`` and the 2 x 2
@@ -377,6 +379,11 @@ def conjecture_shape(d: int) -> tuple[int, int] | None:
             best = (k, s)
         k += 1
     return best
+
+
+def primes_by_trial_division(n: int) -> list[int]:
+    """The primes p <= n, each proved prime by every divisor up to isqrt(p)."""
+    return [p for p in range(2, n + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
 
 
 def oracle_report(basis: Sequence[AmbientVector], targets: Sequence[int]) -> dict:

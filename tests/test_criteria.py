@@ -19,7 +19,7 @@ from hassett.criteria import (
 )
 from hassett.lattice import H_SQUARED, gram_of
 from hassett.verifier import CriterionReport, verify_witness
-from oracles import conjecture_shape, oracle_report
+from oracles import conjecture_shape, oracle_report, primes_by_trial_division
 
 
 class TestStar:
@@ -214,20 +214,30 @@ class TestConjectureSweep:
 
 
 class TestFamilyCertificate:
-    def test_primes_upto_matches_trial_division(self):
-        def is_prime(n):
-            return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
-
-        for n in (0, 1, 2, 3, 4, 25, 2000):
-            assert criteria._primes_upto(n) == [q for q in range(n + 1) if is_prime(q)]
+    def test_sieve_flags_match_trial_division(self):
+        for n in (0, 1, 2, 3, 4, 5, 6, 25, 2000):
+            primes = set(primes_by_trial_division(n))
+            assert criteria._sieve(n) == bytes(int(i in primes) for i in range(n + 1))
 
     def test_divides_no_row_matches_root_search_below_2000(self):
-        for p in criteria._primes_upto(1999)[2:]:  # p >= 5
+        for p in primes_by_trial_division(1999)[2:]:  # p >= 5
             squares = {x * x % p for x in range(p)}
             roots = {t for t in range(p) if (12 * t * t + 1) % p == 0}
             # -1/12 is a square mod p iff p = 1 (mod 3).
             assert (-pow(12, -1, p) % p in squares) == (p % 3 == 1)
             assert criteria._divides_no_row(p) == (not roots) == (p % 3 == 2)
+
+    def test_certificate_walk_at_every_count_to_400(self):
+        bounds = {count: math.isqrt(12 * (count + 1) ** 2 + 1) for count in range(-1, 401)}
+        primes = primes_by_trial_division(max(bounds.values()))
+        walked = {}
+        for count, bound in bounds.items():
+            walked[count] = criteria._certify_family(count)
+            assert walked[count] == [p for p in primes if 5 <= p <= bound and p % 3 == 2], count
+        # Bounds 1 and 3 lie below the first prime, 7 .. 17 cross 5, 11 and
+        # 17, and bound 17 is itself a prime 5 (mod 6).
+        assert [bounds[c] for c in range(-1, 5)] == [1, 3, 7, 10, 13, 17]
+        assert [walked[c] for c in range(-1, 5)] == [[], [], [5], [5], [5, 11], [5, 11, 17]]
 
     @pytest.mark.parametrize("limit", [97, 98, 300, 10**6, 10**8])
     def test_certificate_checks_every_prime_2_mod_3_up_to_the_bound(self, limit, monkeypatch):

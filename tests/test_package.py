@@ -266,14 +266,20 @@ def test_every_core_function_runs_in_some_verdict(tmp_path_factory, monkeypatch)
     assert not_entered == CORE_NOT_ENTERED.keys()
 
 
-def test_mutation_targets_are_the_core_the_trace_gate_defines():
-    # tools/mutate.py mutates every core function above that a verdict runs,
-    # and rewrites one module-level statement per mutant; unmutated, the
-    # rewrite must give back the module, decorators included.
+def _mutate_tool():
+    """``tools/mutate.py``, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "tools" / "mutate.py"
     spec = importlib.util.spec_from_file_location("mutate", path)
     mutate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutate)
+    return mutate
+
+
+def test_mutation_targets_are_the_core_the_trace_gate_defines():
+    # tools/mutate.py mutates every core function above that a verdict runs,
+    # and rewrites one module-level statement per mutant; unmutated, the
+    # rewrite must give back the module, decorators included.
+    mutate = _mutate_tool()
     src = Path(hassett.__file__).resolve().parent
     plan = mutate.targets(src)
     assert not {"verifier", "lattice"} & mutate.NAMED.keys()
@@ -287,6 +293,13 @@ def test_mutation_targets_are_the_core_the_trace_gate_defines():
         for name in names:
             assert ast.dump(ast.parse(mutate.splice(source, tree, name))) == original
     assert {"Certificate.from_json", "CriterionReport.reasons"} <= set(plan["verifier"])
+
+
+def test_mutation_run_refuses_a_name_that_is_no_target(tmp_path, capsys):
+    work = tmp_path / "work"
+    assert _mutate_tool().main(str(work), "criteria._sieve", "criteria._primes_upto") == 2
+    assert capsys.readouterr().out == "not a mutation target: criteria._primes_upto\n"
+    assert not work.exists()
 
 
 def test_float_scan_flags_each_kind():

@@ -1,4 +1,4 @@
-"""Kernel timings: one pytest-benchmark case per exact kernel on the verdict and build paths.
+"""Kernel and CLI timings: one pytest-benchmark case per exact kernel and per CLI workload.
 
     python -m pytest tools/kernel_timings.py --benchmark-json=BENCH_$(git rev-parse --short HEAD).json
 
@@ -9,10 +9,14 @@ GOAL draws, a rank-4 GOAL witness and a rank-12 one.  The echelon cases
 also run once, untimed, under ``PivotSpy`` (``tests/pivot_spy.py``), and
 store the Euclid rounds, row swaps, column updates and largest entry of
 ``_pivot_row`` in the case's ``extra_info``, so counts sit beside times in
-the JSON.  To time another checkout's package with this suite, put its
-``src`` first on ``PYTHONPATH``.
+the JSON.  The ``test_cli_*`` cases time whole commands of the north
+star's workloads through ``cli.main`` in this process, stdout captured, and
+store the row or target count of each in ``extra_info``.  To time another
+checkout's package with this suite, put its ``src`` first on ``PYTHONPATH``.
 """
 
+import contextlib
+import io
 import math
 import random
 import sys
@@ -22,6 +26,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
+import hassett.cli as cli  # noqa: E402
 import hassett.constructions as constructions  # noqa: E402
 import hassett.lattice as lattice  # noqa: E402
 import hassett.linalg as linalg  # noqa: E402
@@ -116,3 +121,40 @@ def test_factorize_family_rows(benchmark):
 def test_certify_family(benchmark):
     # The family that conjecture_sweep certifies at limit 10^8.
     assert benchmark(_certify_family, math.isqrt((10**8 - 2) // 24) - 1)
+
+
+def _cli(argv: list[str]) -> str:
+    """The stdout of ``hassett argv`` run in process; the command must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("limit", [10**8, 10**10], ids=["1e8", "1e10"])
+def test_cli_sweep_conjecture(benchmark, limit):
+    text = benchmark(_cli, ["sweep-conjecture", "--limit", str(limit)])
+    benchmark.extra_info["rows"] = text.count("\n") - 1  # less the CSV header
+
+
+@pytest.mark.parametrize("count", [3, 20])
+def test_cli_intersect(benchmark, count):
+    targets = [str(d) for d in COROLLARY_DISCRIMINANTS[:count]]
+    benchmark(_cli, ["intersect", "--json", *targets])
+    benchmark.extra_info["targets"] = count
+
+
+def test_cli_corollary20(benchmark):
+    # Every round builds the certificate afresh instead of reading the cache.
+    benchmark.pedantic(
+        _cli, args=(["corollary20"],), setup=corollary20_certificate.cache_clear, rounds=50, iterations=1
+    )
+    benchmark.extra_info["targets"] = len(COROLLARY_DISCRIMINANTS)
+
+
+def test_cli_verify_file(benchmark, tmp_path):
+    cert = corollary20_certificate()
+    path = tmp_path / "corollary20.json"
+    path.write_text(cert.to_json())
+    benchmark(_cli, ["verify-file", "--json", str(path)])
+    benchmark.extra_info["targets"] = len(cert.targets)

@@ -1,6 +1,6 @@
 """Mutation score of the verdict path: one AST edit per mutant, judged by tier 1.
 
-    python tools/mutate.py WORKDIR
+    python tools/mutate.py WORKDIR [MODULE.QUALNAME ...]
 
 Copies the repository (without .git) to WORKDIR, which must not exist, and
 for every mutant rewrites one function there, runs the tier-1 suite with
@@ -9,9 +9,12 @@ verdict core that a verdict enters, as the trace gate defines it (every def
 of ``verifier`` and ``lattice`` outside ``CORE_NOT_ENTERED`` in
 ``tests/test_package.py``), and the functions named in ``NAMED`` outside the
 core.  A def nested in a target is a target of its own, so each edit belongs
-to one target.  Each edit flips one operator, shifts one integer constant
-by +-1, negates a boolean constant, drops a ``not``, a unary minus or an
-``abs``, or swaps ``min`` and ``max``.
+to one target.  Names such as ``criteria._sieve`` or
+``verifier.Certificate.from_json`` after WORKDIR limit the run to those
+targets; a name that is no target exits 2 before anything is copied.  Each
+edit flips one operator, shifts one integer constant by +-1, negates a
+boolean constant, drops a ``not``, a unary minus or an ``abs``, or swaps
+``min`` and ``max``.
 
 A suite that runs past ``TIMEOUT`` seconds runs once more with twice the
 limit, and a mutant is TIMEOUT only when that run also expires.  When the
@@ -39,7 +42,7 @@ from test_package import CORE_NOT_ENTERED, _defined_functions  # noqa: E402
 CORE = ("verifier", "lattice")
 # Targets outside the verdict core.
 NAMED = {
-    "criteria": ("_divides_no_row", "_certify_family", "conjecture_sweep"),
+    "criteria": ("_sieve", "_divides_no_row", "_certify_family", "conjecture_sweep"),
     "constructions": ("_glued_search",),
 }
 TIMEOUT = 90
@@ -165,9 +168,15 @@ def judge(work: Path, env: dict) -> tuple[str, str]:
     return ("UNREPRODUCED" if alone.returncode == 0 else "KILLED"), test
 
 
-def main(workdir: str) -> int:
+def main(workdir: str, *only: str) -> int:
     work = Path(workdir)
     plan = targets(REPO / "src" / "hassett")
+    if only:
+        unknown = set(only) - {f"{module}.{name}" for module, names in plan.items() for name in names}
+        if unknown:
+            print("not a mutation target:", " ".join(sorted(unknown)))
+            return 2
+        plan = {module: tuple(n for n in names if f"{module}.{n}" in only) for module, names in plan.items()}
     shutil.copytree(REPO, work, ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis"))
     env = dict(os.environ, PYTHONPATH=str(work / "src"))
     if subprocess.run(SUITE, cwd=work, env=env, capture_output=True).returncode:
